@@ -17,10 +17,10 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 from . import mmkp
-from .landscape import LandscapePrior
+from .landscape import LandscapePrior, partial_moment
 from .strategies import UpdateResult, multiplicative_update
 from .utility import (
     AdEconomics,
@@ -167,6 +167,16 @@ def _best_bids(phi: np.ndarray, psi: np.ndarray, cap: float) -> np.ndarray:
     return np.where(at_cap, cap, bp)
 
 
+def _best_bid(phi: float, psi: float, cap: float) -> float:
+    """Scalar form of `_best_bids`: the same bid for any non-NaN coefficients."""
+    if phi > 0.0 and psi < 0.0:
+        bp = -phi / psi
+        return cap if bp > cap else bp
+    if phi <= 0.0 and psi <= 0.0:
+        return 0.0
+    return cap
+
+
 def _prob_cost(mu: float, sigma: float, bp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Win probability and expected cost arrays for one prior at many bids."""
     prob = np.zeros_like(bp)
@@ -175,8 +185,20 @@ def _prob_cost(mu: float, sigma: float, bp: np.ndarray) -> tuple[np.ndarray, np.
     if np.any(pos):
         z = (np.log(bp[pos]) - mu) / sigma
         prob[pos] = ndtr(z)
-        cost[pos] = math.exp(mu + 0.5 * sigma * sigma) * ndtr(z - sigma)
+        cost[pos] = partial_moment(mu, sigma, z)
     return prob, cost
+
+
+def _partial_moments(mu: np.ndarray, sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """`partial_moment` elementwise over arrays of priors, with numpy's exp."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        moment = np.exp(mu + 0.5 * sigma * sigma) * ndtr(z - sigma)
+    # The moment is finite unless the mean overflowed; there, the log-space form.
+    over = ~np.isfinite(moment)
+    if np.any(over):
+        mu, sigma, z = mu[over], sigma[over], z[over]
+        moment[over] = np.exp(mu + 0.5 * sigma * sigma + log_ndtr(z - sigma))
+    return moment
 
 
 class DspChoiceModel(mmkp.ChoiceModel):
@@ -240,6 +262,33 @@ class DspChoiceModel(mmkp.ChoiceModel):
         prob, cost = _prob_cost(self._mu[i], self._sigma[i], bp)
         return bp, phi * prob + psi * cost
 
+    def dominant_consumption(self, i: int, alpha: np.ndarray) -> np.ndarray | None:
+        # The base-class path fused into one pass over the ads on Python
+        # floats: the same composite, case table, CDF and partial moment as
+        # `item_best`, the first maximum as in `np.argmax`, and W formed for
+        # the chosen ad only. `np.log` and not `math.log`: the two differ in
+        # the last bit for some inputs, and the result must match bit for bit.
+        phi_f, psi_f = self.composite(i, alpha)
+        mu, sigma = self._mu.item(i), self._sigma.item(i)
+        cap = float(self.instance.bid_cap)
+        best, chosen = 0.0, None
+        for j, (phi, psi) in enumerate(zip(phi_f.tolist(), psi_f.tolist())):
+            bp = _best_bid(phi, psi, cap)
+            if bp > 0.0:
+                z = (np.log(bp) - mu) / sigma
+                prob, cost = ndtr(z), partial_moment(mu, sigma, z)
+            else:
+                prob = cost = 0.0
+            score = phi * prob + psi * cost
+            if score > best:
+                best, chosen = score, (j, prob, cost)
+            elif score != score:  # np.argmax picks the first NaN, which is not > 0
+                return None
+        if chosen is None:
+            return None
+        j, prob, cost = chosen
+        return self._phi_w[i, j] * prob + self._psi_w[i, j] * cost
+
     def beta_sum(self, alpha: np.ndarray) -> float:
         # One vectorized pass over all (impression, ad) pairs.
         alpha = np.asarray(alpha, dtype=float)
@@ -256,7 +305,7 @@ class DspChoiceModel(mmkp.ChoiceModel):
             sigma = np.broadcast_to(self._sigma[:, None], bp.shape)[pos]
             z = (np.log(bp[pos]) - mu) / sigma
             prob[pos] = ndtr(z)
-            cost[pos] = np.exp(mu + 0.5 * sigma * sigma) * ndtr(z - sigma)
+            cost[pos] = _partial_moments(mu, sigma, z)
         scores = phi * prob + psi * cost
         return float(np.sum(np.maximum(scores.max(axis=1), 0.0)))
 

@@ -36,6 +36,7 @@ __all__ = [
     "fit_censored",
     "fit_to_json",
     "mean",
+    "partial_moment",
     "pdf",
     "read_observations_csv",
     "win_prob",
@@ -137,13 +138,35 @@ def expected_cost(prior: LandscapePrior, bid_price) -> float | np.ndarray:
     pos = bp > 0.0
     if np.any(pos):
         z = (np.log(bp[pos]) - prior.mu) / prior.sigma
-        out[pos] = mean(prior) * ndtr(z - prior.sigma)
+        out[pos] = partial_moment(prior.mu, prior.sigma, z)
     return _scalar_or_array(bid_price, out)
 
 
 def mean(prior: LandscapePrior) -> float:
-    """Mean of the competing-bid distribution, exp(mu + sigma^2 / 2)."""
-    return math.exp(prior.mu + 0.5 * prior.sigma * prior.sigma)
+    """Mean of the competing-bid distribution, exp(mu + sigma^2 / 2).
+
+    Returns `math.inf` where that overflows a double (from sigma of about
+    37.7 at mu = 0).
+    """
+    try:
+        return math.exp(prior.mu + 0.5 * prior.sigma * prior.sigma)
+    except OverflowError:
+        return math.inf
+
+
+def partial_moment(mu: float, sigma: float, z):
+    """Partial first moment exp(mu + sigma^2/2) * Phi(z - sigma) at standardized log-bid `z`.
+
+    This is the expected second-price payment at a bid bp with
+    z = (ln bp - mu) / sigma, so it never exceeds bp * Phi(z). Where the mean
+    exp(mu + sigma^2/2) overflows, the product is formed in log space as
+    exp(mu + sigma^2/2 + log Phi(z - sigma)), which stays finite; everywhere
+    else it is the plain product. `z` may be a float or an array.
+    """
+    try:
+        return math.exp(mu + 0.5 * sigma * sigma) * ndtr(z - sigma)
+    except OverflowError:
+        return np.exp(mu + 0.5 * sigma * sigma + log_ndtr(z - sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -81,11 +81,19 @@ class ChoiceModel(ABC):
     def n_constraints(self) -> int:
         return len(self.budgets)
 
-    def best_subchoice(self, i: int, j: int, alpha: np.ndarray) -> float:
-        return float(self.item_best(i, alpha)[0][j])
+    def dominant_consumption(self, i: int, alpha: np.ndarray) -> np.ndarray | None:
+        """Consumption W of item `i`'s top-scoring assignment when that score is > 0.
 
-    def best_score(self, i: int, j: int, alpha: np.ndarray) -> float:
-        return float(self.item_best(i, alpha)[1][j])
+        Returns None when no user scores above zero. Ties go to the lowest user
+        index, as in `np.argmax`. This is all one SGD step needs from a model;
+        models may override it with a fused kernel that returns the same bits.
+        """
+        subs, scores = self.item_best(i, alpha)
+        if scores.size:
+            j = int(np.argmax(scores))
+            if scores[j] > 0.0:
+                return self.consumption(i, j, float(subs[j]))
+        return None
 
     def beta_sum(self, alpha: np.ndarray) -> float:
         """Sum of per-item dual inner values; models may vectorize this."""
@@ -202,6 +210,12 @@ def sgd_solve(
     otherwise); steps follow the diminishing schedule step0 / sqrt(1 + t/N)
     and every update projects back onto alpha >= 0.
 
+    The step asks the model for that consumption alone, through
+    `model.dominant_consumption(i, alpha)` (None when nothing scores above
+    zero). The base-class method derives it from `item_best` and
+    `consumption`; `DspChoiceModel` overrides it with a fused scalar kernel
+    that returns the same bits.
+
     The returned alpha is the best of the epoch-end iterates and the tail
     average of the last quarter of epochs, judged by dual value; plain last
     iterates of subgradient methods oscillate around the minimizer and both
@@ -229,14 +243,10 @@ def sgd_solve(
 
     t = 0
     for epoch in range(epochs):
-        for i in rng.permutation(n_items):
+        for i in rng.permutation(n_items).tolist():
             eta = step0 / math.sqrt(1.0 + t / max(n_items, 1))
-            subs, scores = model.item_best(int(i), alpha)
-            grad = b_over_n.copy()
-            if scores.size:
-                j = int(np.argmax(scores))
-                if scores[j] > 0.0:
-                    grad -= model.consumption(int(i), j, float(subs[j]))
+            used = model.dominant_consumption(i, alpha)
+            grad = b_over_n if used is None else b_over_n - used
             alpha = np.maximum(0.0, alpha - eta * grad)
             t += 1
         value = dual_objective(model, alpha)

@@ -1,12 +1,15 @@
+import csv
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 import jsonschema
 
-from dualbid import cli
-from dualbid.landscape import write_observations_csv, BidObservation, Outcome
+from dualbid import cli, sim
+from dualbid.landscape import LandscapePrior, write_observations_csv, BidObservation, Outcome
 from dualbid.mmkp import DivergenceError
 from dualbid.sim import CONSTRAINT_CSV_HEADER, EPOCH_CSV_HEADER
 
@@ -86,6 +89,38 @@ class TestSolve:
                 ["solve", "--instance", str(small_instance), "--out-dir", str(out), "--epochs-sgd", "40"]
             ) == 0
         assert read_dir(a) == read_dir(b)
+
+    def test_extreme_sigma_solves_with_finite_outputs(self, tmp_path):
+        # At sigma = 40 the landscape mean exp(mu + sigma^2/2) overflows a double.
+        assert run(["gen", "--out-dir", str(tmp_path / "gen"), "--seed", "0"]) == 0
+        instance = sim.load_instance(tmp_path / "gen" / "instance.json")
+        imp = instance.impressions[0]
+        instance.impressions[0] = dataclasses.replace(imp, prior=LandscapePrior(imp.prior.mu, 40.0))
+        sim.save_instance(tmp_path / "instance.json", instance, seed=0)
+        out = tmp_path / "solve"
+        assert run(["solve", "--instance", str(tmp_path / "instance.json"), "--out-dir", str(out)]) == 0
+
+        def numbers(value):
+            if isinstance(value, dict):
+                return [x for v in value.values() for x in numbers(v)]
+            if isinstance(value, list):
+                return [x for v in value for x in numbers(v)]
+            return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+        for name in ("alpha.json", "summary.json"):
+            values = numbers(json.loads((out / name).read_text()))
+            assert values and all(math.isfinite(v) for v in values), name
+        for name in ("constraints.csv", "decisions.csv"):
+            with open(out / name, newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            assert rows
+            for row in rows:
+                for key, cell in row.items():
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(value), (name, key, cell)
 
     def test_truncated_instance_exits_2_with_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

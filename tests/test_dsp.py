@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from dualbid.dsp import (
     write_decisions_csv,
 )
 from dualbid.landscape import LandscapePrior, pdf
-from dualbid.mmkp import beta_value, decide
+from dualbid.mmkp import ChoiceModel, beta_value, decide, sgd_solve
 from dualbid.utility import (
     AdEconomics,
     ConstraintKind,
@@ -286,6 +287,127 @@ class TestGradientRule:
         h = 1e-6
         fd = (beta_value(model, 0, alpha + h) - beta_value(model, 0, alpha - h)) / (2.0 * h)
         assert fd == pytest.approx(0.0, abs=1e-12)
+
+
+def generic_step(model, i, alpha):
+    return ChoiceModel.dominant_consumption(model, i, alpha)
+
+
+def assert_same_step(model, i, alpha):
+    """The fused kernel returns the generic path's consumption bit for bit."""
+    fused, generic = model.dominant_consumption(i, alpha), generic_step(model, i, alpha)
+    if generic is None:
+        assert fused is None
+        return False
+    assert fused is not None
+    assert fused.dtype == generic.dtype and fused.shape == generic.shape
+    assert fused.tobytes() == generic.tobytes()
+    return True
+
+
+class TestDominantConsumption:
+    def test_random_instances(self):
+        rng = np.random.default_rng(17)
+        allocated = skipped = 0
+        for draw in range(60):
+            m = 1 + draw % 4
+            instance = random_instance(rng, n=4, m=m, with_budgets=draw % 3 != 0)
+            model = DspChoiceModel(instance)
+            for i in range(model.n_items):
+                alpha = rng.uniform(0.0, 8.0, instance.n_constraints)
+                if assert_same_step(model, i, alpha):
+                    allocated += 1
+                else:
+                    skipped += 1
+        assert allocated >= 100 and skipped >= 10
+
+    def test_single_ad(self):
+        model = DspChoiceModel(random_instance(np.random.default_rng(3), n=8, m=1))
+        hits = [assert_same_step(model, i, np.full(model.n_constraints, 0.2)) for i in range(8)]
+        assert any(hits)
+
+    def test_no_constraints(self):
+        impressions = [Impression(i, STANDARD, (0.05 * i, 0.1)) for i in range(4)]
+        model = DspChoiceModel(p4p_instance(constraints=[], impressions=impressions))
+        for i in range(4):
+            assert assert_same_step(model, i, np.zeros(0))
+            assert model.dominant_consumption(i, np.zeros(0)).shape == (0,)
+
+    def test_zero_ppi(self):
+        instance = p4p_instance(impressions=[Impression(0, STANDARD, (0.0, 0.0))])
+        model = DspChoiceModel(instance)
+        for a in (0.0, 0.5, 3.0):
+            assert not assert_same_step(model, 0, np.asarray([a]))
+
+    def test_bids_clipped_at_cap(self):
+        rng = np.random.default_rng(11)
+        instance = random_instance(rng, n=12, m=3)
+        instance.bid_cap = 0.02
+        model = DspChoiceModel(instance)
+        clipped = 0
+        for i in range(model.n_items):
+            alpha = rng.uniform(0.0, 0.5, instance.n_constraints)
+            clipped += int(np.any(model.item_best(i, alpha)[0] == instance.bid_cap))
+            assert_same_step(model, i, alpha)
+        assert clipped > 0
+
+    def test_zero_and_large_prices(self):
+        model = DspChoiceModel(random_instance(np.random.default_rng(23), n=10, m=3))
+        k = model.n_constraints
+        assert all(assert_same_step(model, i, np.zeros(k)) for i in range(10))
+        for i in range(10):
+            assert_same_step(model, i, np.full(k, 1e6))
+
+    def test_bid_logs_follow_numpy(self):
+        # One ad with its ROI row priced at 1 bids exactly its ppi. For a few
+        # such bids `math.log` and numpy's vectorized log differ in the last
+        # bit on some CPUs; the kernel must take numpy's, as `item_best` does.
+        ppis = np.random.default_rng(31).uniform(0.5, 2.0, 3000)
+        impressions = [Impression(i, STANDARD, (p,)) for i, p in enumerate(ppis.tolist())]
+        model = DspChoiceModel(p4p_instance(cpps=(1.0,), impressions=impressions))
+        alpha = np.ones(1)
+        for i, ppi in enumerate(ppis.tolist()):
+            assert model.item_best(i, alpha)[0][0] == ppi
+            assert assert_same_step(model, i, alpha)
+
+    def test_tie_goes_to_the_first_ad(self):
+        # Twin ads tie on score; only ad1 consumes the (unpriced) budget row.
+        budget = ConstraintSpec(ConstraintKind.BUDGET, PaymentMode.P4P, 5.0, frozenset(["ad1"]))
+        model = DspChoiceModel(p4p_instance(cpps=(1.0, 1.0), constraints=[budget]))
+        scores = model.item_best(0, np.zeros(1))[1]
+        assert scores[0] == scores[1] > 0.0
+        assert assert_same_step(model, 0, np.zeros(1))
+        assert model.dominant_consumption(0, np.zeros(1))[0] > 0.0
+
+    def test_sigma_forty_prior(self):
+        rng = np.random.default_rng(29)
+        instance = random_instance(rng, n=10, m=2)
+        instance.impressions = [
+            dataclasses.replace(imp, prior=LandscapePrior(imp.prior.mu, 40.0))
+            for imp in instance.impressions
+        ]
+        model = DspChoiceModel(instance)
+        hits = [
+            assert_same_step(model, i, rng.uniform(0.0, 1.0, model.n_constraints))
+            for i in range(10)
+        ]
+        assert any(hits)
+
+
+class _GenericStepModel(DspChoiceModel):
+    def dominant_consumption(self, i, alpha):
+        return generic_step(self, i, alpha)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sgd_matches_generic_step_bit_for_bit(seed):
+    instance = random_instance(np.random.default_rng(40 + seed), n=40, m=2)
+    fused = sgd_solve(DspChoiceModel(instance), epochs=20, shuffle_seed=seed)
+    generic = sgd_solve(_GenericStepModel(instance), epochs=20, shuffle_seed=seed)
+    assert len(set(fused.dual_value_trace)) > 2
+    assert fused.alpha.tobytes() == generic.alpha.tobytes()
+    assert fused.dual_value_trace == generic.dual_value_trace
+    assert fused.best_epoch == generic.best_epoch
 
 
 class TestFeedbackUpdate:

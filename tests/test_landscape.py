@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import log_ndtr
 
 from dualbid.landscape import (
     BidObservation,
@@ -17,6 +18,7 @@ from dualbid.landscape import (
     fit_censored,
     fit_to_json,
     mean,
+    partial_moment,
     pdf,
     read_observations_csv,
     win_prob,
@@ -73,6 +75,25 @@ class TestClosedForms:
         assert mean(STANDARD) == pytest.approx(math.exp(0.5), rel=1e-12)
         assert mean(LandscapePrior(0.0, 1e-9)) == pytest.approx(1.0, abs=1e-9)
         assert mean(LandscapePrior(math.log(2.0), 1e-9)) == pytest.approx(2.0, abs=1e-8)
+
+    def test_extreme_sigma_keeps_cost_finite_and_bounded(self):
+        # exp(mu + sigma^2/2) overflows a double from sigma of about 37.7.
+        prior = LandscapePrior(-1.0, 40.0)
+        assert mean(prior) == math.inf
+        bps = np.geomspace(1e-8, 1e4, 61)
+        cost = expected_cost(prior, bps)
+        prob = win_prob(prior, bps)
+        assert np.all(np.isfinite(cost))
+        assert np.all(cost >= 0.0)
+        assert np.all(cost <= bps * prob)
+        assert 0.0 <= expected_cost(prior, 1.0) <= win_prob(prior, 1.0)
+
+    def test_partial_moment_log_form_agrees_below_overflow(self):
+        # Both forms at a sigma whose mean is still finite.
+        mu, sigma = -1.0, 30.0
+        z = np.linspace(-5.0, 5.0, 11)
+        log_form = np.exp(mu + 0.5 * sigma * sigma + log_ndtr(z - sigma))
+        np.testing.assert_allclose(partial_moment(mu, sigma, z), log_form, rtol=1e-9)
 
     def test_vectorized_matches_scalar(self):
         bps = np.array([0.0, 0.3, 1.0, 4.5])

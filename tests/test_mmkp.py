@@ -39,9 +39,9 @@ class TestScoreF:
     def test_matches_reported_best_score(self):
         model = QuadraticToyModel([[4.0, 2.0]], [[[0.7], [0.3]]], [1.0])
         alpha = np.asarray([0.8])
+        subs, scores = model.item_best(0, alpha)
         for j in range(2):
-            sub = model.best_subchoice(0, j, alpha)
-            assert score_f(model, 0, j, sub, alpha) == pytest.approx(model.best_score(0, j, alpha))
+            assert score_f(model, 0, j, float(subs[j]), alpha) == pytest.approx(float(scores[j]))
 
 
 class TestDecide:
