@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from dualbid.landscape import LandscapePrior, pdf
@@ -252,6 +252,8 @@ class TestConstraintEncoding:
         sigma=st.floats(0.2, 1.2),
         bp=st.floats(0.05, 6.0),
     )
+    # Cost 3.6e-12: the row, +6.7e-13, lies under an absolute slack of 1e-12.
+    @example(cpp=0.5, ppi=0.125, roi=0.5, mu=-0.25, sigma=0.203125, bp=0.203125)
     @settings(max_examples=200, deadline=None)
     def test_dsp_roi_round_trip(self, cpp, ppi, roi, mu, sigma, bp):
         """The rewritten row is nonpositive exactly when revenue/cost clears the floor."""
@@ -265,4 +267,6 @@ class TestConstraintEncoding:
         revenue = cpp * ppi * win_prob(prior, bp)
         row_value = evaluate(coeffs, prior, bp)
         if cost > 1e-12:
-            assert (row_value <= 1e-12) == (revenue / cost >= roi * (1.0 - 1e-9))
+            # The row is roi * cost - revenue, so the ratio's relative slack of
+            # 1e-9 is a slack of 1e-9 * roi * cost on the row.
+            assert (row_value <= 1e-9 * roi * cost) == (revenue / cost >= roi * (1.0 - 1e-9))
