@@ -15,13 +15,15 @@ Exit codes: 0 success, 2 malformed input or flags, 3 numeric failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
 
 from . import __version__, sim
-from .dsp import DspChoiceModel, bid_decision, write_decisions_csv
+from .dsp import DspChoiceModel, write_decisions_csv
+from .dsp import bid_decision  # noqa: F401 - perfbench/tracing.py wraps cli.bid_decision
 from .landscape import fit_censored, fit_to_json, read_observations_csv
 from .mmkp import DivergenceError, dual_state_to_json, sgd_solve
 from .sim import InstanceFormatError, InvalidRangeError, MockConfig
@@ -125,21 +127,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     instance = sim.load_instance(args.instance)
     if args.bid_cap is not None:
-        if args.bid_cap <= 0.0:
-            raise ValueError(f"--bid-cap must be positive, got {args.bid_cap}")
-        instance.bid_cap = args.bid_cap
+        instance = dataclasses.replace(instance, bid_cap=args.bid_cap)
     manifest = _Manifest(
         out_dir, "solve", _flags(args, ["seed", "step0", "epochs_sgd", "bid_cap"]),
         {"instance": str(args.instance)},
     )
     model = DspChoiceModel(instance)
     state = sgd_solve(model, step0=args.step0, epochs=args.epochs_sgd, shuffle_seed=args.seed)
-    report = sim.run_expectation(instance, state.alpha)
+    report = sim.run_expectation(model, state.alpha)
 
     _write_json(out_dir / "alpha.json", dual_state_to_json(state))
     sim.write_constraints_csv(out_dir / "constraints.csv", report.per_constraint)
-    decisions = [bid_decision(instance, imp, state.alpha) for imp in instance.impressions]
-    write_decisions_csv(out_dir / "decisions.csv", decisions)
+    write_decisions_csv(out_dir / "decisions.csv", model.bid_decisions(state.alpha))
     summary = _summary_base("solve", args.seed) | {
         "primal_value": report.primal_value,
         "dual_value": report.dual_value,

@@ -6,35 +6,35 @@ family, so the per-ad best response has the closed form bp* = -phi_F/psi_F
 and both the solver and the bidder reduce to coefficient arithmetic plus
 log-normal CDF evaluations; no numeric search over bid prices happens in the
 hot path.
+
+One array kernel, `DspChoiceModel.decide_rows`, applies that rule to every
+impression. Every decision path reads it except the SGD step, whose fused
+scalar copy (`dominant_consumption`) returns the generic step's bits.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from . import mmkp
+from . import landscape, mmkp
 from .landscape import LandscapePrior, partial_moment
-from .strategies import UpdateResult, multiplicative_update
 from .utility import (
     AdEconomics,
     ConstraintSpec,
     DEFAULT_BID_CAP,
     ObjectiveSpec,
-    OptimalBid,
     PaymentMode,
     UtilityCoeffs,
-    argmax_bid,
     constraint_limit,
     encode_constraint,
     encode_objective,
-    evaluate,
 )
 
 __all__ = [
@@ -44,11 +44,9 @@ __all__ = [
     "DspChoiceModel",
     "DspInstance",
     "Impression",
+    "RowDecisions",
     "bid_decision",
     "compose_coeffs",
-    "feedback_update",
-    "optimal_bid",
-    "score",
     "write_decisions_csv",
 ]
 
@@ -85,8 +83,8 @@ class DspInstance:
     bid_cap: float = DEFAULT_BID_CAP
 
     def __post_init__(self) -> None:
-        if self.bid_cap <= 0.0:
-            raise ValueError(f"bid_cap must be positive, got {self.bid_cap!r}")
+        if not (math.isfinite(self.bid_cap) and self.bid_cap > 0.0):
+            raise ValueError(f"bid_cap must be positive and finite, got {self.bid_cap!r}")
         if self.objective.mode is not self.mode:
             raise ValueError("objective mode must match the instance mode")
         ad_ids = [ad.id for ad in self.ads]
@@ -112,12 +110,6 @@ class DspInstance:
     def n_constraints(self) -> int:
         return len(self.constraints)
 
-    def ad_index(self, ad_id: str) -> int:
-        for j, ad in enumerate(self.ads):
-            if ad.id == ad_id:
-                return j
-        raise KeyError(ad_id)
-
 
 @dataclass(frozen=True)
 class BidDecision:
@@ -133,27 +125,9 @@ def compose_coeffs(
     instance: DspInstance, i: int, j: int, alpha: np.ndarray
 ) -> UtilityCoeffs:
     """Coefficients of the priced composite F_ij = V_ij - sum_k alpha_k W_ij^(k)."""
-    imp = instance.impressions[i]
-    ad = instance.ads[j]
-    ppi = imp.ppi[j]
-    gain = encode_objective(instance.objective, ad.economics, ppi)
-    phi, psi = gain.phi, gain.psi
-    alpha = np.asarray(alpha, dtype=float)
-    for k, spec in enumerate(instance.constraints):
-        w, _ = encode_constraint(spec, ad.id, ad.economics, ppi)
-        phi -= alpha[k] * w.phi
-        psi -= alpha[k] * w.psi
-    return UtilityCoeffs(phi, psi)
-
-
-def optimal_bid(coeffs: UtilityCoeffs, cap: float = DEFAULT_BID_CAP) -> OptimalBid:
-    """Score-maximizing bid price for composite coefficients (see `utility.argmax_bid`)."""
-    return argmax_bid(coeffs, cap)
-
-
-def score(coeffs: UtilityCoeffs, prior: LandscapePrior, bid_price) -> float:
-    """Closed-form value of the composite at `bid_price`."""
-    return evaluate(coeffs, prior, bid_price)
+    single = DspChoiceModel(replace(instance, impressions=[instance.impressions[i]]))
+    phi, psi = single.composite(0, alpha)
+    return UtilityCoeffs(float(phi[j]), float(psi[j]))
 
 
 def _best_bids(phi: np.ndarray, psi: np.ndarray, cap: float) -> np.ndarray:
@@ -177,36 +151,74 @@ def _best_bid(phi: float, psi: float, cap: float) -> float:
     return cap
 
 
-def _prob_cost(mu: float, sigma: float, bp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Win probability and expected cost arrays for one prior at many bids."""
-    prob = np.zeros_like(bp)
-    cost = np.zeros_like(bp)
+def _win_prob_cost(bp: np.ndarray, mu, sigma, mean) -> tuple[np.ndarray, np.ndarray]:
+    """Win probability and expected cost at bids `bp`; the prior arrays broadcast to it.
+
+    The cost is the landscape mean times Phi(z - sigma), formed in log space
+    where the mean overflowed, as `landscape.partial_moment` does. Bids <= 0
+    neither win nor pay.
+    """
+    prob = np.zeros(bp.shape)
+    cost = np.zeros(bp.shape)
     pos = bp > 0.0
-    if np.any(pos):
-        z = (np.log(bp[pos]) - mu) / sigma
-        prob[pos] = ndtr(z)
-        cost[pos] = partial_moment(mu, sigma, z)
-    return prob, cost
-
-
-def _partial_moments(mu: np.ndarray, sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """`partial_moment` elementwise over arrays of priors, with numpy's exp."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        moment = np.exp(mu + 0.5 * sigma * sigma) * ndtr(z - sigma)
-    # The moment is finite unless the mean overflowed; there, the log-space form.
-    over = ~np.isfinite(moment)
+    mu, sigma, mean = (np.broadcast_to(a, bp.shape)[pos] for a in (mu, sigma, mean))
+    z = (np.log(bp[pos]) - mu) / sigma
+    prob[pos] = ndtr(z)
+    over = np.isinf(mean)
+    moment = np.where(over, 0.0, mean) * ndtr(z - sigma)
     if np.any(over):
         mu, sigma, z = mu[over], sigma[over], z[over]
         moment[over] = np.exp(mu + 0.5 * sigma * sigma + log_ndtr(z - sigma))
-    return moment
+    cost[pos] = moment
+    return prob, cost
+
+
+def _responses(phi, psi, mu, sigma, mean, cap: float):
+    """Best bid, win probability, expected cost and score of every ad's composite."""
+    bp = _best_bids(phi, psi, cap)
+    prob, cost = _win_prob_cost(bp, mu, sigma, mean)
+    return bp, prob, cost, phi * prob + psi * cost
+
+
+class RowDecisions(NamedTuple):
+    """The decision rule's outcome per impression, as arrays of shape (N,).
+
+    `ad` is the chosen ad index, or -1 where the impression gets no bid;
+    `bp`, `prob` and `cost` are that bid, its win probability and expected
+    cost (0 without a bid); `score` is the top composite score, bid or not
+    (-inf with no ads).
+    """
+
+    ad: np.ndarray
+    bp: np.ndarray
+    score: np.ndarray
+    prob: np.ndarray
+    cost: np.ndarray
+
+
+def _first_max(bp, prob, cost, score) -> RowDecisions:
+    """Each row's first top-scoring ad, which bids iff its score is >= 0 and its bid > 0.
+
+    A bid of 0 cannot win a second-price auction, so it counts as no bid.
+    """
+    n, m = score.shape
+    if m == 0:
+        none = np.zeros(n)
+        return RowDecisions(np.full(n, -1), none, np.full(n, -np.inf), none, none)
+    rows = np.arange(n)
+    ad = np.argmax(score, axis=1)
+    best = score[rows, ad]
+    bids = (best >= 0.0) & (bp[rows, ad] > 0.0)
+    bp, prob, cost = (np.where(bids, a[rows, ad], 0.0) for a in (bp, prob, cost))
+    return RowDecisions(np.where(bids, ad, -1), bp, best, prob, cost)
 
 
 class DspChoiceModel(mmkp.ChoiceModel):
     """Choice-model view of a `DspInstance` with precomputed coefficient tensors.
 
     Objective coefficients are stored as (N, M) arrays and constraint
-    coefficients as (N, M, K) arrays, so the per-item best response is a
-    handful of vectorized operations across ads.
+    coefficients as (N, M, K) arrays, built here, the one place that runs the
+    encoders; `decide_rows` decides all rows at once.
     """
 
     def __init__(self, instance: DspInstance):
@@ -228,6 +240,7 @@ class DspChoiceModel(mmkp.ChoiceModel):
         self._budgets = np.array([constraint_limit(s) for s in instance.constraints])
         self._mu = np.array([imp.prior.mu for imp in instance.impressions])
         self._sigma = np.array([imp.prior.sigma for imp in instance.impressions])
+        self._mean = np.array([landscape.mean(imp.prior) for imp in instance.impressions])
 
     @property
     def n_items(self) -> int:
@@ -251,32 +264,55 @@ class DspChoiceModel(mmkp.ChoiceModel):
         """Consumption coefficient arrays (phi_W, psi_W), each shaped (N, M, K)."""
         return self._phi_w, self._psi_w
 
-    def composite(self, i: int, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-ad (phi_F, psi_F) arrays for impression `i` at prices `alpha`."""
+    def composite(self, rows: int | slice, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-ad (phi_F, psi_F) at prices `alpha` for an impression index or a slice of them.
+
+        Each row comes out bit for bit the same whichever way it is selected.
+        """
         alpha = np.asarray(alpha, dtype=float)
-        return self._phi_v[i] - self._phi_w[i] @ alpha, self._psi_v[i] - self._psi_w[i] @ alpha
+        phi_w, psi_w = self._phi_w[rows], self._psi_w[rows]
+        return self._phi_v[rows] - phi_w @ alpha, self._psi_v[rows] - psi_w @ alpha
+
+    def decide_rows(self, alpha: np.ndarray) -> RowDecisions:
+        """The decision rule for every impression at prices `alpha`."""
+        phi, psi = self.composite(slice(None), alpha)
+        prior = (self._mu[:, None], self._sigma[:, None], self._mean[:, None])
+        return _first_max(*_responses(phi, psi, *prior, self.instance.bid_cap))
+
+    def bid_decisions(self, alpha: np.ndarray) -> list[BidDecision]:
+        """`decide_rows` as one `BidDecision` per impression."""
+        rows = self.decide_rows(alpha)
+        return [
+            BidDecision(imp.id, None, None, score)
+            if j < 0
+            else BidDecision(imp.id, self.instance.ads[j].id, bp, score)
+            for imp, j, bp, score in zip(
+                self.instance.impressions, rows.ad.tolist(), rows.bp.tolist(), rows.score.tolist()
+            )
+        ]
 
     def item_best(self, i: int, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phi, psi = self.composite(i, alpha)
-        bp = _best_bids(phi, psi, self.instance.bid_cap)
-        prob, cost = _prob_cost(self._mu[i], self._sigma[i], bp)
-        return bp, phi * prob + psi * cost
+        prior = (self._mu[i], self._sigma[i], self._mean[i])
+        bp, _, _, score = _responses(phi, psi, *prior, self.instance.bid_cap)
+        return bp, score
 
     def dominant_consumption(self, i: int, alpha: np.ndarray) -> np.ndarray | None:
         # The base-class path fused into one pass over the ads on Python
-        # floats: the same composite, case table, CDF and partial moment as
+        # floats: the same composite, case table, CDF and cost as
         # `item_best`, the first maximum as in `np.argmax`, and W formed for
         # the chosen ad only. `np.log` and not `math.log`: the two differ in
         # the last bit for some inputs, and the result must match bit for bit.
         phi_f, psi_f = self.composite(i, alpha)
-        mu, sigma = self._mu.item(i), self._sigma.item(i)
+        mu, sigma, mean = self._mu.item(i), self._sigma.item(i), self._mean.item(i)
         cap = float(self.instance.bid_cap)
         best, chosen = 0.0, None
         for j, (phi, psi) in enumerate(zip(phi_f.tolist(), psi_f.tolist())):
             bp = _best_bid(phi, psi, cap)
             if bp > 0.0:
                 z = (np.log(bp) - mu) / sigma
-                prob, cost = ndtr(z), partial_moment(mu, sigma, z)
+                prob = ndtr(z)
+                cost = mean * ndtr(z - sigma) if mean < math.inf else partial_moment(mu, sigma, z)
             else:
                 prob = cost = 0.0
             score = phi * prob + psi * cost
@@ -290,50 +326,21 @@ class DspChoiceModel(mmkp.ChoiceModel):
         return self._phi_w[i, j] * prob + self._psi_w[i, j] * cost
 
     def beta_sum(self, alpha: np.ndarray) -> float:
-        # One vectorized pass over all (impression, ad) pairs.
-        alpha = np.asarray(alpha, dtype=float)
-        if self.n_items == 0:
-            return 0.0
-        phi = self._phi_v - self._phi_w @ alpha
-        psi = self._psi_v - self._psi_w @ alpha
-        bp = _best_bids(phi, psi, self.instance.bid_cap)
-        prob = np.zeros_like(bp)
-        cost = np.zeros_like(bp)
-        pos = bp > 0.0
-        if np.any(pos):
-            mu = np.broadcast_to(self._mu[:, None], bp.shape)[pos]
-            sigma = np.broadcast_to(self._sigma[:, None], bp.shape)[pos]
-            z = (np.log(bp[pos]) - mu) / sigma
-            prob[pos] = ndtr(z)
-            cost[pos] = _partial_moments(mu, sigma, z)
-        scores = phi * prob + psi * cost
-        return float(np.sum(np.maximum(scores.max(axis=1), 0.0)))
+        return float(np.sum(np.maximum(self.decide_rows(alpha).score, 0.0)))
+
+    def _prob_cost_at(self, i: int, sub_choice: float) -> tuple[float, float]:
+        prob, cost = _win_prob_cost(
+            np.array([sub_choice]), self._mu[i], self._sigma[i], self._mean[i]
+        )
+        return prob[0], cost[0]
 
     def gain(self, i: int, j: int, sub_choice: float) -> float:
-        prob, cost = _prob_cost(self._mu[i], self._sigma[i], np.asarray([sub_choice]))
-        return float(self._phi_v[i, j] * prob[0] + self._psi_v[i, j] * cost[0])
+        prob, cost = self._prob_cost_at(i, sub_choice)
+        return float(self._phi_v[i, j] * prob + self._psi_v[i, j] * cost)
 
     def consumption(self, i: int, j: int, sub_choice: float) -> np.ndarray:
-        prob, cost = _prob_cost(self._mu[i], self._sigma[i], np.asarray([sub_choice]))
-        return self._phi_w[i, j] * prob[0] + self._psi_w[i, j] * cost[0]
-
-
-def _per_ad_coeffs(
-    instance: DspInstance, impression: Impression, alpha: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    alpha = np.asarray(alpha, dtype=float)
-    m = instance.n_ads
-    phi = np.zeros(m)
-    psi = np.zeros(m)
-    for j, ad in enumerate(instance.ads):
-        ppi = impression.ppi[j]
-        gain = encode_objective(instance.objective, ad.economics, ppi)
-        phi[j], psi[j] = gain.phi, gain.psi
-        for k, spec in enumerate(instance.constraints):
-            w, _ = encode_constraint(spec, ad.id, ad.economics, ppi)
-            phi[j] -= alpha[k] * w.phi
-            psi[j] -= alpha[k] * w.psi
-    return phi, psi
+        prob, cost = self._prob_cost_at(i, sub_choice)
+        return self._phi_w[i, j] * prob + self._psi_w[i, j] * cost
 
 
 def bid_decision(
@@ -341,39 +348,12 @@ def bid_decision(
 ) -> BidDecision:
     """Ad selection and bid price for one impression at prices `alpha`.
 
-    Every ad proposes its closed-form best bid and score; the top score wins
-    (lowest ad index on ties) and a bid is sent iff that score is nonnegative
-    and the bid is positive. A maximizing bid of 0 cannot win a second-price
-    auction, so it is reported as no bid rather than a zero-price response.
+    A one-row view of `DspChoiceModel.decide_rows`; the impression need not
+    belong to `instance`. The top score wins (lowest ad index on ties) and a
+    bid is sent iff that score is nonnegative and the bid is positive.
     """
-    phi, psi = _per_ad_coeffs(instance, impression, alpha)
-    if phi.size == 0:
-        return BidDecision(impression.id, None, None, -math.inf)
-    bp = _best_bids(phi, psi, instance.bid_cap)
-    prob, cost = _prob_cost(impression.prior.mu, impression.prior.sigma, bp)
-    scores = phi * prob + psi * cost
-    j = int(np.argmax(scores))
-    best = float(scores[j])
-    if best >= 0.0 and bp[j] > 0.0:
-        return BidDecision(impression.id, instance.ads[j].id, float(bp[j]), best)
-    return BidDecision(impression.id, None, None, best)
-
-
-def feedback_update(
-    alpha_scalar: float,
-    target_roi: float,
-    actual_roi: float,
-    bounds: tuple[float, float] = (1e-6, 1e6),
-) -> UpdateResult:
-    """Landscape-free price update alpha' = (target / actual) * alpha.
-
-    Driven by realized ROI feedback between windows; a window with no wins or
-    zero cost has no usable actual ROI and leaves alpha unchanged, flagged
-    degenerate. The result is clamped to `bounds`.
-    """
-    if alpha_scalar <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha_scalar!r}")
-    return multiplicative_update(alpha_scalar, target_roi, actual_roi, bounds)
+    single = DspChoiceModel(replace(instance, impressions=[impression]))
+    return single.bid_decisions(alpha)[0]
 
 
 DECISION_CSV_HEADER = ["impression_id", "ad_id", "bid_price", "best_score"]

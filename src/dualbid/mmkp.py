@@ -11,6 +11,9 @@ nonnegative, and alpha itself is found by minimizing the convex dual
     D(alpha) = sum_k alpha_k B_k + sum_i max(0, max_j S_ij(alpha))
 
 with projected stochastic subgradient steps over items.
+
+The generic `ChoiceModel` methods derive everything from `item_best`;
+`dsp.DspChoiceModel` answers from its one array kernel, `decide_rows`.
 """
 
 from __future__ import annotations
@@ -222,8 +225,8 @@ def sgd_solve(
     candidates are standard cures. Raises `DivergenceError` if the dual value
     grows past `divergence_factor` times its initial magnitude.
     """
-    if step0 <= 0.0:
-        raise ValueError(f"step0 must be positive, got {step0!r}")
+    if not (math.isfinite(step0) and step0 > 0.0):
+        raise ValueError(f"step0 must be positive and finite, got {step0!r}")
     if epochs < 0:
         raise ValueError(f"epochs must be nonnegative, got {epochs!r}")
     n_items = model.n_items
@@ -231,8 +234,8 @@ def sgd_solve(
     alpha = np.full(k, float(alpha0)) if np.ndim(alpha0) == 0 else np.asarray(alpha0, dtype=float)
     if alpha.shape != (k,):
         raise ValueError(f"alpha0 must broadcast to shape ({k},)")
-    if np.any(alpha < 0.0):
-        raise ValueError("alpha0 must be nonnegative")
+    if not np.all(np.isfinite(alpha) & (alpha >= 0.0)):
+        raise ValueError("alpha0 must be finite and nonnegative")
 
     rng = np.random.default_rng(shuffle_seed)
     trace = [dual_objective(model, alpha)]

@@ -28,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from . import mmkp
-from .dsp import Ad, BidDecision, DspChoiceModel, DspInstance, Impression, bid_decision
+from .dsp import Ad, DspChoiceModel, DspInstance, Impression
+from .dsp import bid_decision  # noqa: F401 - perfbench/tracing.py wraps sim.bid_decision
 from .landscape import BidObservation, LandscapePrior, Outcome
 from .strategies import LinState, OrtbState, lin_bid, multiplicative_update, ortb_bid, ortb_fit_c
 from .utility import (
@@ -310,22 +311,25 @@ class SimReport:
         return abs(self.primal_value - self.dual_value) / abs(self.dual_value)
 
 
-def run_expectation(instance: DspInstance, alpha: np.ndarray) -> SimReport:
+def _running_total(values: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 from 0.0 in row order (`np.sum` adds pairwise and rounds differently)."""
+    return np.cumsum(np.concatenate([np.zeros((1, *values.shape[1:])), values]), axis=0)[-1]
+
+
+def run_expectation(model: DspChoiceModel, alpha: np.ndarray) -> SimReport:
     """Execute the dual-based strategy analytically and account all constraints."""
-    model = DspChoiceModel(instance)
     alpha = np.asarray(alpha, dtype=float)
-    primal = mmkp.primal_value_of_strategy(model, alpha)
-    dual = mmkp.dual_objective(model, alpha)
-    rows = [
-        ConstraintRow(
-            k=k,
-            limit=float(model.budgets[k]),
-            consumption=float(primal.consumption[k]),
-            alpha=float(alpha[k]),
-        )
-        for k in range(instance.n_constraints)
+    ad, _, _, prob, cost = model.decide_rows(alpha)
+    rows = np.flatnonzero(ad >= 0)
+    ad, prob, cost = ad[rows], prob[rows], cost[rows]
+    (phi_v, psi_v), (phi_w, psi_w) = model.objective_coeffs, model.constraint_coeffs
+    gain = _running_total(phi_v[rows, ad] * prob + psi_v[rows, ad] * cost)
+    used = _running_total(phi_w[rows, ad] * prob[:, None] + psi_w[rows, ad] * cost[:, None])
+    per_constraint = [
+        ConstraintRow(k=k, limit=float(limit), consumption=float(used[k]), alpha=float(alpha[k]))
+        for k, limit in enumerate(model.budgets)
     ]
-    return SimReport(primal_value=primal.objective, dual_value=dual, per_constraint=rows)
+    return SimReport(float(gain), mmkp.dual_objective(model, alpha), per_constraint)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +376,8 @@ def _require_p4p(instance: DspInstance, name: str) -> None:
 
 def _resolve_target(instance: DspInstance, target_roi: float | None, name: str) -> float:
     target = target_roi if target_roi is not None else instance_target_roi(instance)
-    if target is None or target <= 0.0:
-        raise ValueError(f"strategy {name!r} needs a positive target ROI")
+    if target is None or not (math.isfinite(target) and target > 0.0):
+        raise ValueError(f"strategy {name!r} needs a positive, finite target ROI")
     return target
 
 
@@ -574,16 +578,12 @@ class FixedAlphaStrategy(Strategy):
     def __init__(self, alpha: Sequence[float], name: str = "fixed_alpha"):
         self.name = name
         self.alpha = np.asarray(alpha, dtype=float)
+        if not np.all(np.isfinite(self.alpha) & (self.alpha >= 0.0)):
+            raise ValueError(f"fixed_alpha prices must be finite and nonnegative, got {alpha!r}")
 
     def reset(self, instance: DspInstance) -> None:
-        n = len(instance.impressions)
-        self._ad_idx = np.full(n, -1, dtype=int)
-        self._bids = np.zeros(n)
-        for i, imp in enumerate(instance.impressions):
-            decision = bid_decision(instance, imp, self.alpha)
-            if decision.chosen_ad is not None:
-                self._ad_idx[i] = instance.ad_index(decision.chosen_ad)
-                self._bids[i] = decision.bid_price
+        decisions = DspChoiceModel(instance).decide_rows(self.alpha)
+        self._ad_idx, self._bids = decisions.ad, decisions.bp
 
     def epoch_bids(self) -> tuple[np.ndarray, np.ndarray]:
         return self._ad_idx, self._bids

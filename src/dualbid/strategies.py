@@ -73,10 +73,9 @@ def multiplicative_update(
 
 @dataclass
 class LinState:
-    """Linear-bidding state: the operator-set base bid and current per-ad levels."""
+    """Linear-bidding state: the operator-set base bid."""
 
     bid_base: float
-    levels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.bid_base <= 0.0:

@@ -25,7 +25,7 @@ def solved_defaults(default_instances):
     for kind, instance in default_instances.items():
         model = DspChoiceModel(instance)
         state = sgd_solve(model)
-        report = sim.run_expectation(instance, state.alpha)
+        report = sim.run_expectation(model, state.alpha)
         out[kind] = {"instance": instance, "model": model, "state": state, "report": report}
     out["solve_seconds"] = time.monotonic() - t0
     return out

@@ -151,6 +151,25 @@ class TestSolve:
         assert manifest["complete"] is False
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("solve", ["--step0", "nan"]),
+        ("solve", ["--step0", "inf"]),
+        ("solve", ["--bid-cap", "nan"]),
+        ("gen", ["--bid-cap", "nan"]),
+        ("simulate", ["--strategy", "lin", "--target-roi", "nan"]),
+        ("simulate", ["--strategy", "fixed_alpha", "--params", '{"alpha": [NaN, 0, 0, 0]}']),
+    ],
+    ids=["solve-step0-nan", "solve-step0-inf", "solve-bid-cap-nan", "gen-bid-cap-nan",
+         "simulate-target-roi-nan", "simulate-fixed-alpha-nan"],
+)
+def test_non_finite_flag_exits_2(command, flags, small_instance, tmp_path, capsys):
+    inputs = [] if command == "gen" else ["--instance", str(small_instance)]
+    assert run([command, "--out-dir", str(tmp_path / "o"), *inputs, *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 class TestSimulateAndCompare:
     def test_simulate_outputs(self, small_instance, tmp_path):
         out = tmp_path / "simulate"

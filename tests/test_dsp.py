@@ -13,12 +13,9 @@ from dualbid.dsp import (
     Impression,
     bid_decision,
     compose_coeffs,
-    feedback_update,
-    optimal_bid,
-    score,
     write_decisions_csv,
 )
-from dualbid.landscape import LandscapePrior, pdf
+from dualbid.landscape import LandscapePrior, expected_cost, pdf, win_prob
 from dualbid.mmkp import ChoiceModel, beta_value, decide, sgd_solve
 from dualbid.utility import (
     AdEconomics,
@@ -28,6 +25,7 @@ from dualbid.utility import (
     ObjectiveSpec,
     PaymentMode,
     UtilityCoeffs,
+    argmax_bid,
     encode_constraint,
     encode_objective,
     evaluate,
@@ -152,17 +150,17 @@ class TestOptimalBid:
     def test_single_roi_reduction(self):
         # cpi 0.7, roi 3.5, alpha 1 -> (cpi/roi)(1 + 1/alpha) = 0.4
         coeffs = UtilityCoeffs((1.0 + 1.0) * 0.7, -1.0 * 3.5)
-        assert optimal_bid(coeffs).bp == pytest.approx(0.4)
+        assert argmax_bid(coeffs).bp == pytest.approx(0.4)
 
     def test_ratio(self):
-        assert optimal_bid(UtilityCoeffs(0.2, -0.1)).bp == pytest.approx(2.0)
+        assert argmax_bid(UtilityCoeffs(0.2, -0.1)).bp == pytest.approx(2.0)
 
     def test_expensive_constraint_limit(self):
         # alpha -> inf: bid approaches cpi / roi.
         cpi, roi = 0.7, 3.5
         for a in (1e3, 1e6):
             coeffs = UtilityCoeffs((1.0 + a) * cpi, -a * roi)
-            assert optimal_bid(coeffs).bp == pytest.approx(cpi / roi, rel=2e-3 / a * 1e3)
+            assert argmax_bid(coeffs).bp == pytest.approx(cpi / roi, rel=2e-3 / a * 1e3)
 
 
 class TestScore:
@@ -171,14 +169,14 @@ class TestScore:
         oracle, _ = quad(
             lambda x: (1.0 - x) * pdf(STANDARD, x), 0.0, 1.0, epsabs=1e-13, epsrel=1e-11
         )
-        assert score(coeffs, STANDARD, 1.0) == pytest.approx(oracle, abs=1e-10)
+        assert evaluate(coeffs, STANDARD, 1.0) == pytest.approx(oracle, abs=1e-10)
         assert oracle == pytest.approx(0.2384, abs=5e-4)
 
     def test_zero_bid_zero_score(self):
-        assert score(UtilityCoeffs(2.0, -3.0), STANDARD, 0.0) == 0.0
+        assert evaluate(UtilityCoeffs(2.0, -3.0), STANDARD, 0.0) == 0.0
 
     def test_pure_probability_saturates(self):
-        assert score(UtilityCoeffs(1.0, 0.0), STANDARD, 1e12) == pytest.approx(1.0)
+        assert evaluate(UtilityCoeffs(1.0, 0.0), STANDARD, 1e12) == pytest.approx(1.0)
 
 
 class TestBidDecision:
@@ -410,25 +408,152 @@ def test_sgd_matches_generic_step_bit_for_bit(seed):
     assert fused.best_epoch == generic.best_epoch
 
 
-class TestFeedbackUpdate:
-    def test_examples(self):
-        assert feedback_update(2.0, 3.5, 7.0).value == pytest.approx(1.0)
-        assert feedback_update(1.0, 3.5, 3.5).value == pytest.approx(1.0)
-        assert feedback_update(0.5, 3.5, 1.75).value == pytest.approx(1.0)
+def scalar_reference(model, phi, psi, i):
+    """Per-ad scalar path: `argmax_bid` and `evaluate` on each ad's composite."""
+    prior, cap = model.instance.impressions[i].prior, model.instance.bid_cap
+    bids, scores = [], []
+    for p, q in zip(phi.tolist(), psi.tolist()):
+        coeffs = UtilityCoeffs(p, q)
+        bp = argmax_bid(coeffs, cap).bp
+        bids.append(bp)
+        scores.append(evaluate(coeffs, prior, bp))
+    return np.array(bids), np.array(scores)
 
-    def test_degenerate_window_keeps_alpha(self):
-        result = feedback_update(2.0, 3.5, 0.0)
-        assert result.value == 2.0 and result.degenerate
 
-    def test_clamping(self):
-        result = feedback_update(1e6, 10.0, 1e-6, bounds=(1e-6, 1e6))
-        assert result.value == 1e6 and result.clamped
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            feedback_update(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            feedback_update(1.0, 0.0, 1.0)
+
+def assert_kernel_matches_reference(model, alpha):
+    """`decide_rows` and `item_best` equal the scalar path bit for bit on every row.
+
+    Returns the number of impressions that get a bid.
+    """
+    decisions = model.decide_rows(alpha)
+    assert all(a.shape == (model.n_items,) for a in decisions)
+    phi_all, psi_all = model.composite(slice(None), alpha)
+    for i in range(model.n_items):
+        phi, psi = model.composite(i, alpha)
+        assert bits(phi) == bits(phi_all[i]) and bits(psi) == bits(psi_all[i])
+        ref_bp, ref_scores = scalar_reference(model, phi, psi, i)
+        bp, scores = model.item_best(i, alpha)
+        assert bits(bp) == bits(ref_bp) and bits(scores) == bits(ref_scores)
+
+        j, best = None, -math.inf
+        for a, s in enumerate(ref_scores.tolist()):
+            if s > best:  # the first maximum wins
+                j, best = a, s
+        prior = model.instance.impressions[i].prior
+        if j is not None and best >= 0.0 and ref_bp[j] > 0.0:
+            bid = float(ref_bp[j])
+            expected = (j, bid, best, win_prob(prior, bid), expected_cost(prior, bid))
+        else:
+            expected = (-1, 0.0, best, 0.0, 0.0)
+        ad, *values = (a[i] for a in decisions)
+        assert ad == expected[0]
+        assert [bits(v) for v in values] == [bits(v) for v in expected[1:]]
+    return int(np.sum(decisions.ad >= 0))
+
+
+class TestDecideRows:
+    """The array kernel against the per-ad scalar path, on TestDominantConsumption's cases."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(17)
+        bidding = 0
+        for draw in range(60):
+            m = 1 + draw % 4
+            model = DspChoiceModel(random_instance(rng, n=4, m=m, with_budgets=draw % 3 != 0))
+            bidding += assert_kernel_matches_reference(
+                model, rng.uniform(0.0, 8.0, model.n_constraints)
+            )
+        assert 100 <= bidding < 240  # some rows bid and some do not
+
+    def test_single_ad(self):
+        model = DspChoiceModel(random_instance(np.random.default_rng(3), n=8, m=1))
+        assert assert_kernel_matches_reference(model, np.full(model.n_constraints, 0.2)) > 0
+
+    def test_no_constraints(self):
+        impressions = [Impression(i, STANDARD, (0.05 * i, 0.1)) for i in range(4)]
+        model = DspChoiceModel(p4p_instance(constraints=[], impressions=impressions))
+        assert assert_kernel_matches_reference(model, np.zeros(0)) == 4
+
+    def test_zero_ppi(self):
+        model = DspChoiceModel(p4p_instance(impressions=[Impression(0, STANDARD, (0.0, 0.0))]))
+        for a in (0.0, 0.5, 3.0):
+            assert assert_kernel_matches_reference(model, np.asarray([a])) == 0
+
+    def test_bids_clipped_at_cap(self):
+        rng = np.random.default_rng(11)
+        instance = random_instance(rng, n=12, m=3)
+        instance.bid_cap = 0.02
+        model = DspChoiceModel(instance)
+        alpha = rng.uniform(0.0, 0.5, instance.n_constraints)
+        assert assert_kernel_matches_reference(model, alpha) > 0
+        assert np.any(model.decide_rows(alpha).bp == 0.02)
+
+    def test_zero_and_large_prices(self):
+        model = DspChoiceModel(random_instance(np.random.default_rng(23), n=10, m=3))
+        k = model.n_constraints
+        assert assert_kernel_matches_reference(model, np.zeros(k)) == 10
+        assert_kernel_matches_reference(model, np.full(k, 1e6))
+
+    def test_bid_logs_follow_numpy(self):
+        ppis = np.random.default_rng(31).uniform(0.5, 2.0, 3000)
+        impressions = [Impression(i, STANDARD, (p,)) for i, p in enumerate(ppis.tolist())]
+        model = DspChoiceModel(p4p_instance(cpps=(1.0,), impressions=impressions))
+        assert assert_kernel_matches_reference(model, np.ones(1)) == 3000
+        assert model.decide_rows(np.ones(1)).bp.tobytes() == ppis.tobytes()
+
+    def test_tie_goes_to_the_first_ad(self):
+        budget = ConstraintSpec(ConstraintKind.BUDGET, PaymentMode.P4P, 5.0, frozenset(["ad1"]))
+        model = DspChoiceModel(p4p_instance(cpps=(1.0, 1.0), constraints=[budget]))
+        assert assert_kernel_matches_reference(model, np.zeros(1)) == 1
+        assert model.decide_rows(np.zeros(1)).ad[0] == 0
+
+    def test_sigma_forty_prior(self):
+        rng = np.random.default_rng(29)
+        instance = random_instance(rng, n=10, m=2)
+        instance.impressions = [
+            dataclasses.replace(imp, prior=LandscapePrior(imp.prior.mu, 40.0))
+            for imp in instance.impressions
+        ]
+        model = DspChoiceModel(instance)
+        alpha = rng.uniform(0.0, 1.0, model.n_constraints)
+        assert assert_kernel_matches_reference(model, alpha) > 0
+
+    def test_no_impressions(self):
+        model = DspChoiceModel(p4p_instance(impressions=[]))
+        decisions = model.decide_rows(np.ones(1))
+        assert all(a.shape == (0,) for a in decisions)
+        assert model.beta_sum(np.ones(1)) == 0.0
+
+    def test_no_ads(self):
+        impressions = [Impression(i, STANDARD, ()) for i in range(3)]
+        model = DspChoiceModel(p4p_instance(cpps=(), constraints=[], impressions=impressions))
+        assert assert_kernel_matches_reference(model, np.zeros(0)) == 0
+        assert np.all(model.decide_rows(np.zeros(0)).score == -np.inf)
+        assert model.beta_sum(np.zeros(0)) == 0.0
+        decision = bid_decision(model.instance, impressions[0], np.zeros(0))
+        assert decision.chosen_ad is None and decision.best_score == -math.inf
+
+    def test_beta_sum_adds_item_best_row_maxima(self):
+        # Small instances, so that a last-bit difference in one row's score
+        # is not rounded away in the sum.
+        rng = np.random.default_rng(60)
+        for _ in range(200):
+            model = DspChoiceModel(random_instance(rng, n=2, m=3))
+            alpha = rng.uniform(0.0, 2.0, model.n_constraints)
+            row_max = [model.item_best(i, alpha)[1].max() for i in range(model.n_items)]
+            assert bits(model.beta_sum(alpha)) == bits(np.sum(np.maximum(row_max, 0.0)))
+
+    def test_bid_decision_is_a_row_of_the_kernel(self):
+        rng = np.random.default_rng(41)
+        model = DspChoiceModel(random_instance(rng, n=30, m=3))
+        alpha = rng.uniform(0.0, 1.0, model.n_constraints)
+        assert model.bid_decisions(alpha) == [
+            bid_decision(model.instance, imp, alpha) for imp in model.instance.impressions
+        ]
 
 
 class TestInstanceValidation:

@@ -46,8 +46,9 @@ class TestGenMockInstance:
 
     def test_empty_instance_is_valid(self):
         instance = gen_mock_instance(MockConfig(n_impressions=0))
-        state = sgd_solve(DspChoiceModel(instance), epochs=5)
-        report = run_expectation(instance, state.alpha)
+        model = DspChoiceModel(instance)
+        state = sgd_solve(model, epochs=5)
+        report = run_expectation(model, state.alpha)
         assert report.primal_value == 0.0
         assert np.allclose(state.alpha, 1.0)
 
@@ -89,7 +90,7 @@ class TestRunExpectation:
         # Huge budget prices swamp every composite's gain term. (Pricing the
         # two ROI rows instead can subsidize: their phi coefficients are
         # negative, so those rows must stay moderate for this example.)
-        report = run_expectation(instance, np.asarray([1e6, 1e6, 1.0, 0.0]))
+        report = run_expectation(DspChoiceModel(instance), np.asarray([1e6, 1e6, 1.0, 0.0]))
         assert report.primal_value == 0.0
         assert all(row.consumption == 0.0 for row in report.per_constraint)
 
@@ -104,8 +105,9 @@ class TestRunExpectation:
             sim.ConstraintSpec(ConstraintKind.ADVERTISER_ROI, PaymentMode.P4P, 0.5, everyone),
         ]
         instance = gen_mock_instance(config)
-        state = sgd_solve(DspChoiceModel(instance))
-        report = run_expectation(instance, state.alpha)
+        model = DspChoiceModel(instance)
+        state = sgd_solve(model)
+        report = run_expectation(model, state.alpha)
         for k in (0, 1):
             assert report.per_constraint[k].alpha <= 1e-3
             assert report.per_constraint[k].surplus > 0.0
@@ -135,8 +137,9 @@ class TestRunExpectation:
             ],
         )
         instance = gen_mock_instance(config)
-        state = sgd_solve(DspChoiceModel(instance), epochs=300)
-        report = run_expectation(instance, state.alpha)
+        model = DspChoiceModel(instance)
+        state = sgd_solve(model, epochs=300)
+        report = run_expectation(model, state.alpha)
         assert report.duality_gap_rel <= 1e-2
         for row in report.per_constraint:
             assert row.consumption <= row.limit + 1e-2 * max(1.0, abs(row.limit))
@@ -184,7 +187,7 @@ class TestRunMonteCarlo:
         alpha = np.asarray([0.0, 0.0, 0.5, 0.0])
         epochs = 60
         mc = run_monte_carlo(instance, FixedAlphaStrategy(alpha), epochs=epochs, seed=2)
-        expectation = run_expectation(instance, alpha)
+        expectation = run_expectation(model, alpha)
         # ROI rows are differences of flows and can nearly cancel, so the
         # LLN-rate bound is taken against each row's gross flow magnitude.
         phi_w, psi_w = model.constraint_coeffs

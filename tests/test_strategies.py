@@ -40,8 +40,9 @@ class TestMultiplicativeUpdate:
     def test_validation(self):
         with pytest.raises(ValueError):
             multiplicative_update(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            multiplicative_update(1.0, -1.0, 1.0)
+        for target_roi in (-1.0, 0.0):
+            with pytest.raises(ValueError):
+                multiplicative_update(1.0, target_roi, 1.0)
 
 
 class TestLinBid:
