@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__, sim
 from .dsp import DspChoiceModel, write_decisions_csv
 from .dsp import bid_decision  # noqa: F401 - perfbench/tracing.py wraps cli.bid_decision
-from .landscape import fit_censored, fit_to_json, read_observations_csv
+from .landscape import fit_censored, fit_to_json, read_observations_csv, split_observations
 from .mmkp import DivergenceError, dual_state_to_json, sgd_solve
 from .sim import InstanceFormatError, InvalidRangeError, MockConfig
 from .strategies import ortb_fit_c
@@ -104,7 +104,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if "objective_kind" in overrides:
             overrides["objective_kind"] = ObjectiveKind(overrides["objective_kind"])
         for key in ("ads", "mu_range", "sigma_range", "ppi_range"):
-            if key in overrides:
+            if isinstance(overrides.get(key), list):
                 overrides[key] = tuple(overrides[key])
         config = MockConfig(**{**config.__dict__, **overrides})
     if args.n_impressions is not None:
@@ -233,7 +233,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         fit = fit_censored(observations)
         payload = fit_to_json(fit)
     else:
-        fit = ortb_fit_c(observations)
+        fit = ortb_fit_c(*split_observations(observations))
         payload = {"c": fit.c, "converged": fit.converged, "log_likelihood": fit.log_likelihood}
     payload |= _summary_base("fit", None) | {"family": args.family}
     _write_json(out_dir / "fit.json", payload)

@@ -39,6 +39,7 @@ __all__ = [
     "partial_moment",
     "pdf",
     "read_observations_csv",
+    "split_observations",
     "win_prob",
     "write_observations_csv",
 ]
@@ -220,9 +221,14 @@ def fit_to_json(fit: CensoredFit) -> dict:
     }
 
 
-def _split_observations(
+def split_observations(
     observations: Sequence[BidObservation],
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Won costs and lost bids of a log, each in log order, for the censored fits.
+
+    Raises `EmptyObservationsError` on an empty log, `NoWinObservationsError`
+    when nothing was won, and `ValueError` when a won cost is not positive.
+    """
     if not observations:
         raise EmptyObservationsError("observations must be nonempty")
     won = [o.paid_cost for o in observations if o.outcome is Outcome.WON]
@@ -331,7 +337,7 @@ def fit_censored(
     moments of the won costs are used (for uncensored data that is already
     the maximizer). `iterations` counts the steps taken.
     """
-    won, lost = _split_observations(observations)
+    won, lost = split_observations(observations)
     won_log = np.log(won)
     lost_log = np.log(lost[lost > 0.0]) if lost.size else np.asarray([], dtype=float)
     n = won.size + lost.size

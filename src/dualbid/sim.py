@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +31,7 @@ import numpy as np
 from . import mmkp
 from .dsp import Ad, DspChoiceModel, DspInstance, Impression
 from .dsp import bid_decision  # noqa: F401 - perfbench/tracing.py wraps sim.bid_decision
-from .landscape import BidObservation, LandscapePrior, Outcome
+from .landscape import LandscapePrior
 from .strategies import LinState, OrtbState, lin_bid, multiplicative_update, ortb_bid, ortb_fit_c
 from .utility import (
     AdEconomics,
@@ -107,21 +108,49 @@ class MockConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("n_impressions", "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+                raise InvalidRangeError(f"{name} must be an integer, got {value!r}")
         if self.n_impressions < 0:
             raise InvalidRangeError(f"n_impressions must be >= 0, got {self.n_impressions}")
+        if not (
+            _is_sequence_of_numbers(self.ads)
+            and all(math.isfinite(v) and v > 0.0 for v in self.ads)
+        ):
+            raise InvalidRangeError(
+                f"ads must be a sequence of finite positive numbers, got {self.ads!r}"
+            )
         if not self.ads:
             raise InvalidRangeError("at least one ad is required")
-        for name, (lo, hi) in (
+        for name, pair in (
             ("mu_range", self.mu_range),
             ("sigma_range", self.sigma_range),
             ("ppi_range", self.ppi_range),
         ):
+            if not (_is_sequence_of_numbers(pair) and len(pair) == 2):
+                raise InvalidRangeError(f"{name} must be a (lo, hi) pair of numbers, got {pair!r}")
+            lo, hi = pair
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise InvalidRangeError(f"{name} must be a finite (lo, hi) pair, got {(lo, hi)}")
         if self.sigma_range[0] <= 0.0:
             raise InvalidRangeError("sigma_range must be strictly positive")
         if self.ppi_range[0] < 0.0:
             raise InvalidRangeError("ppi_range must be nonnegative")
+        if not _is_number(self.bid_cap):
+            raise InvalidRangeError(f"bid_cap must be a number, got {self.bid_cap!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_sequence_of_numbers(value) -> bool:
+    return (
+        isinstance(value, Sequence)
+        and not isinstance(value, str)
+        and all(_is_number(v) for v in value)
+    )
 
 
 def _default_constraints(ad_ids: list[str], mode: PaymentMode) -> list[ConstraintSpec]:
@@ -355,7 +384,8 @@ class Strategy(ABC):
     name: str
 
     @abstractmethod
-    def reset(self, instance: DspInstance) -> None: ...
+    def reset(self, model: DspChoiceModel) -> None:
+        """Prepare a replay of `model.instance`; `model` is the replay's own model."""
 
     @abstractmethod
     def epoch_bids(self) -> tuple[np.ndarray, np.ndarray]:
@@ -390,15 +420,12 @@ def _cpi_selection(
     ad, so ranking by cpi = CPP * PPI is the landscape-free selection rule.
     """
     inv = np.asarray(inventory, dtype=int)
-    cpi = np.array(
-        [
-            [instance.ads[j].economics.require_cpp() * imp.ppi[j] for j in inv]
-            for imp in instance.impressions
-        ]
-    )
+    n = len(instance.impressions)
+    cpp = np.array([instance.ads[j].economics.require_cpp() for j in inv], dtype=float)
+    ppi = np.array([imp.ppi for imp in instance.impressions], dtype=float)
+    cpi = cpp * ppi.reshape(n, instance.n_ads)[:, inv]
     pick = np.argmax(cpi, axis=1)
-    rows = np.arange(len(instance.impressions))
-    return inv[pick], cpi[rows, pick]
+    return inv[pick], cpi[np.arange(n), pick]
 
 
 class _WindowedStrategy(Strategy):
@@ -457,7 +484,8 @@ class DualBidStrategy(_WindowedStrategy):
         self._target = target_roi
         self._multi = multi
 
-    def reset(self, instance: DspInstance) -> None:
+    def reset(self, model: DspChoiceModel) -> None:
+        instance = model.instance
         _require_p4p(instance, self.name)
         self.alpha = self._alpha0
         self.target_roi = _resolve_target(instance, self._target, self.name)
@@ -497,13 +525,16 @@ class OrtbStrategy(_WindowedStrategy):
         self._c0, self._lambda0 = c0, lambda0
         self._target = target_roi
 
-    def reset(self, instance: DspInstance) -> None:
+    def reset(self, model: DspChoiceModel) -> None:
+        instance = model.instance
         _require_p4p(instance, self.name)
         self.state = OrtbState(c=self._c0, lam=self._lambda0)
         self.target_roi = _resolve_target(instance, self._target, self.name)
         self._ad_idx, self._cpi = _cpi_selection(instance, [0])
         self._cap = instance.bid_cap
-        self._observations: list[BidObservation] = []
+        # Won costs and lost bids of every epoch so far, in replay order.
+        self._won_costs: list[np.ndarray] = []
+        self._lost_bids: list[np.ndarray] = []
         self._reset_window(instance)
 
     def epoch_bids(self) -> tuple[np.ndarray, np.ndarray]:
@@ -512,19 +543,12 @@ class OrtbStrategy(_WindowedStrategy):
 
     def _observe(self, feedback: EpochFeedback) -> None:
         active = feedback.bids > 0.0
-        self._observations.extend(
-            BidObservation(Outcome.WON, float(b), float(p))
-            if w
-            else BidObservation(Outcome.LOST, float(b))
-            for b, p, w in zip(
-                feedback.bids[active], feedback.paid[active], feedback.won[active]
-            )
-        )
+        self._won_costs.append(feedback.paid[active & feedback.won])
+        self._lost_bids.append(feedback.bids[active & ~feedback.won])
 
     def _update(self, actual_roi: float) -> None:
-        c = self.state.c
-        if any(o.outcome is Outcome.WON for o in self._observations):
-            c = ortb_fit_c(self._observations).c
+        won, lost = np.concatenate(self._won_costs), np.concatenate(self._lost_bids)
+        c = ortb_fit_c(won, lost).c if won.size else self.state.c
         lam = multiplicative_update(self.state.lam, self.target_roi, actual_roi).value
         self.state = OrtbState(c=c, lam=lam)
 
@@ -552,7 +576,8 @@ class LinStrategy(_WindowedStrategy):
         self.cadence = cadence
         self._target = target_roi
 
-    def reset(self, instance: DspInstance) -> None:
+    def reset(self, model: DspChoiceModel) -> None:
+        instance = model.instance
         _require_p4p(instance, self.name)
         self.target_roi = _resolve_target(instance, self._target, self.name)
         self._ad_idx, self._cpi = _cpi_selection(instance, [0])
@@ -581,8 +606,8 @@ class FixedAlphaStrategy(Strategy):
         if not np.all(np.isfinite(self.alpha) & (self.alpha >= 0.0)):
             raise ValueError(f"fixed_alpha prices must be finite and nonnegative, got {alpha!r}")
 
-    def reset(self, instance: DspInstance) -> None:
-        decisions = DspChoiceModel(instance).decide_rows(self.alpha)
+    def reset(self, model: DspChoiceModel) -> None:
+        decisions = model.decide_rows(self.alpha)
         self._ad_idx, self._bids = decisions.ad, decisions.bp
 
     def epoch_bids(self) -> tuple[np.ndarray, np.ndarray]:
@@ -634,7 +659,7 @@ def run_monte_carlo(
     sigmas = np.array([imp.prior.sigma for imp in instance.impressions])
     rows = np.arange(n)
 
-    strategy.reset(instance)
+    strategy.reset(model)
     rng = np.random.default_rng(seed)
     metrics: list[EpochMetrics] = []
     consumption_total = np.zeros(instance.n_constraints)

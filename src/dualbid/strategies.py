@@ -11,17 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .landscape import (
-    BidObservation,
-    EmptyObservationsError,
-    NoWinObservationsError,
-    Outcome,
-)
+from .landscape import NoWinObservationsError
 
 __all__ = [
     "LinState",
@@ -142,42 +136,42 @@ def _ortb_log_likelihood(c: float, won: np.ndarray, lost: np.ndarray) -> float:
     return ll
 
 
-def ortb_fit_c(observations: Sequence[BidObservation]) -> OrtbFit:
-    """Censored MLE of the win-curve scale c.
+def _ortb_score(c: float, won: np.ndarray, lost: np.ndarray, n: int) -> float:
+    # n - 2 sum c/(c+won) - sum c/(c+lost): strictly decreasing in c.
+    return (
+        n
+        - 2.0 * float(np.sum(c / (c + won)))
+        - (float(np.sum(c / (c + lost))) if lost.size else 0.0)
+    )
+
+
+def ortb_fit_c(won_costs: np.ndarray, lost_bids: np.ndarray) -> OrtbFit:
+    """Censored MLE of the win-curve scale c from won costs and lost bids.
 
     The curve w(bp; c) = bp/(c + bp) implies the competing-bid density
     c/(c + x)^2, so won auctions contribute its log density at the paid cost
-    and lost ones the log survival at our bid. The score equation in c is
-    strictly monotone, giving a unique root found by bracketed root-finding.
+    and lost ones the log survival at our bid. Lost bids at or below 0 are
+    vacuous and dropped. The score equation in c is strictly monotone, giving
+    a unique root found by bracketed root-finding. `landscape.split_observations`
+    turns an observation log into the two arrays.
     """
-    if not observations:
-        raise EmptyObservationsError("observations must be nonempty")
-    won = np.asarray(
-        [o.paid_cost for o in observations if o.outcome is Outcome.WON], dtype=float
-    )
-    lost = np.asarray(
-        [o.bid_price for o in observations if o.outcome is Outcome.LOST], dtype=float
-    )
+    won = np.asarray(won_costs, dtype=float)
+    lost = np.asarray(lost_bids, dtype=float)
     if won.size == 0:
         raise NoWinObservationsError("at least one won auction is required")
     if np.any(won <= 0.0):
         raise ValueError("won auctions must have strictly positive paid costs")
     lost = lost[lost > 0.0]
-    n = won.size + lost.size
-
-    def score_eq(c: float) -> float:
-        # n - 2 sum c/(c+won) - sum c/(c+lost): strictly decreasing in c.
-        return (
-            n
-            - 2.0 * float(np.sum(c / (c + won)))
-            - (float(np.sum(c / (c + lost))) if lost.size else 0.0)
-        )
+    # The arrays reach the score through `args`, not a closure: brentq wraps
+    # its callable in a self-referencing function, and a closure would keep
+    # every refit's arrays alive until the cyclic garbage collector runs.
+    args = (won, lost, won.size + lost.size)
 
     lo = 1e-12
     hi = 4.0 * float(np.max(won)) + 1.0
-    while score_eq(hi) > 0.0 and hi < 1e15:
+    while _ortb_score(hi, *args) > 0.0 and hi < 1e15:
         hi *= 10.0
-    if score_eq(hi) > 0.0:
+    if _ortb_score(hi, *args) > 0.0:
         return OrtbFit(hi, converged=False, log_likelihood=_ortb_log_likelihood(hi, won, lost))
-    c_hat = float(brentq(score_eq, lo, hi, xtol=1e-12, rtol=1e-12))
+    c_hat = float(brentq(_ortb_score, lo, hi, args=args, xtol=1e-12, rtol=1e-12))
     return OrtbFit(c_hat, converged=True, log_likelihood=_ortb_log_likelihood(c_hat, won, lost))

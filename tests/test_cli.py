@@ -65,6 +65,31 @@ class TestGen:
         assert run(["gen", "--out-dir", str(tmp_path / "o"), "--config", str(config)]) == 2
         assert "unknown mock config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_impressions": 7.5},
+            {"n_impressions": True},
+            {"ads": "abc"},
+            {"ads": 5},
+            {"ads": [1.0, "2"]},
+            {"ads": [1.0, False]},
+            {"ads": [1.0, -2.0]},
+            {"ads": [1.0, math.inf]},
+            {"mu_range": "ab"},
+            {"mu_range": [-1.0]},
+            {"sigma_range": [0.3, 0.6, 0.9]},
+            {"ppi_range": [0.0, None]},
+            {"bid_cap": "x"},
+        ],
+    )
+    def test_wrongly_typed_config_value_exits_2(self, tmp_path, capsys, overrides):
+        config = tmp_path / "mock.json"
+        config.write_text(json.dumps(overrides))
+        assert run(["gen", "--out-dir", str(tmp_path / "o"), "--config", str(config)]) == 2
+        assert next(iter(overrides)) in capsys.readouterr().err
+        assert not (tmp_path / "o" / "instance.json").exists()
+
 
 class TestSolve:
     def test_outputs_and_schema(self, small_instance, tmp_path):

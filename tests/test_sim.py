@@ -5,6 +5,7 @@ import pytest
 
 from dualbid import sim
 from dualbid.dsp import DspChoiceModel
+from dualbid.landscape import BidObservation, Outcome, split_observations
 from dualbid.mmkp import sgd_solve
 from dualbid.sim import (
     FixedAlphaStrategy,
@@ -20,6 +21,7 @@ from dualbid.sim import (
     run_expectation,
     run_monte_carlo,
 )
+from dualbid.strategies import ortb_fit_c
 from dualbid.utility import ConstraintKind, ObjectiveKind, PaymentMode
 
 
@@ -61,6 +63,10 @@ class TestGenMockInstance:
             gen_mock_instance(MockConfig(ppi_range=(-0.1, 0.1)))
         with pytest.raises(InvalidRangeError):
             gen_mock_instance(MockConfig(n_impressions=-1))
+        with pytest.raises(InvalidRangeError):
+            gen_mock_instance(MockConfig(seed=1.5))
+        with pytest.raises(InvalidRangeError):
+            gen_mock_instance(MockConfig(seed=True))
 
 
 class TestInstanceJson:
@@ -159,7 +165,7 @@ class TestRunMonteCarlo:
         sigmas = np.array([i.prior.sigma for i in instance.impressions])
         rng = np.random.default_rng(11)
         strategy2 = FixedAlphaStrategy(alpha)
-        strategy2.reset(instance)
+        strategy2.reset(DspChoiceModel(instance))
         ad_idx, bids = strategy2.epoch_bids()
         for epoch in range(3):
             x = np.exp(mus + sigmas * rng.standard_normal(len(mus)))
@@ -201,6 +207,19 @@ class TestRunMonteCarlo:
         tol = 3.0 / np.sqrt(len(instance.impressions) * epochs)
         for row_mc, row_exp, scale in zip(mc.per_constraint, expectation.per_constraint, gross):
             assert abs(row_mc.consumption - row_exp.consumption) <= tol * max(scale, 1e-6)
+
+    def test_fixed_alpha_replay_builds_one_model(self, monkeypatch):
+        builds = []
+        build = DspChoiceModel.__init__
+
+        def counting_build(self, instance):
+            builds.append(instance)
+            build(self, instance)
+
+        monkeypatch.setattr(DspChoiceModel, "__init__", counting_build)
+        instance = gen_mock_instance(MockConfig(n_impressions=20))
+        run_monte_carlo(instance, FixedAlphaStrategy(np.ones(4)), epochs=2, seed=0)
+        assert len(builds) == 1
 
     def test_epoch_count_validation(self):
         instance = gen_mock_instance(MockConfig(n_impressions=10))
@@ -267,13 +286,44 @@ class TestStrategies:
         assert params[3] != 1.0
         assert params[3] == params[4] == params[5]
 
+    def test_ortb_refit_matches_fit_over_observation_log(self):
+        """Each refit's c equals, bit for bit, a fit over the replay's rebuilt auction log."""
+
+        class CheckedOrtb(sim.OrtbStrategy):
+            def reset(self, model):
+                super().reset(model)
+                self.feedbacks, self.refits = [], 0
+
+            def end_epoch(self, feedback):
+                self.feedbacks.append(feedback)
+                super().end_epoch(feedback)
+
+            def _update(self, actual_roi):
+                super()._update(actual_roi)
+                log = [
+                    BidObservation(Outcome.WON, float(b), float(p))
+                    if w
+                    else BidObservation(Outcome.LOST, float(b))
+                    for f in self.feedbacks
+                    for b, p, w in zip(f.bids, f.paid, f.won)
+                    if b > 0.0
+                ]
+                assert self.state.c == ortb_fit_c(*split_observations(log)).c
+                self.refits += 1
+
+        instance = gen_mock_instance(MockConfig(n_impressions=100, seed=2))
+        ortb = CheckedOrtb(update_window=150)
+        run_monte_carlo(instance, ortb, epochs=7, seed=4)
+        assert ortb.refits == 3
+        assert ortb.state.c != 1.0  # c0: the refits moved it
+
     def test_db_multi_uses_all_ads(self):
         instance = gen_mock_instance(MockConfig(n_impressions=50, seed=6))
         multi = make_strategy("db_multi")
-        multi.reset(instance)
+        multi.reset(DspChoiceModel(instance))
         idx, _ = multi.epoch_bids()
         assert set(np.unique(idx)) == {0, 1}
         single = make_strategy("db_single")
-        single.reset(instance)
+        single.reset(DspChoiceModel(instance))
         idx, _ = single.epoch_bids()
         assert set(np.unique(idx)) == {0}

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from dualbid.landscape import (
     EmptyObservationsError,
     NoWinObservationsError,
     Outcome,
+    split_observations,
 )
 from dualbid.strategies import (
     LinState,
@@ -116,7 +119,7 @@ class TestOrtbFitC:
         rng = np.random.default_rng(21)
         prices = sample_win_curve_prices(rng, 2.0, 100000)
         observations = [BidObservation(Outcome.WON, float(p) + 1.0, float(p)) for p in prices if p > 0]
-        fit = ortb_fit_c(observations)
+        fit = ortb_fit_c(*split_observations(observations))
         assert fit.converged
         assert 1.9 <= fit.c <= 2.1
 
@@ -124,7 +127,7 @@ class TestOrtbFitC:
         rng = np.random.default_rng(22)
         prices = sample_win_curve_prices(rng, 0.01, 20000)
         observations = [BidObservation(Outcome.WON, float(p) + 1.0, float(p)) for p in prices if p > 0]
-        fit = ortb_fit_c(observations)
+        fit = ortb_fit_c(*split_observations(observations))
         assert fit.c < 0.1
 
     def test_censored_recovery(self):
@@ -136,11 +139,26 @@ class TestOrtbFitC:
             for p in prices
             if p > 0
         ]
-        fit = ortb_fit_c(observations)
+        fit = ortb_fit_c(*split_observations(observations))
         assert abs(fit.c - 1.5) < 0.1
 
     def test_errors(self):
         with pytest.raises(EmptyObservationsError):
-            ortb_fit_c([])
+            split_observations([])
         with pytest.raises(NoWinObservationsError):
-            ortb_fit_c([BidObservation(Outcome.LOST, 1.0)])
+            ortb_fit_c(np.array([]), np.array([1.0]))
+
+    def test_leaves_no_cyclic_garbage(self):
+        # The fit's arrays must be freed by reference counting alone: with a
+        # closure over them, brentq's self-referencing wrapper keeps them
+        # alive until the cyclic collector runs.
+        rng = np.random.default_rng(24)
+        won = sample_win_curve_prices(rng, 1.0, 1000) + 1e-3
+        ref = weakref.ref(won)
+        gc.disable()
+        try:
+            assert ortb_fit_c(won, np.full(100, 2.0)).converged
+            del won
+            assert ref() is None
+        finally:
+            gc.enable()
