@@ -91,7 +91,7 @@ def _strategy_totals(metrics: list[sim.EpochMetrics]) -> dict:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
-    config = MockConfig(seed=args.seed, bid_cap=args.bid_cap)
+    config = MockConfig(bid_cap=args.bid_cap)
     if args.config is not None:
         with open(args.config) as handle:
             overrides = json.load(handle)
@@ -111,7 +111,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         config.n_impressions = args.n_impressions
     if args.objective is not None:
         config.objective_kind = ObjectiveKind(args.objective)
-    config.seed = args.seed
+    if args.seed is not None:
+        config.seed = args.seed
     manifest = _Manifest(
         out_dir, "gen", _flags(args, ["seed", "n_impressions", "objective", "bid_cap"]),
         {"config": args.config},
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON file overriding mock-config fields")
     p.add_argument("--n-impressions", type=int, default=None)
     p.add_argument("--objective", choices=["revenue", "performance"], default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="overrides the config seed (default 0)")
     p.add_argument("--bid-cap", type=float, default=1e4)
     p.set_defaults(func=cmd_gen)
 

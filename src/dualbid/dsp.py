@@ -247,10 +247,6 @@ class DspChoiceModel(mmkp.ChoiceModel):
         return len(self.instance.impressions)
 
     @property
-    def n_users(self) -> int:
-        return self.instance.n_ads
-
-    @property
     def budgets(self) -> np.ndarray:
         return self._budgets
 

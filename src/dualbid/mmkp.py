@@ -12,13 +12,13 @@ nonnegative, and alpha itself is found by minimizing the convex dual
 
 with projected stochastic subgradient steps over items.
 
-The generic `ChoiceModel` methods derive everything from `item_best`;
-`dsp.DspChoiceModel` answers from its one array kernel, `decide_rows`.
+The generic `ChoiceModel` methods derive everything from `item_best`. Here
+the allocation rule is applied only by `primal_value_of_strategy`; the DSP
+commands read it from `dsp.DspChoiceModel.decide_rows`, one array kernel.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -27,18 +27,14 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "AllocationDecision",
     "ChoiceModel",
     "DivergenceError",
     "DualState",
     "PrimalResult",
     "beta_value",
-    "decide",
     "dual_objective",
-    "dual_state_from_json",
     "dual_state_to_json",
     "primal_value_of_strategy",
-    "score_f",
     "sgd_solve",
 ]
 
@@ -50,18 +46,16 @@ class DivergenceError(RuntimeError):
 class ChoiceModel(ABC):
     """Per-(item, user) best responses against a resource price vector.
 
-    Implementations expose the instance dimensions and, for each item, the
-    vector of score-maximizing sub-choices and scores across users, plus the
-    gain and per-constraint consumption of any concrete sub-choice.
+    Implementations expose the item count and resource limits and, for each
+    item, the vector of score-maximizing sub-choices and scores across users,
+    plus the gain and per-constraint consumption of any concrete sub-choice.
+    The class holds no allocation rule: `primal_value_of_strategy` applies it
+    over `item_best`, and `dsp.DspChoiceModel.decide_rows` in array form.
     """
 
     @property
     @abstractmethod
     def n_items(self) -> int: ...
-
-    @property
-    @abstractmethod
-    def n_users(self) -> int: ...
 
     @property
     @abstractmethod
@@ -100,58 +94,7 @@ class ChoiceModel(ABC):
 
     def beta_sum(self, alpha: np.ndarray) -> float:
         """Sum of per-item dual inner values; models may vectorize this."""
-        total = 0.0
-        for i in range(self.n_items):
-            _, scores = self.item_best(i, alpha)
-            if scores.size:
-                total += max(0.0, float(scores.max()))
-        return total
-
-
-def score_f(model: ChoiceModel, i: int, j: int, sub_choice: float, alpha: np.ndarray) -> float:
-    """Compromised gain V - sum_k alpha_k W^(k) of a concrete assignment."""
-    return model.gain(i, j, sub_choice) - float(
-        np.dot(np.asarray(alpha, dtype=float), model.consumption(i, j, sub_choice))
-    )
-
-
-@dataclass(frozen=True)
-class AllocationDecision:
-    """Outcome for one item: the winning user and sub-choice, or nothing."""
-
-    chosen_user: int | None
-    sub_choice: float | None
-    best_score: float
-
-
-def decide(
-    model: ChoiceModel,
-    i: int,
-    alpha: np.ndarray,
-    tie_break: str = "lowest",
-    rng: np.random.Generator | None = None,
-) -> AllocationDecision:
-    """Allocate item `i` at prices `alpha`: top scorer wins iff its score is >= 0.
-
-    Ties go to the lowest user index by default; `tie_break="random"` draws
-    uniformly among the tied top scorers using `rng` (reproducible by seed).
-    """
-    subs, scores = model.item_best(i, np.asarray(alpha, dtype=float))
-    if scores.size == 0:
-        return AllocationDecision(None, None, -math.inf)
-    if tie_break == "random":
-        if rng is None:
-            raise ValueError("random tie-break needs an rng")
-        top = np.flatnonzero(scores == scores.max())
-        j = int(top[rng.integers(top.size)])
-    elif tie_break == "lowest":
-        j = int(np.argmax(scores))
-    else:
-        raise ValueError(f"unknown tie_break {tie_break!r}")
-    best = float(scores[j])
-    if best >= 0.0:
-        return AllocationDecision(j, float(subs[j]), best)
-    return AllocationDecision(None, None, best)
+        return sum((beta_value(self, i, alpha) for i in range(self.n_items)), 0.0)
 
 
 def beta_value(model: ChoiceModel, i: int, alpha: np.ndarray) -> float:
@@ -187,14 +130,6 @@ def dual_state_to_json(state: DualState) -> dict:
         "iterations": state.iteration,
         "dual_trace": [float(v) for v in state.dual_value_trace],
     }
-
-
-def dual_state_from_json(payload: dict) -> DualState:
-    return DualState(
-        alpha=np.asarray(payload["alpha"], dtype=float),
-        iteration=int(payload["iterations"]),
-        dual_value_trace=[float(v) for v in payload["dual_trace"]],
-    )
 
 
 def sgd_solve(
@@ -289,13 +224,20 @@ class PrimalResult:
 
 
 def primal_value_of_strategy(model: ChoiceModel, alpha: np.ndarray) -> PrimalResult:
-    """Execute `decide` on every item and total the chosen gains and consumptions."""
+    """Total gain and consumption of the allocation rule at prices `alpha`.
+
+    Each item goes to its top scorer iff that score is >= 0; ties go to the
+    lowest user index, as in `np.argmax`, and an item with no users stays
+    unallocated.
+    """
     alpha = np.asarray(alpha, dtype=float)
     objective = 0.0
     consumption = np.zeros(model.n_constraints)
     for i in range(model.n_items):
-        decision = decide(model, i, alpha)
-        if decision.chosen_user is not None:
-            objective += model.gain(i, decision.chosen_user, decision.sub_choice)
-            consumption += model.consumption(i, decision.chosen_user, decision.sub_choice)
+        subs, scores = model.item_best(i, alpha)
+        if scores.size:
+            j = int(np.argmax(scores))
+            if scores[j] >= 0.0:
+                objective += model.gain(i, j, float(subs[j]))
+                consumption += model.consumption(i, j, float(subs[j]))
     return PrimalResult(objective=objective, consumption=consumption)

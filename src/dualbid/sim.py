@@ -41,7 +41,6 @@ from .utility import (
     ObjectiveKind,
     ObjectiveSpec,
     PaymentMode,
-    constraint_limit,
 )
 
 __all__ = [
@@ -139,6 +138,14 @@ class MockConfig:
             raise InvalidRangeError("ppi_range must be nonnegative")
         if not _is_number(self.bid_cap):
             raise InvalidRangeError(f"bid_cap must be a number, got {self.bid_cap!r}")
+        if self.constraints is not None and not (
+            isinstance(self.constraints, Sequence)
+            and all(isinstance(c, ConstraintSpec) for c in self.constraints)
+        ):
+            raise InvalidRangeError(
+                "constraints must be None or a sequence of ConstraintSpec, "
+                f"got {self.constraints!r}"
+            )
 
 
 def _is_number(value) -> bool:
@@ -240,7 +247,7 @@ def instance_from_json(payload: dict) -> DspInstance:
             PaymentMode(payload["objective"]["mode"]), ObjectiveKind(payload["objective"]["kind"])
         )
         ads = [
-            Ad(entry["id"], AdEconomics(cpp=entry.get("cpp"), cr=entry.get("cr")))
+            Ad(entry["id"], AdEconomics(_optional_real(entry, "cpp"), _optional_real(entry, "cr")))
             for entry in payload["ads"]
         ]
         constraints = [
@@ -272,6 +279,15 @@ def instance_from_json(payload: dict) -> DspInstance:
         if isinstance(exc, InstanceFormatError):
             raise
         raise InstanceFormatError(f"malformed instance document: {exc}") from exc
+
+
+def _optional_real(entry: dict, key: str) -> float | None:
+    value = entry.get(key)
+    if value is not None and not _is_number(value):
+        raise InstanceFormatError(
+            f"ad {entry.get('id')!r}: {key} must be null or a number, got {value!r}"
+        )
+    return value
 
 
 def save_instance(path: str | Path, instance: DspInstance, seed: int | None = None) -> None:
@@ -331,7 +347,6 @@ class SimReport:
     dual_value: float | None
     per_constraint: list[ConstraintRow]
     per_strategy_metrics: dict[str, list[EpochMetrics]] = field(default_factory=dict)
-    seed: int | None = None
 
     @property
     def duality_gap_rel(self) -> float | None:
@@ -370,9 +385,7 @@ def run_expectation(model: DspChoiceModel, alpha: np.ndarray) -> SimReport:
 class EpochFeedback:
     """Realized arrays of one epoch handed to a strategy's update rule."""
 
-    ad_idx: np.ndarray
     bids: np.ndarray
-    highest_bid: np.ndarray
     won: np.ndarray
     paid: np.ndarray
     revenue: np.ndarray
@@ -694,11 +707,7 @@ def run_monte_carlo(
                 degenerate=degenerate,
             )
         )
-        strategy.end_epoch(
-            EpochFeedback(
-                ad_idx=ad_idx, bids=bids, highest_bid=x, won=won, paid=paid, revenue=revenue_vec
-            )
-        )
+        strategy.end_epoch(EpochFeedback(bids=bids, won=won, paid=paid, revenue=revenue_vec))
 
     # Realized consumption is reported as the per-epoch mean over the run.
     per_constraint = [
@@ -712,7 +721,6 @@ def run_monte_carlo(
         dual_value=None,
         per_constraint=per_constraint,
         per_strategy_metrics={strategy.name: metrics},
-        seed=seed,
     )
 
 
@@ -734,7 +742,6 @@ def compare_strategies(
         dual_value=None,
         per_constraint=[],
         per_strategy_metrics=merged,
-        seed=seed,
     )
 
 

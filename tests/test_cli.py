@@ -65,6 +65,25 @@ class TestGen:
         assert run(["gen", "--out-dir", str(tmp_path / "o"), "--config", str(config)]) == 2
         assert "unknown mock config" in capsys.readouterr().err
 
+    def test_config_seed_applies_without_the_flag(self, tmp_path):
+        config = tmp_path / "mock.json"
+        config.write_text(json.dumps({"seed": 5, "n_impressions": 3}))
+        assert run(["gen", "--out-dir", str(tmp_path / "cfg"), "--config", str(config)]) == 0
+        flag = tmp_path / "flag"
+        assert run(["gen", "--out-dir", str(flag), "--n-impressions", "3", "--seed", "5"]) == 0
+        assert read_dir(tmp_path / "cfg") == read_dir(flag)
+        assert json.loads((flag / "instance.json").read_text())["seed"] == 5
+
+    def test_seed_flag_overrides_config_seed(self, tmp_path):
+        config = tmp_path / "mock.json"
+        config.write_text(json.dumps({"seed": 5, "n_impressions": 3}))
+        out = tmp_path / "cfg"
+        assert run(["gen", "--out-dir", str(out), "--config", str(config), "--seed", "2"]) == 0
+        flag = tmp_path / "flag"
+        assert run(["gen", "--out-dir", str(flag), "--n-impressions", "3", "--seed", "2"]) == 0
+        assert read_dir(out) == read_dir(flag)
+        assert json.loads((out / "instance.json").read_text())["seed"] == 2
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -81,6 +100,7 @@ class TestGen:
             {"sigma_range": [0.3, 0.6, 0.9]},
             {"ppi_range": [0.0, None]},
             {"bid_cap": "x"},
+            {"constraints": [{"kind": "budget"}]},
         ],
     )
     def test_wrongly_typed_config_value_exits_2(self, tmp_path, capsys, overrides):
@@ -193,6 +213,17 @@ def test_non_finite_flag_exits_2(command, flags, small_instance, tmp_path, capsy
     inputs = [] if command == "gen" else ["--instance", str(small_instance)]
     assert run([command, "--out-dir", str(tmp_path / "o"), *inputs, *flags]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_non_numeric_ad_economics_exits_2(command, small_instance, tmp_path, capsys):
+    payload = json.loads(small_instance.read_text())
+    payload["ads"][0]["cpp"] = "1"
+    bad = tmp_path / "instance.json"
+    bad.write_text(json.dumps(payload))
+    flags = ["--strategy", "db_single"] if command == "simulate" else []
+    assert run([command, "--instance", str(bad), "--out-dir", str(tmp_path / "o"), *flags]) == 2
+    assert "cpp" in capsys.readouterr().err
 
 
 class TestSimulateAndCompare:

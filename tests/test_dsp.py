@@ -16,7 +16,7 @@ from dualbid.dsp import (
     write_decisions_csv,
 )
 from dualbid.landscape import LandscapePrior, expected_cost, pdf, win_prob
-from dualbid.mmkp import ChoiceModel, beta_value, decide, sgd_solve
+from dualbid.mmkp import ChoiceModel, beta_value, sgd_solve
 from dualbid.utility import (
     AdEconomics,
     ConstraintKind,

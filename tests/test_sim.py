@@ -82,6 +82,14 @@ class TestInstanceJson:
         with pytest.raises(InstanceFormatError):
             instance_from_json({"mode": "warp-drive"})
 
+    @pytest.mark.parametrize("key", ["cpp", "cr"])
+    @pytest.mark.parametrize("value", ["1", True, [1.0], {}])
+    def test_non_numeric_economics_raises_format_error(self, key, value):
+        payload = instance_to_json(gen_mock_instance(MockConfig(n_impressions=2)))
+        payload["ads"][1][key] = value
+        with pytest.raises(InstanceFormatError, match=key):
+            instance_from_json(payload)
+
     def test_save_and_load(self, tmp_path):
         instance = gen_mock_instance(MockConfig(n_impressions=3))
         path = tmp_path / "instance.json"
@@ -185,7 +193,6 @@ class TestRunMonteCarlo:
             assert m.wins == 0 and m.cost == 0.0 and m.degenerate
 
     def test_consumption_matches_expectation_at_fixed_alpha(self):
-        from dualbid import mmkp
         from dualbid.landscape import expected_cost, win_prob
 
         instance = gen_mock_instance(MockConfig(n_impressions=200, seed=5))
@@ -198,12 +205,13 @@ class TestRunMonteCarlo:
         # LLN-rate bound is taken against each row's gross flow magnitude.
         phi_w, psi_w = model.constraint_coeffs
         gross = np.zeros(instance.n_constraints)
+        decisions = model.decide_rows(alpha)
         for i, imp in enumerate(instance.impressions):
-            d = mmkp.decide(model, i, alpha)
-            if d.chosen_user is not None and d.sub_choice > 0:
-                p = win_prob(imp.prior, d.sub_choice)
-                c = expected_cost(imp.prior, d.sub_choice)
-                gross += np.abs(phi_w[i, d.chosen_user]) * p + np.abs(psi_w[i, d.chosen_user]) * c
+            j, bp = int(decisions.ad[i]), float(decisions.bp[i])
+            if j >= 0:  # the rule never bids 0
+                p = win_prob(imp.prior, bp)
+                c = expected_cost(imp.prior, bp)
+                gross += np.abs(phi_w[i, j]) * p + np.abs(psi_w[i, j]) * c
         tol = 3.0 / np.sqrt(len(instance.impressions) * epochs)
         for row_mc, row_exp, scale in zip(mc.per_constraint, expectation.per_constraint, gross):
             assert abs(row_mc.consumption - row_exp.consumption) <= tol * max(scale, 1e-6)

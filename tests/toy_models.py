@@ -19,10 +19,6 @@ class FixedChoiceModel(ChoiceModel):
         return self._v.shape[0]
 
     @property
-    def n_users(self):
-        return self._v.shape[1]
-
-    @property
     def budgets(self):
         return self._b
 
@@ -48,10 +44,6 @@ class QuadraticToyModel(ChoiceModel):
     @property
     def n_items(self):
         return self._vmax.shape[0]
-
-    @property
-    def n_users(self):
-        return self._vmax.shape[1]
 
     @property
     def budgets(self):
@@ -83,10 +75,6 @@ class RunawayModel(ChoiceModel):
 
     @property
     def n_items(self):
-        return 1
-
-    @property
-    def n_users(self):
         return 1
 
     @property
