@@ -170,7 +170,8 @@ def _row_json(row: sim.ConstraintRow) -> dict:
 
 def _load_strategy(name: str, params_json: str | None, target_roi: float | None) -> sim.Strategy:
     params = json.loads(params_json) if params_json else {}
-    if target_roi is not None:
+    takes_target = "target_roi" in sim.STRATEGY_PARAMS.get(name, ())
+    if target_roi is not None and takes_target and isinstance(params, dict):
         params.setdefault("target_roi", target_roi)
     return sim.make_strategy(name, params)
 
@@ -282,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--strategy", required=True,
-                   choices=["db_single", "db_multi", "ortb", "lin", "fixed_alpha"])
+                   choices=list(sim.STRATEGY_PARAMS))
     p.add_argument("--epochs", type=int, default=60)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target-roi", type=float, default=None)

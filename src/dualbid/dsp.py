@@ -7,6 +7,10 @@ and both the solver and the bidder reduce to coefficient arithmetic plus
 log-normal CDF evaluations; no numeric search over bid prices happens in the
 hot path.
 
+`DspChoiceModel` builds the coefficient tensors with the array form of the
+`utility` encoders: one call per ad and objective or constraint, over the
+ad's PPI column, so a build makes M * (K + 1) encoder calls at any N.
+
 One array kernel, `DspChoiceModel.decide_rows`, applies that rule to every
 impression. Every decision path reads it except the SGD step, whose fused
 scalar copy (`dominant_consumption`) returns the generic step's bits.
@@ -217,30 +221,37 @@ class DspChoiceModel(mmkp.ChoiceModel):
     """Choice-model view of a `DspInstance` with precomputed coefficient tensors.
 
     Objective coefficients are stored as (N, M) arrays and constraint
-    coefficients as (N, M, K) arrays, built here, the one place that runs the
-    encoders; `decide_rows` decides all rows at once.
+    coefficients as (N, M, K) arrays. They are built here, the one place that
+    runs the encoders: one array encoder call per ad and objective or
+    constraint, each over the ad's PPI column. `decide_rows` decides all rows
+    at once.
     """
 
     def __init__(self, instance: DspInstance):
         self.instance = instance
         n, m, k = len(instance.impressions), instance.n_ads, instance.n_constraints
+        self._ppi = np.array([imp.ppi for imp in instance.impressions], dtype=float).reshape(n, m)
         self._phi_v = np.zeros((n, m))
         self._psi_v = np.zeros((n, m))
         self._phi_w = np.zeros((n, m, k))
         self._psi_w = np.zeros((n, m, k))
-        for i, imp in enumerate(instance.impressions):
-            for j, ad in enumerate(instance.ads):
-                gain = encode_objective(instance.objective, ad.economics, imp.ppi[j])
-                self._phi_v[i, j] = gain.phi
-                self._psi_v[i, j] = gain.psi
-                for c, spec in enumerate(instance.constraints):
-                    w, _ = encode_constraint(spec, ad.id, ad.economics, imp.ppi[j])
-                    self._phi_w[i, j, c] = w.phi
-                    self._psi_w[i, j, c] = w.psi
+        for j, ad in enumerate(instance.ads):
+            ppi = self._ppi[:, j]
+            gain = encode_objective(instance.objective, ad.economics, ppi)
+            self._phi_v[:, j] = gain.phi
+            self._psi_v[:, j] = gain.psi
+            for c, spec in enumerate(instance.constraints):
+                w, _ = encode_constraint(spec, ad.id, ad.economics, ppi)
+                self._phi_w[:, j, c] = w.phi
+                self._psi_w[:, j, c] = w.psi
         self._budgets = np.array([constraint_limit(s) for s in instance.constraints])
         self._mu = np.array([imp.prior.mu for imp in instance.impressions])
         self._sigma = np.array([imp.prior.sigma for imp in instance.impressions])
+        # `landscape.mean` per impression, not `np.exp` over the array: the
+        # two can differ in the last bit.
         self._mean = np.array([landscape.mean(imp.prior) for imp in instance.impressions])
+        for shared in (self._ppi, self._mu, self._sigma):
+            shared.flags.writeable = False
 
     @property
     def n_items(self) -> int:
@@ -249,6 +260,21 @@ class DspChoiceModel(mmkp.ChoiceModel):
     @property
     def budgets(self) -> np.ndarray:
         return self._budgets
+
+    @property
+    def ppi(self) -> np.ndarray:
+        """Per-(impression, ad) expected performance, shaped (N, M); read-only."""
+        return self._ppi
+
+    @property
+    def mu(self) -> np.ndarray:
+        """Landscape prior `mu` per impression, shaped (N,); read-only."""
+        return self._mu
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """Landscape prior `sigma` per impression, shaped (N,); read-only."""
+        return self._sigma
 
     @property
     def objective_coeffs(self) -> tuple[np.ndarray, np.ndarray]:

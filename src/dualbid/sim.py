@@ -55,6 +55,7 @@ __all__ = [
     "LinStrategy",
     "MockConfig",
     "OrtbStrategy",
+    "STRATEGY_PARAMS",
     "SimReport",
     "Strategy",
     "compare_strategies",
@@ -425,7 +426,7 @@ def _resolve_target(instance: DspInstance, target_roi: float | None, name: str) 
 
 
 def _cpi_selection(
-    instance: DspInstance, inventory: Sequence[int]
+    model: DspChoiceModel, inventory: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected-revenue-maximizing ad per impression within an inventory.
 
@@ -433,12 +434,11 @@ def _cpi_selection(
     ad, so ranking by cpi = CPP * PPI is the landscape-free selection rule.
     """
     inv = np.asarray(inventory, dtype=int)
-    n = len(instance.impressions)
-    cpp = np.array([instance.ads[j].economics.require_cpp() for j in inv], dtype=float)
-    ppi = np.array([imp.ppi for imp in instance.impressions], dtype=float)
-    cpi = cpp * ppi.reshape(n, instance.n_ads)[:, inv]
+    ads = model.instance.ads
+    cpp = np.array([ads[j].economics.require_cpp() for j in inv], dtype=float)
+    cpi = cpp * model.ppi[:, inv]
     pick = np.argmax(cpi, axis=1)
-    return inv[pick], cpi[np.arange(n), pick]
+    return inv[pick], cpi[np.arange(model.n_items), pick]
 
 
 class _WindowedStrategy(Strategy):
@@ -490,6 +490,8 @@ class DualBidStrategy(_WindowedStrategy):
         self, name: str = "db_single", alpha0: float = 1.0, target_roi: float | None = None,
         multi: bool = False, update_window: int = 1000,
     ):
+        if not (math.isfinite(alpha0) and alpha0 > 0.0):
+            raise ValueError(f"alpha0 must be positive and finite, got {alpha0!r}")
         super().__init__(update_window)
         self.name = name
         self.alpha = alpha0
@@ -503,7 +505,7 @@ class DualBidStrategy(_WindowedStrategy):
         self.alpha = self._alpha0
         self.target_roi = _resolve_target(instance, self._target, self.name)
         inventory = range(instance.n_ads) if self._multi else [0]
-        self._ad_idx, self._cpi = _cpi_selection(instance, inventory)
+        self._ad_idx, self._cpi = _cpi_selection(model, inventory)
         self._cap = instance.bid_cap
         self._reset_window(instance)
 
@@ -543,7 +545,7 @@ class OrtbStrategy(_WindowedStrategy):
         _require_p4p(instance, self.name)
         self.state = OrtbState(c=self._c0, lam=self._lambda0)
         self.target_roi = _resolve_target(instance, self._target, self.name)
-        self._ad_idx, self._cpi = _cpi_selection(instance, [0])
+        self._ad_idx, self._cpi = _cpi_selection(model, [0])
         self._cap = instance.bid_cap
         # Won costs and lost bids of every epoch so far, in replay order.
         self._won_costs: list[np.ndarray] = []
@@ -593,7 +595,7 @@ class LinStrategy(_WindowedStrategy):
         instance = model.instance
         _require_p4p(instance, self.name)
         self.target_roi = _resolve_target(instance, self._target, self.name)
-        self._ad_idx, self._cpi = _cpi_selection(instance, [0])
+        self._ad_idx, self._cpi = _cpi_selection(model, [0])
         self._cap = instance.bid_cap
         self.level = self.state.bid_base
         self._reset_window(instance)
@@ -620,6 +622,11 @@ class FixedAlphaStrategy(Strategy):
             raise ValueError(f"fixed_alpha prices must be finite and nonnegative, got {alpha!r}")
 
     def reset(self, model: DspChoiceModel) -> None:
+        if self.alpha.shape != (model.n_constraints,):
+            raise ValueError(
+                f"{self.name} needs {model.n_constraints} prices, one per constraint, "
+                f"got alpha of shape {self.alpha.shape}"
+            )
         decisions = model.decide_rows(self.alpha)
         self._ad_idx, self._bids = decisions.ad, decisions.bp
 
@@ -627,22 +634,50 @@ class FixedAlphaStrategy(Strategy):
         return self._ad_idx, self._bids
 
 
+_FEEDBACK_PARAMS = frozenset({"target_roi", "update_window"})
+
+#: The keyword parameters `make_strategy` accepts for each strategy name.
+STRATEGY_PARAMS: dict[str, frozenset[str]] = {
+    "db_single": _FEEDBACK_PARAMS | {"alpha0"},
+    "db_multi": _FEEDBACK_PARAMS | {"alpha0"},
+    "ortb": _FEEDBACK_PARAMS | {"c0", "lambda0"},
+    "lin": _FEEDBACK_PARAMS | {"bid_base", "cadence"},
+    "fixed_alpha": frozenset({"alpha", "name"}),
+}
+
+
 def make_strategy(name: str, params: dict | None = None) -> Strategy:
-    """Build a strategy from a config name plus keyword parameters."""
-    params = dict(params or {})
-    if name == "db_single":
-        return DualBidStrategy(name=name, multi=False, **params)
-    if name == "db_multi":
-        return DualBidStrategy(name=name, multi=True, **params)
+    """Build a strategy from a config name plus keyword parameters.
+
+    `params` is user input, so a malformed one raises `ValueError`: a
+    non-dict, a key the strategy does not take, or a value of the wrong
+    type. `alpha` is a price vector, `name` a string, and every other value
+    a finite real number.
+    """
+    if name not in STRATEGY_PARAMS:
+        raise ValueError(f"unknown strategy {name!r}")
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise ValueError(f"strategy parameters must be a JSON object, got {params!r}")
+    for key, value in params.items():
+        if key not in STRATEGY_PARAMS[name]:
+            raise ValueError(
+                f"strategy {name!r} takes no parameter {key!r}; "
+                f"it takes {sorted(STRATEGY_PARAMS[name])}"
+            )
+        if key == "name" and not isinstance(value, str):
+            raise ValueError(f"strategy parameter 'name' must be a string, got {value!r}")
+        if key not in ("alpha", "name") and not (_is_number(value) and math.isfinite(value)):
+            raise ValueError(f"strategy parameter {key!r} must be a finite number, got {value!r}")
+    if name == "fixed_alpha":
+        if "alpha" not in params:
+            raise ValueError("fixed_alpha needs an 'alpha' vector parameter")
+        return FixedAlphaStrategy(**params)
     if name == "ortb":
         return OrtbStrategy(name=name, **params)
     if name == "lin":
         return LinStrategy(name=name, **params)
-    if name == "fixed_alpha":
-        if "alpha" not in params:
-            raise ValueError("fixed_alpha needs an 'alpha' vector parameter")
-        return FixedAlphaStrategy(params.pop("alpha"), name=params.pop("name", name))
-    raise ValueError(f"unknown strategy {name!r}")
+    return DualBidStrategy(name=name, multi=name == "db_multi", **params)
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +702,7 @@ def run_monte_carlo(
     model = DspChoiceModel(instance)
     phi_v, psi_v = model.objective_coeffs
     phi_w, psi_w = model.constraint_coeffs
-    ppi = np.array([imp.ppi for imp in instance.impressions]).reshape(n, instance.n_ads)
-    mus = np.array([imp.prior.mu for imp in instance.impressions])
-    sigmas = np.array([imp.prior.sigma for imp in instance.impressions])
+    ppi, mus, sigmas = model.ppi, model.mu, model.sigma
     rows = np.arange(n)
 
     strategy.reset(model)

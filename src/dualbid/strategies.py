@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .landscape import NoWinObservationsError
 
@@ -155,6 +154,10 @@ def ortb_fit_c(won_costs: np.ndarray, lost_bids: np.ndarray) -> OrtbFit:
     a unique root found by bracketed root-finding. `landscape.split_observations`
     turns an observation log into the two arrays.
     """
+    # Imported here: scipy.optimize takes about 0.3 s to load, and only this
+    # fit needs it.
+    from scipy.optimize import brentq
+
     won = np.asarray(won_costs, dtype=float)
     lost = np.asarray(lost_bids, dtype=float)
     if won.size == 0:

@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -213,6 +216,57 @@ def test_non_finite_flag_exits_2(command, flags, small_instance, tmp_path, capsy
     inputs = [] if command == "gen" else ["--instance", str(small_instance)]
     assert run([command, "--out-dir", str(tmp_path / "o"), *inputs, *flags]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+COMPARE = ["compare", "--strategies", "db_single,lin"]
+SIMULATE_DB = ["simulate", "--strategy", "db_single"]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (COMPARE + ["--params", '{"foo": 1}'], "'db_single' takes no parameter 'foo'"),
+        (COMPARE + ["--params", "[1, 2]"], "JSON object"),
+        (COMPARE + ["--params", "[1, 2]", "--target-roi", "2"], "JSON object"),
+        (COMPARE + ["--params", '{"alpha0": 2}'], "'lin' takes no parameter 'alpha0'"),
+        (SIMULATE_DB + ["--params", '{"alpha0": 0}'], "alpha0"),
+        (SIMULATE_DB + ["--params", '{"alpha0": -1}'], "alpha0"),
+        (SIMULATE_DB + ["--params", '{"alpha0": Infinity}'], "alpha0"),
+        (SIMULATE_DB + ["--params", '{"alpha0": "x"}'], "'alpha0' must be a finite number"),
+        (SIMULATE_DB + ["--params", '{"update_window": "x"}'], "'update_window' must be a finite"),
+        (SIMULATE_DB + ["--params", '{"update_window": true}'], "'update_window' must be a finite"),
+        (["simulate", "--strategy", "ortb", "--params", '{"c0": NaN}'], "'c0' must be a finite"),
+        (["simulate", "--strategy", "fixed_alpha", "--params", '{"alpha": [0.1, 0.2]}'],
+         "needs 4 prices"),
+    ],
+    ids=["unknown-key", "list", "list-with-target-roi", "key-of-another-strategy", "alpha0-zero",
+         "alpha0-negative", "alpha0-inf", "alpha0-string", "window-string", "window-bool",
+         "c0-nan", "fixed-alpha-length"],
+)
+def test_malformed_params_exit_2_before_any_epoch(flags, message, small_instance, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run([*flags, "--instance", str(small_instance), "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("epochs_*.csv"))
+
+
+def test_target_roi_flag_passes_over_fixed_alpha(small_instance, tmp_path):
+    # fixed_alpha has no target; the shared flag applies only where one is taken.
+    flags = ["--params", '{"alpha": [0, 0, 0, 0]}', "--target-roi", "2"]
+    out = tmp_path / "o"
+    argv = ["simulate", "--instance", str(small_instance), "--out-dir", str(out), "--strategy"]
+    assert run([*argv, "fixed_alpha", *flags]) == 0
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # Only the ORTB fit needs scipy.optimize, so it is imported there.
+    code = "import sys, dualbid.cli; sys.exit('scipy.optimize' in sys.modules)"
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dualbid import dsp
 from dualbid.dsp import (
     Ad,
     DECISION_CSV_HEADER,
@@ -21,6 +22,7 @@ from dualbid.utility import (
     AdEconomics,
     ConstraintKind,
     ConstraintSpec,
+    ModeMismatchError,
     ObjectiveKind,
     ObjectiveSpec,
     PaymentMode,
@@ -554,6 +556,115 @@ class TestDecideRows:
         assert model.bid_decisions(alpha) == [
             bid_decision(model.instance, imp, alpha) for imp in model.instance.impressions
         ]
+
+
+def reference_tensors(instance):
+    """The model's four coefficient tensors by one scalar encoder call per element."""
+    n, m, k = len(instance.impressions), instance.n_ads, instance.n_constraints
+    phi_v, psi_v = np.zeros((n, m)), np.zeros((n, m))
+    phi_w, psi_w = np.zeros((n, m, k)), np.zeros((n, m, k))
+    for i, imp in enumerate(instance.impressions):
+        for j, ad in enumerate(instance.ads):
+            gain = encode_objective(instance.objective, ad.economics, imp.ppi[j])
+            phi_v[i, j], psi_v[i, j] = gain.phi, gain.psi
+            for c, spec in enumerate(instance.constraints):
+                w, _ = encode_constraint(spec, ad.id, ad.economics, imp.ppi[j])
+                phi_w[i, j, c], psi_w[i, j, c] = w.phi, w.psi
+    return phi_v, psi_v, phi_w, psi_w
+
+
+def mixed_instance(rng, mode, objective, n, m, constraint_kinds):
+    """Random ads, scopes and PPIs in `mode`; some scopes leave ads out, some PPIs are 0."""
+    if mode is PaymentMode.P4P:
+        ads = [Ad(f"ad{j}", AdEconomics(cpp=rng.uniform(0.5, 3.0))) for j in range(m)]
+    else:
+        ads = [Ad(f"ad{j}", AdEconomics(cr=rng.uniform(0.0, 0.5))) for j in range(m)]
+    ids = [ad.id for ad in ads]
+    constraints = [
+        ConstraintSpec(
+            kind, mode, rng.uniform(0.2, 20.0),
+            frozenset(rng.choice(ids, size=rng.integers(1, m + 1), replace=False).tolist()),
+        )
+        for kind in constraint_kinds
+    ]
+    ppi = rng.uniform(0.0, 0.2, (n, m))
+    ppi[rng.uniform(size=(n, m)) < 0.2] = 0.0
+    impressions = [
+        Impression(i, LandscapePrior(rng.uniform(-3.0, 0.0), rng.uniform(0.3, 1.2)), tuple(ppi[i]))
+        for i in range(n)
+    ]
+    return DspInstance(mode, ObjectiveSpec(mode, objective), ads, constraints, impressions)
+
+
+class TestArrayBuild:
+    """The build's array encoder calls give the scalar loop's tensors bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(instance):
+        model = DspChoiceModel(instance)
+        built = (*model.objective_coeffs, *model.constraint_coeffs)
+        for got, want in zip(built, reference_tensors(instance)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", list(PaymentMode))
+    @pytest.mark.parametrize("objective", list(ObjectiveKind))
+    def test_random_instances(self, mode, objective):
+        rng = np.random.default_rng(71)
+        kinds = list(ConstraintKind)
+        for n, m in [(0, 2), (1, 1), (9, 1), (9, 3), (40, 4)]:
+            for k in range(5):
+                picked = [kinds[c] for c in rng.integers(0, len(kinds), size=k)]
+                self.assert_matches_reference(mixed_instance(rng, mode, objective, n, m, picked))
+
+    def test_encoder_calls_do_not_grow_with_n(self, monkeypatch):
+        calls = []
+        for name in ("encode_objective", "encode_constraint"):
+            encode = getattr(dsp, name)
+            monkeypatch.setattr(dsp, name, lambda *a, _f=encode: calls.append(1) or _f(*a))
+        instance = random_instance(np.random.default_rng(8), n=50, m=3)
+        DspChoiceModel(instance)
+        assert len(calls) == instance.n_ads * (instance.n_constraints + 1)
+
+    def test_all_ppi_zero(self):
+        instance = p4p_instance(
+            constraints=[
+                ConstraintSpec(kind, PaymentMode.P4P, 2.0, frozenset(["ad1"]))
+                for kind in ConstraintKind
+            ],
+            impressions=[Impression(i, STANDARD, (0.0, 0.0)) for i in range(4)],
+        )
+        self.assert_matches_reference(instance)
+
+    def test_shared_arrays_are_read_only(self):
+        rng = np.random.default_rng(5)
+        instance = random_instance(rng, n=5, m=3)
+        model = DspChoiceModel(instance)
+        assert model.ppi.tolist() == [list(imp.ppi) for imp in instance.impressions]
+        assert model.mu.tolist() == [imp.prior.mu for imp in instance.impressions]
+        assert model.sigma.tolist() == [imp.prior.sigma for imp in instance.impressions]
+        for shared in (model.ppi, model.mu, model.sigma):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 1.0
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_p4p_ad_without_cpp_fails_at_build(self, n):
+        # Raised at any N, including N = 0, where no coefficient gets built.
+        ads = [Ad("a", AdEconomics(cpp=1.0)), Ad("b", AdEconomics(cr=0.1))]
+        impressions = [Impression(i, STANDARD, (0.1, 0.1)) for i in range(n)]
+        revenue = ObjectiveSpec(PaymentMode.P4P, ObjectiveKind.REVENUE)
+        with pytest.raises(ModeMismatchError):
+            DspChoiceModel(DspInstance(PaymentMode.P4P, revenue, ads, [], impressions))
+        # A PPI-only objective needs no CPP; a constraint over the ad does.
+        performance = ObjectiveSpec(PaymentMode.P4P, ObjectiveKind.PERFORMANCE)
+        budget_b = ConstraintSpec(ConstraintKind.BUDGET, PaymentMode.P4P, 5.0, frozenset(["b"]))
+        with pytest.raises(ModeMismatchError):
+            DspChoiceModel(DspInstance(PaymentMode.P4P, performance, ads, [budget_b], impressions))
+        # Out of the constraint's scope, the ad consumes nothing and needs no CPP.
+        budget_a = ConstraintSpec(ConstraintKind.BUDGET, PaymentMode.P4P, 5.0, frozenset(["a"]))
+        self.assert_matches_reference(
+            DspInstance(PaymentMode.P4P, performance, ads, [budget_a], impressions)
+        )
 
 
 class TestInstanceValidation:

@@ -181,6 +181,52 @@ class TestObjectiveEncoding:
             )
 
 
+def assert_elementwise(array_coeffs, scalar_coeffs):
+    """An array call's coefficients hold, bit for bit, the per-element calls' ones."""
+    n = len(scalar_coeffs)
+    for field in ("phi", "psi"):
+        got = np.broadcast_to(np.asarray(getattr(array_coeffs, field), dtype=float), (n,))
+        want = np.array([getattr(c, field) for c in scalar_coeffs], dtype=float)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestArrayEncoding:
+    @given(
+        mode=st.sampled_from(PaymentMode),
+        objective=st.sampled_from(ObjectiveKind),
+        kind=st.sampled_from(ConstraintKind),
+        in_scope=st.booleans(),
+        cpp=st.floats(0.01, 10.0),
+        cr=st.floats(0.0, 2.0),
+        bound=st.floats(0.01, 10.0),
+        ppi=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_array_call_equals_scalar_calls(
+        self, mode, objective, kind, in_scope, cpp, cr, bound, ppi
+    ):
+        """Over a PPI array, each element gets the scalar call's bits."""
+        econ = AdEconomics(cpp=cpp, cr=cr)
+        column = np.array(ppi, dtype=float)
+        spec = ObjectiveSpec(mode, objective)
+        assert_elementwise(
+            encode_objective(spec, econ, column), [encode_objective(spec, econ, p) for p in ppi]
+        )
+        row = _spec(kind, mode, bound, scope=("a",) if in_scope else ("b",))
+        coeffs, limit = encode_constraint(row, "a", econ, column)
+        assert limit == constraint_limit(row)
+        assert_elementwise(coeffs, [encode_constraint(row, "a", econ, p)[0] for p in ppi])
+
+    def test_array_checks_are_elementwise(self):
+        spec = ObjectiveSpec(PaymentMode.P4P, ObjectiveKind.REVENUE)
+        with pytest.raises(ValueError, match="nonnegative"):
+            encode_objective(spec, AdEconomics(cpp=1.0), np.array([0.1, -0.1, 0.2]))
+        with pytest.raises(ValueError, match="finite"):
+            encode_objective(spec, AdEconomics(cpp=1.0), np.array([0.1, math.nan]))
+        with pytest.raises(ValueError, match="finite"):
+            UtilityCoeffs(np.array([0.0, math.inf]), 0.0)
+
+
 def _spec(kind, mode, bound, scope=("a",)):
     return ConstraintSpec(kind, mode, bound, frozenset(scope))
 
