@@ -32,7 +32,7 @@ from . import mmkp
 from .dsp import Ad, DspChoiceModel, DspInstance, Impression
 from .dsp import bid_decision  # noqa: F401 - perfbench/tracing.py wraps sim.bid_decision
 from .landscape import LandscapePrior
-from .strategies import LinState, OrtbState, lin_bid, multiplicative_update, ortb_bid, ortb_fit_c
+from .strategies import OrtbState, lin_bid, multiplicative_update, ortb_bid, ortb_fit_c
 from .utility import (
     AdEconomics,
     ConstraintKind,
@@ -384,12 +384,13 @@ def run_expectation(model: DspChoiceModel, alpha: np.ndarray) -> SimReport:
 
 @dataclass
 class EpochFeedback:
-    """Realized arrays of one epoch handed to a strategy's update rule."""
+    """Realized arrays and totals of one epoch handed to a strategy's update rule."""
 
     bids: np.ndarray
     won: np.ndarray
     paid: np.ndarray
-    revenue: np.ndarray
+    revenue: float
+    cost: float
 
 
 class Strategy(ABC):
@@ -403,7 +404,10 @@ class Strategy(ABC):
 
     @abstractmethod
     def epoch_bids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Chosen ad index (-1 for no bid) and bid price per impression."""
+        """Chosen ad index (-1 for no bid) and bid price per impression.
+
+        The replay clips every bid to [0, bid_cap], so a strategy need not.
+        """
 
     def end_epoch(self, feedback: EpochFeedback) -> None:  # noqa: B027 - optional hook
         pass
@@ -413,56 +417,52 @@ class Strategy(ABC):
         return None
 
 
-def _require_p4p(instance: DspInstance, name: str) -> None:
-    if instance.mode is not PaymentMode.P4P:
-        raise ValueError(f"strategy {name!r} is defined for P4P instances")
-
-
-def _resolve_target(instance: DspInstance, target_roi: float | None, name: str) -> float:
-    target = target_roi if target_roi is not None else instance_target_roi(instance)
-    if target is None or not (math.isfinite(target) and target > 0.0):
-        raise ValueError(f"strategy {name!r} needs a positive, finite target ROI")
-    return target
-
-
-def _cpi_selection(
-    model: DspChoiceModel, inventory: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expected-revenue-maximizing ad per impression within an inventory.
-
-    With a single shared ROI price the composite's psi is the same for every
-    ad, so ranking by cpi = CPP * PPI is the landscape-free selection rule.
-    """
-    inv = np.asarray(inventory, dtype=int)
-    ads = model.instance.ads
-    cpp = np.array([ads[j].economics.require_cpp() for j in inv], dtype=float)
-    cpi = cpp * model.ppi[:, inv]
-    pick = np.argmax(cpi, axis=1)
-    return inv[pick], cpi[np.arange(model.n_items), pick]
-
-
 class _WindowedStrategy(Strategy):
-    """Shared bookkeeping for strategies updated on tumbling impression windows.
+    """A P4P bidder on each impression's top-cpi ad, steered toward a target ROI.
 
     The stream is processed in epochs; parameters update whenever at least
     `update_window` impressions have accumulated since the last update
-    (windows round up to whole epochs).
+    (windows round up to whole epochs). Subclasses bid in `epoch_bids` and
+    fill three hooks: `_restart` restores the start parameters on `reset`,
+    `_observe` sees each epoch's feedback, and `_update` runs once per window.
     """
 
-    def __init__(self, update_window: int = 1000):
+    def __init__(
+        self, name: str, target_roi: float | None, update_window: int, multi: bool = False
+    ):
         if update_window < 1:
             raise ValueError(f"update_window must be >= 1, got {update_window}")
+        self.name = name
         self.update_window = update_window
+        self._target = target_roi
+        self._multi = multi
 
-    def _reset_window(self, instance: DspInstance) -> None:
+    def reset(self, model: DspChoiceModel) -> None:
+        instance = model.instance
+        if instance.mode is not PaymentMode.P4P:
+            raise ValueError(f"strategy {self.name!r} is defined for P4P instances")
+        target = self._target if self._target is not None else instance_target_roi(instance)
+        if target is None or not (math.isfinite(target) and target > 0.0):
+            raise ValueError(f"strategy {self.name!r} needs a positive, finite target ROI")
+        self.target_roi = target
+        # Each impression goes to the ad of highest cpi = CPP * PPI within the
+        # inventory: with one shared ROI price, the composite's psi is the same
+        # for every ad, so this is the landscape-free selection rule.
+        inv = np.arange(instance.n_ads) if self._multi else np.zeros(1, dtype=int)
+        cpp = np.array([instance.ads[j].economics.require_cpp() for j in inv], dtype=float)
+        cpi = cpp * model.ppi[:, inv]
+        pick = np.argmax(cpi, axis=1)
+        self._ad_idx, self._cpi = inv[pick], cpi[np.arange(model.n_items), pick]
+        self._cap = instance.bid_cap
         self._epoch_size = max(len(instance.impressions), 1)
         self._window_revenue = 0.0
         self._window_cost = 0.0
         self._window_impressions = 0
+        self._restart()
 
     def end_epoch(self, feedback: EpochFeedback) -> None:
-        self._window_revenue += float(np.sum(feedback.revenue))
-        self._window_cost += float(np.sum(feedback.paid))
+        self._window_revenue += feedback.revenue
+        self._window_cost += feedback.cost
         self._window_impressions += self._epoch_size
         self._observe(feedback)
         if self._window_impressions >= self.update_window:
@@ -472,11 +472,16 @@ class _WindowedStrategy(Strategy):
             self._window_cost = 0.0
             self._window_impressions = 0
 
+    @abstractmethod
+    def _restart(self) -> None:
+        """Restore the start parameters."""
+
     def _observe(self, feedback: EpochFeedback) -> None:
         pass
 
+    @abstractmethod
     def _update(self, actual_roi: float) -> None:
-        raise NotImplementedError
+        """Move the parameter toward the target after a window with `actual_roi`."""
 
 
 class DualBidStrategy(_WindowedStrategy):
@@ -492,26 +497,15 @@ class DualBidStrategy(_WindowedStrategy):
     ):
         if not (math.isfinite(alpha0) and alpha0 > 0.0):
             raise ValueError(f"alpha0 must be positive and finite, got {alpha0!r}")
-        super().__init__(update_window)
-        self.name = name
+        super().__init__(name, target_roi, update_window, multi)
         self.alpha = alpha0
         self._alpha0 = alpha0
-        self._target = target_roi
-        self._multi = multi
 
-    def reset(self, model: DspChoiceModel) -> None:
-        instance = model.instance
-        _require_p4p(instance, self.name)
+    def _restart(self) -> None:
         self.alpha = self._alpha0
-        self.target_roi = _resolve_target(instance, self._target, self.name)
-        inventory = range(instance.n_ads) if self._multi else [0]
-        self._ad_idx, self._cpi = _cpi_selection(model, inventory)
-        self._cap = instance.bid_cap
-        self._reset_window(instance)
 
     def epoch_bids(self) -> tuple[np.ndarray, np.ndarray]:
-        bids = self._cpi / self.target_roi * (1.0 + 1.0 / self.alpha)
-        return self._ad_idx, np.minimum(bids, self._cap)
+        return self._ad_idx, self._cpi / self.target_roi * (1.0 + 1.0 / self.alpha)
 
     def _update(self, actual_roi: float) -> None:
         self.alpha = multiplicative_update(self.alpha, self.target_roi, actual_roi).value
@@ -534,27 +528,18 @@ class OrtbStrategy(_WindowedStrategy):
         self, name: str = "ortb", c0: float = 1.0, lambda0: float = 1.0,
         target_roi: float | None = None, update_window: int = 1000,
     ):
-        super().__init__(update_window)
-        self.name = name
+        super().__init__(name, target_roi, update_window)
         self.state = OrtbState(c=c0, lam=lambda0)
         self._c0, self._lambda0 = c0, lambda0
-        self._target = target_roi
 
-    def reset(self, model: DspChoiceModel) -> None:
-        instance = model.instance
-        _require_p4p(instance, self.name)
+    def _restart(self) -> None:
         self.state = OrtbState(c=self._c0, lam=self._lambda0)
-        self.target_roi = _resolve_target(instance, self._target, self.name)
-        self._ad_idx, self._cpi = _cpi_selection(model, [0])
-        self._cap = instance.bid_cap
         # Won costs and lost bids of every epoch so far, in replay order.
         self._won_costs: list[np.ndarray] = []
         self._lost_bids: list[np.ndarray] = []
-        self._reset_window(instance)
 
     def epoch_bids(self) -> tuple[np.ndarray, np.ndarray]:
-        bids = ortb_bid(self.state, self._cpi, self.target_roi)
-        return self._ad_idx, np.minimum(bids, self._cap)
+        return self._ad_idx, ortb_bid(self.state, self._cpi, self.target_roi)
 
     def _observe(self, feedback: EpochFeedback) -> None:
         active = feedback.bids > 0.0
@@ -585,27 +570,21 @@ class LinStrategy(_WindowedStrategy):
     ):
         if cadence < 1:
             raise ValueError(f"cadence must be >= 1, got {cadence}")
-        super().__init__(update_window * cadence)
-        self.name = name
-        self.state = LinState(bid_base=bid_base)
+        if bid_base <= 0.0:
+            raise ValueError(f"bid_base must be positive, got {bid_base!r}")
+        super().__init__(name, target_roi, update_window * cadence)
+        self.bid_base = bid_base
         self.cadence = cadence
-        self._target = target_roi
 
-    def reset(self, model: DspChoiceModel) -> None:
-        instance = model.instance
-        _require_p4p(instance, self.name)
-        self.target_roi = _resolve_target(instance, self._target, self.name)
-        self._ad_idx, self._cpi = _cpi_selection(model, [0])
-        self._cap = instance.bid_cap
-        self.level = self.state.bid_base
-        self._reset_window(instance)
+    def _restart(self) -> None:
+        self.level = self.bid_base
 
     def epoch_bids(self) -> tuple[np.ndarray, np.ndarray]:
-        bids = np.full(self._ad_idx.shape, min(self.level, self._cap))
-        return self._ad_idx, bids
+        return self._ad_idx, np.full(self._ad_idx.shape, self.level)
 
     def _update(self, actual_roi: float) -> None:
-        self.level = lin_bid(self.state, actual_roi, self.target_roi, self._cap).value
+        # `param` records the level, so it is clamped to the cap here as well.
+        self.level = lin_bid(self.bid_base, actual_roi, self.target_roi, self._cap).value
 
     @property
     def param(self) -> float | None:
@@ -642,7 +621,7 @@ STRATEGY_PARAMS: dict[str, frozenset[str]] = {
     "db_multi": _FEEDBACK_PARAMS | {"alpha0"},
     "ortb": _FEEDBACK_PARAMS | {"c0", "lambda0"},
     "lin": _FEEDBACK_PARAMS | {"bid_base", "cadence"},
-    "fixed_alpha": frozenset({"alpha", "name"}),
+    "fixed_alpha": frozenset({"alpha"}),
 }
 
 
@@ -651,8 +630,8 @@ def make_strategy(name: str, params: dict | None = None) -> Strategy:
 
     `params` is user input, so a malformed one raises `ValueError`: a
     non-dict, a key the strategy does not take, or a value of the wrong
-    type. `alpha` is a price vector, `name` a string, and every other value
-    a finite real number.
+    type. `alpha` is a price vector and every other value a finite real
+    number.
     """
     if name not in STRATEGY_PARAMS:
         raise ValueError(f"unknown strategy {name!r}")
@@ -665,9 +644,7 @@ def make_strategy(name: str, params: dict | None = None) -> Strategy:
                 f"strategy {name!r} takes no parameter {key!r}; "
                 f"it takes {sorted(STRATEGY_PARAMS[name])}"
             )
-        if key == "name" and not isinstance(value, str):
-            raise ValueError(f"strategy parameter 'name' must be a string, got {value!r}")
-        if key not in ("alpha", "name") and not (_is_number(value) and math.isfinite(value)):
+        if key != "alpha" and not (_is_number(value) and math.isfinite(value)):
             raise ValueError(f"strategy parameter {key!r} must be a finite number, got {value!r}")
     if name == "fixed_alpha":
         if "alpha" not in params:
@@ -740,7 +717,7 @@ def run_monte_carlo(
                 degenerate=degenerate,
             )
         )
-        strategy.end_epoch(EpochFeedback(bids=bids, won=won, paid=paid, revenue=revenue_vec))
+        strategy.end_epoch(EpochFeedback(bids=bids, won=won, paid=paid, revenue=revenue, cost=cost))
 
     # Realized consumption is reported as the per-epoch mean over the run.
     per_constraint = [

@@ -17,7 +17,6 @@ import numpy as np
 from .landscape import NoWinObservationsError
 
 __all__ = [
-    "LinState",
     "OrtbFit",
     "OrtbState",
     "PARAM_BOUNDS",
@@ -41,13 +40,8 @@ class UpdateResult:
     clamped: bool = False
 
 
-def multiplicative_update(
-    param: float,
-    target_roi: float,
-    actual_roi: float,
-    bounds: tuple[float, float] = PARAM_BOUNDS,
-) -> UpdateResult:
-    """Feedback rule param' = (target / actual) * param, clamped to `bounds`.
+def multiplicative_update(param: float, target_roi: float, actual_roi: float) -> UpdateResult:
+    """Feedback rule param' = (target / actual) * param, clamped to `PARAM_BOUNDS`.
 
     Shared by ORTB's shadow price and the dual bidder's feedback mode. A
     window with nonpositive actual ROI (no wins, zero cost) carries no signal:
@@ -60,23 +54,12 @@ def multiplicative_update(
     if actual_roi <= 0.0 or not math.isfinite(actual_roi):
         return UpdateResult(param, degenerate=True)
     raw = target_roi / actual_roi * param
-    clamped = min(max(raw, bounds[0]), bounds[1])
+    clamped = min(max(raw, PARAM_BOUNDS[0]), PARAM_BOUNDS[1])
     return UpdateResult(clamped, clamped=clamped != raw)
 
 
-@dataclass
-class LinState:
-    """Linear-bidding state: the operator-set base bid."""
-
-    bid_base: float
-
-    def __post_init__(self) -> None:
-        if self.bid_base <= 0.0:
-            raise ValueError(f"bid_base must be positive, got {self.bid_base!r}")
-
-
 def lin_bid(
-    state: LinState,
+    bid_base: float,
     actual_roi: float,
     target_roi: float,
     bid_cap: float = PARAM_BOUNDS[1],
@@ -90,8 +73,8 @@ def lin_bid(
     if target_roi <= 0.0:
         raise ValueError(f"target_roi must be positive, got {target_roi!r}")
     if actual_roi <= 0.0 or not math.isfinite(actual_roi):
-        return UpdateResult(state.bid_base, degenerate=True)
-    raw = actual_roi / target_roi * state.bid_base
+        return UpdateResult(bid_base, degenerate=True)
+    raw = actual_roi / target_roi * bid_base
     clamped = min(max(raw, PARAM_BOUNDS[0]), min(bid_cap, PARAM_BOUNDS[1]))
     return UpdateResult(clamped, clamped=clamped != raw)
 

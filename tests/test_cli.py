@@ -238,10 +238,14 @@ SIMULATE_DB = ["simulate", "--strategy", "db_single"]
         (["simulate", "--strategy", "ortb", "--params", '{"c0": NaN}'], "'c0' must be a finite"),
         (["simulate", "--strategy", "fixed_alpha", "--params", '{"alpha": [0.1, 0.2]}'],
          "needs 4 prices"),
+        (["simulate", "--strategy", "fixed_alpha", "--params",
+          '{"alpha": [0, 0, 0, 0], "name": "x/y"}'], "'fixed_alpha' takes no parameter 'name'"),
+        (["simulate", "--strategy", "fixed_alpha", "--params",
+          '{"alpha": [0, 0, 0, 0], "name": ""}'], "'fixed_alpha' takes no parameter 'name'"),
     ],
     ids=["unknown-key", "list", "list-with-target-roi", "key-of-another-strategy", "alpha0-zero",
          "alpha0-negative", "alpha0-inf", "alpha0-string", "window-string", "window-bool",
-         "c0-nan", "fixed-alpha-length"],
+         "c0-nan", "fixed-alpha-length", "fixed-alpha-name-slash", "fixed-alpha-name-empty"],
 )
 def test_malformed_params_exit_2_before_any_epoch(flags, message, small_instance, tmp_path, capsys):
     out = tmp_path / "o"

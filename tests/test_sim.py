@@ -257,6 +257,11 @@ class TestCompareStrategies:
             compare_strategies(instance, twins, epochs=2, seed=0)
 
 
+BASELINES = ("db_single", "db_multi", "ortb", "lin")
+# LIN updates every `cadence` windows; one window keeps its updates in view.
+SHORT_CADENCE = {"lin": {"cadence": 1}}
+
+
 class TestStrategies:
     def test_make_strategy_names(self):
         for name in ("db_single", "db_multi", "ortb", "lin"):
@@ -266,12 +271,51 @@ class TestStrategies:
         with pytest.raises(ValueError):
             make_strategy("fixed_alpha")  # needs an alpha vector
 
-    def test_p4p_required(self):
+    @pytest.mark.parametrize("name", BASELINES)
+    def test_p4p_required(self, name):
         config = MockConfig(mode=PaymentMode.P4U, ads=(0.1, 0.2), n_impressions=10)
         config.objective_kind = ObjectiveKind.REVENUE
         instance = gen_mock_instance(config)
         with pytest.raises(ValueError, match="P4P"):
-            run_monte_carlo(instance, make_strategy("db_single", {"target_roi": 2.0}), epochs=1, seed=0)
+            run_monte_carlo(instance, make_strategy(name, {"target_roi": 2.0}), epochs=1, seed=0)
+
+    @pytest.mark.parametrize("name", BASELINES)
+    def test_target_roi_required(self, name):
+        budget = sim.ConstraintSpec(ConstraintKind.BUDGET, PaymentMode.P4P, 20.0, frozenset(["ad1"]))
+        instance = gen_mock_instance(MockConfig(n_impressions=10, constraints=[budget]))
+        assert instance_target_roi(instance) is None
+        with pytest.raises(ValueError, match="target ROI"):
+            run_monte_carlo(instance, make_strategy(name), epochs=1, seed=0)
+
+    @pytest.mark.parametrize("name", BASELINES)
+    def test_reset_restores_every_parameter(self, name):
+        # A window of 150 impressions updates every other 100-impression epoch;
+        # the seventh epoch leaves a part-filled window that `reset` must drop.
+        instance = gen_mock_instance(MockConfig(n_impressions=100, seed=2))
+        strategy = make_strategy(name, {"update_window": 150, **SHORT_CADENCE.get(name, {})})
+        first = run_monte_carlo(instance, strategy, epochs=7, seed=4).per_strategy_metrics[name]
+        assert len({m.param for m in first}) >= 2  # the parameter moved
+        again = run_monte_carlo(instance, strategy, epochs=7, seed=4).per_strategy_metrics[name]
+        assert again == first
+
+    @pytest.mark.parametrize("name", BASELINES)
+    def test_only_the_replay_clips_bids(self, name):
+        cap = 0.02
+        instance = gen_mock_instance(MockConfig(n_impressions=100, seed=2, bid_cap=cap))
+        strategy = make_strategy(name, {"update_window": 150, **SHORT_CADENCE.get(name, {})})
+        strategy.reset(DspChoiceModel(instance))
+        assert np.max(strategy.epoch_bids()[1]) > cap  # the strategy bids unclipped
+        seen = []
+
+        def recording_end_epoch(feedback, end_epoch=strategy.end_epoch):
+            seen.append(feedback.bids)
+            end_epoch(feedback)
+
+        strategy.end_epoch = recording_end_epoch
+        run_monte_carlo(instance, strategy, epochs=8, seed=4)
+        bids = np.concatenate(seen)
+        assert np.all(bids <= cap)
+        assert np.any(bids == cap)
 
     def test_lin_updates_on_coarser_cadence(self):
         instance = gen_mock_instance(MockConfig(n_impressions=100, seed=2))

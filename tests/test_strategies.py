@@ -12,8 +12,8 @@ from dualbid.landscape import (
     Outcome,
     split_observations,
 )
+from dualbid.sim import make_strategy
 from dualbid.strategies import (
-    LinState,
     OrtbState,
     lin_bid,
     multiplicative_update,
@@ -50,21 +50,21 @@ class TestMultiplicativeUpdate:
 
 class TestLinBid:
     def test_examples(self):
-        assert lin_bid(LinState(1.0), 7.0, 3.5).value == pytest.approx(2.0)
-        assert lin_bid(LinState(1.0), 3.5, 3.5).value == pytest.approx(1.0)
-        assert lin_bid(LinState(2.0), 1.75, 3.5).value == pytest.approx(1.0)
+        assert lin_bid(1.0, 7.0, 3.5).value == pytest.approx(2.0)
+        assert lin_bid(1.0, 3.5, 3.5).value == pytest.approx(1.0)
+        assert lin_bid(2.0, 1.75, 3.5).value == pytest.approx(1.0)
 
     def test_degenerate_returns_base(self):
-        result = lin_bid(LinState(1.5), 0.0, 3.5)
+        result = lin_bid(1.5, 0.0, 3.5)
         assert result.value == 1.5 and result.degenerate
 
     def test_cap(self):
-        result = lin_bid(LinState(1.0), 100.0, 1.0, bid_cap=5.0)
+        result = lin_bid(1.0, 100.0, 1.0, bid_cap=5.0)
         assert result.value == 5.0 and result.clamped
 
     def test_state_validation(self):
-        with pytest.raises(ValueError):
-            LinState(0.0)
+        with pytest.raises(ValueError, match="bid_base"):
+            make_strategy("lin", {"bid_base": 0})
 
 
 class TestOrtbBid:
