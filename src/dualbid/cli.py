@@ -3,10 +3,12 @@ strategy comparison, and landscape fitting.
 
 Every command writes its primary outputs plus a `manifest.json` into the
 output directory. The manifest records the command, flags, inputs, seed, tool
-version, and wall time; it is written incomplete first and finalized last, so
-an interrupted run is always detectable. Primary outputs are byte-identical
+version, the Python, numpy and scipy versions, and wall time (`solve` also
+per stage); it is written incomplete first and finalized last, so an
+interrupted run is always detectable. Primary outputs are byte-identical
 across reruns with the same inputs and flags; the manifest (which carries
-timing) is the one exception.
+timing) is the one exception. That identity holds per numpy and BLAS build,
+so comparing the outputs of two hosts needs the recorded versions.
 
 Exit codes: 0 success, 2 malformed input or flags, 3 numeric failure
 (solver divergence).
@@ -51,6 +53,7 @@ class _Manifest:
             "flags": flags,
             "inputs": inputs,
             "tool_version": __version__,
+            "versions": _versions(),
             "complete": False,
             "outputs": [],
             "wall_time_s": None,
@@ -64,6 +67,27 @@ class _Manifest:
         self.payload["outputs"] = sorted(outputs)
         self.payload["wall_time_s"] = round(time.monotonic() - self._t0, 6)
         _write_json(self.out_dir / "manifest.json", self.payload)
+
+
+def _versions() -> dict:
+    import numpy
+    import scipy
+
+    python = ".".join(str(v) for v in sys.version_info[:3])
+    return {"python": python, "numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
+class _Stages:
+    """Wall time of a command's consecutive stages, each from the end of the last."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self._t = time.perf_counter()
+
+    def end(self, name: str) -> None:
+        now = time.perf_counter()
+        self.seconds[name] = round(now - self._t, 6)
+        self._t = now
 
 
 def _summary_base(command: str, seed: int | None) -> dict:
@@ -126,6 +150,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
+    stages = _Stages()
     instance = sim.load_instance(args.instance)
     if args.bid_cap is not None:
         instance = dataclasses.replace(instance, bid_cap=args.bid_cap)
@@ -133,13 +158,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
         out_dir, "solve", _flags(args, ["seed", "step0", "epochs_sgd", "bid_cap"]),
         {"instance": str(args.instance)},
     )
+    stages.end("load")
     model = DspChoiceModel(instance)
+    stages.end("model_build")
     state = sgd_solve(model, step0=args.step0, epochs=args.epochs_sgd, shuffle_seed=args.seed)
+    stages.end("sgd")
     report = sim.run_expectation(model, state.alpha)
+    stages.end("evaluate")
+    decisions = model.bid_decisions(state.alpha)
+    stages.end("decisions")
 
     _write_json(out_dir / "alpha.json", dual_state_to_json(state))
     sim.write_constraints_csv(out_dir / "constraints.csv", report.per_constraint)
-    write_decisions_csv(out_dir / "decisions.csv", model.bid_decisions(state.alpha))
+    write_decisions_csv(out_dir / "decisions.csv", decisions)
     summary = _summary_base("solve", args.seed) | {
         "primal_value": report.primal_value,
         "dual_value": report.dual_value,
@@ -149,6 +180,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "constraints": [_row_json(r) for r in report.per_constraint],
     }
     _write_json(out_dir / "summary.json", summary)
+    stages.end("write")
+    manifest.payload["stages_s"] = stages.seconds
     manifest.finish(["alpha.json", "constraints.csv", "decisions.csv", "summary.json"])
     gap = report.duality_gap_rel
     print(

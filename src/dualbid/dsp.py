@@ -9,11 +9,15 @@ hot path.
 
 `DspChoiceModel` builds the coefficient tensors with the array form of the
 `utility` encoders: one call per ad and objective or constraint, over the
-ad's PPI column, so a build makes M * (K + 1) encoder calls at any N.
+ad's PPI column, so a build makes M * (K + 1) encoder calls at any N. It
+stores phi and psi stacked on an axis of their own, gains as (N, 2, M) and
+consumptions as (N, 2, M, K), so one matrix-vector call prices both halves
+of a composite with the bits of two separate products.
 
 One array kernel, `DspChoiceModel.decide_rows`, applies that rule to every
 impression. Every decision path reads it except the SGD step, whose fused
-scalar copy (`dominant_consumption`) returns the generic step's bits.
+scalar copy (`dominant_consumption`) runs on Python floats around that one
+matrix-vector call and returns the generic step's bits.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -220,31 +225,35 @@ def _first_max(bp, prob, cost, score) -> RowDecisions:
 class DspChoiceModel(mmkp.ChoiceModel):
     """Choice-model view of a `DspInstance` with precomputed coefficient tensors.
 
-    Objective coefficients are stored as (N, M) arrays and constraint
-    coefficients as (N, M, K) arrays. They are built here, the one place that
-    runs the encoders: one array encoder call per ad and objective or
-    constraint, each over the ad's PPI column. `decide_rows` decides all rows
-    at once.
+    The gain coefficients are stored stacked as `_v`, shaped (N, 2, M), and
+    the consumption coefficients as `_w`, shaped (N, 2, M, K); index 0 of the
+    second axis holds phi and index 1 psi. `objective_coeffs` and
+    `constraint_coeffs` are views of these. They are built here, the one
+    place that runs the encoders: one array encoder call per ad and
+    objective or constraint, each over the ad's PPI column. `decide_rows`
+    decides all rows at once.
     """
 
     def __init__(self, instance: DspInstance):
         self.instance = instance
         n, m, k = len(instance.impressions), instance.n_ads, instance.n_constraints
         self._ppi = np.array([imp.ppi for imp in instance.impressions], dtype=float).reshape(n, m)
-        self._phi_v = np.zeros((n, m))
-        self._psi_v = np.zeros((n, m))
-        self._phi_w = np.zeros((n, m, k))
-        self._psi_w = np.zeros((n, m, k))
+        # phi and psi are stacked on a new axis ahead of the ads, not along
+        # it: `_w[i] @ alpha` then runs one matrix-vector product per (M, K)
+        # block, which gives the bits of separate phi and psi products.
+        self._v = np.zeros((n, 2, m))
+        self._w = np.zeros((n, 2, m, k))
         for j, ad in enumerate(instance.ads):
             ppi = self._ppi[:, j]
             gain = encode_objective(instance.objective, ad.economics, ppi)
-            self._phi_v[:, j] = gain.phi
-            self._psi_v[:, j] = gain.psi
+            self._v[:, 0, j] = gain.phi
+            self._v[:, 1, j] = gain.psi
             for c, spec in enumerate(instance.constraints):
                 w, _ = encode_constraint(spec, ad.id, ad.economics, ppi)
-                self._phi_w[:, j, c] = w.phi
-                self._psi_w[:, j, c] = w.psi
+                self._w[:, 0, j, c] = w.phi
+                self._w[:, 1, j, c] = w.psi
         self._budgets = np.array([constraint_limit(s) for s in instance.constraints])
+        self._cap = float(instance.bid_cap)
         self._mu = np.array([imp.prior.mu for imp in instance.impressions])
         self._sigma = np.array([imp.prior.sigma for imp in instance.impressions])
         # `landscape.mean` per impression, not `np.exp` over the array: the
@@ -256,6 +265,11 @@ class DspChoiceModel(mmkp.ChoiceModel):
     @property
     def n_items(self) -> int:
         return len(self.instance.impressions)
+
+    @cached_property
+    def _prior_rows(self) -> list[tuple[float, float, float]]:
+        """(mu, sigma, mean) per impression as Python floats, built on the first SGD step."""
+        return list(zip(self._mu.tolist(), self._sigma.tolist(), self._mean.tolist()))
 
     @property
     def budgets(self) -> np.ndarray:
@@ -278,28 +292,29 @@ class DspChoiceModel(mmkp.ChoiceModel):
 
     @property
     def objective_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gain coefficient arrays (phi_V, psi_V), each shaped (N, M)."""
-        return self._phi_v, self._psi_v
+        """Gain coefficient arrays (phi_V, psi_V), each shaped (N, M); views of `_v`."""
+        return self._v[:, 0], self._v[:, 1]
 
     @property
     def constraint_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Consumption coefficient arrays (phi_W, psi_W), each shaped (N, M, K)."""
-        return self._phi_w, self._psi_w
+        """Consumption coefficient arrays (phi_W, psi_W), each shaped (N, M, K); views of `_w`."""
+        return self._w[:, 0], self._w[:, 1]
 
     def composite(self, rows: int | slice, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-ad (phi_F, psi_F) at prices `alpha` for an impression index or a slice of them.
 
-        Each row comes out bit for bit the same whichever way it is selected.
+        Each row comes out bit for bit the same whichever way it is selected,
+        and the same as separate `phi_V - phi_W @ alpha` and
+        `psi_V - psi_W @ alpha` products.
         """
-        alpha = np.asarray(alpha, dtype=float)
-        phi_w, psi_w = self._phi_w[rows], self._psi_w[rows]
-        return self._phi_v[rows] - phi_w @ alpha, self._psi_v[rows] - psi_w @ alpha
+        c = self._v[rows] - self._w[rows] @ np.asarray(alpha, dtype=float)
+        return c[..., 0, :], c[..., 1, :]
 
     def decide_rows(self, alpha: np.ndarray) -> RowDecisions:
         """The decision rule for every impression at prices `alpha`."""
         phi, psi = self.composite(slice(None), alpha)
         prior = (self._mu[:, None], self._sigma[:, None], self._mean[:, None])
-        return _first_max(*_responses(phi, psi, *prior, self.instance.bid_cap))
+        return _first_max(*_responses(phi, psi, *prior, self._cap))
 
     def bid_decisions(self, alpha: np.ndarray) -> list[BidDecision]:
         """`decide_rows` as one `BidDecision` per impression."""
@@ -316,25 +331,30 @@ class DspChoiceModel(mmkp.ChoiceModel):
     def item_best(self, i: int, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phi, psi = self.composite(i, alpha)
         prior = (self._mu[i], self._sigma[i], self._mean[i])
-        bp, _, _, score = _responses(phi, psi, *prior, self.instance.bid_cap)
+        bp, _, _, score = _responses(phi, psi, *prior, self._cap)
         return bp, score
 
-    def dominant_consumption(self, i: int, alpha: np.ndarray) -> np.ndarray | None:
+    def dominant_consumption(self, i: int, alpha: np.ndarray) -> list[float] | None:
         # The base-class path fused into one pass over the ads on Python
-        # floats: the same composite, case table, CDF and cost as
-        # `item_best`, the first maximum as in `np.argmax`, and W formed for
-        # the chosen ad only. `np.log` and not `math.log`: the two differ in
-        # the last bit for some inputs, and the result must match bit for bit.
-        phi_f, psi_f = self.composite(i, alpha)
-        mu, sigma, mean = self._mu.item(i), self._sigma.item(i), self._mean.item(i)
-        cap = float(self.instance.bid_cap)
+        # floats: the composite from one stacked matrix-vector product, the
+        # same case table, CDF and cost as `item_best`, the first maximum as
+        # in `np.argmax`, and W formed for the chosen ad only. `np.log` and
+        # not `math.log`: the two differ in the last bit for some inputs, and
+        # the result must match bit for bit.
+        w = self._w[i]
+        phi_f, psi_f = (self._v[i] - w @ alpha).tolist()
+        mu, sigma, mean = self._prior_rows[i]
+        cap = self._cap
         best, chosen = 0.0, None
-        for j, (phi, psi) in enumerate(zip(phi_f.tolist(), psi_f.tolist())):
+        for j, (phi, psi) in enumerate(zip(phi_f, psi_f)):
             bp = _best_bid(phi, psi, cap)
             if bp > 0.0:
-                z = (np.log(bp) - mu) / sigma
-                prob = ndtr(z)
-                cost = mean * ndtr(z - sigma) if mean < math.inf else partial_moment(mu, sigma, z)
+                z = (float(np.log(bp)) - mu) / sigma
+                prob = float(ndtr(z))
+                if mean < math.inf:
+                    cost = mean * float(ndtr(z - sigma))
+                else:
+                    cost = float(partial_moment(mu, sigma, z))
             else:
                 prob = cost = 0.0
             score = phi * prob + psi * cost
@@ -345,7 +365,7 @@ class DspChoiceModel(mmkp.ChoiceModel):
         if chosen is None:
             return None
         j, prob, cost = chosen
-        return self._phi_w[i, j] * prob + self._psi_w[i, j] * cost
+        return [p * prob + q * cost for p, q in zip(*w[:, j].tolist())]
 
     def beta_sum(self, alpha: np.ndarray) -> float:
         return float(np.sum(np.maximum(self.decide_rows(alpha).score, 0.0)))
@@ -358,11 +378,11 @@ class DspChoiceModel(mmkp.ChoiceModel):
 
     def gain(self, i: int, j: int, sub_choice: float) -> float:
         prob, cost = self._prob_cost_at(i, sub_choice)
-        return float(self._phi_v[i, j] * prob + self._psi_v[i, j] * cost)
+        return float(self._v[i, 0, j] * prob + self._v[i, 1, j] * cost)
 
     def consumption(self, i: int, j: int, sub_choice: float) -> np.ndarray:
         prob, cost = self._prob_cost_at(i, sub_choice)
-        return self._phi_w[i, j] * prob + self._psi_w[i, j] * cost
+        return self._w[i, 0, j] * prob + self._w[i, 1, j] * cost
 
 
 def bid_decision(

@@ -10,7 +10,10 @@ nonnegative, and alpha itself is found by minimizing the convex dual
 
     D(alpha) = sum_k alpha_k B_k + sum_i max(0, max_j S_ij(alpha))
 
-with projected stochastic subgradient steps over items.
+with projected stochastic subgradient steps over items. A step needs only
+the dominating assignment's consumption, which a model returns as a list of
+K floats (`ChoiceModel.dominant_consumption`); `sgd_solve` then updates
+alpha on Python floats, with the bits of the same update on numpy arrays.
 
 The generic `ChoiceModel` methods derive everything from `item_best`. Here
 the allocation rule is applied only by `primal_value_of_strategy`; the DSP
@@ -78,18 +81,19 @@ class ChoiceModel(ABC):
     def n_constraints(self) -> int:
         return len(self.budgets)
 
-    def dominant_consumption(self, i: int, alpha: np.ndarray) -> np.ndarray | None:
+    def dominant_consumption(self, i: int, alpha: np.ndarray) -> list[float] | None:
         """Consumption W of item `i`'s top-scoring assignment when that score is > 0.
 
-        Returns None when no user scores above zero. Ties go to the lowest user
-        index, as in `np.argmax`. This is all one SGD step needs from a model;
-        models may override it with a fused kernel that returns the same bits.
+        Returns the K consumptions as Python floats, or None when no user
+        scores above zero. Ties go to the lowest user index, as in
+        `np.argmax`. This is all one SGD step needs from a model; models may
+        override it with a fused kernel that returns the same bits.
         """
         subs, scores = self.item_best(i, alpha)
         if scores.size:
             j = int(np.argmax(scores))
             if scores[j] > 0.0:
-                return self.consumption(i, j, float(subs[j]))
+                return self.consumption(i, j, float(subs[j])).tolist()
         return None
 
     def beta_sum(self, alpha: np.ndarray) -> float:
@@ -148,11 +152,14 @@ def sgd_solve(
     otherwise); steps follow the diminishing schedule step0 / sqrt(1 + t/N)
     and every update projects back onto alpha >= 0.
 
-    The step asks the model for that consumption alone, through
-    `model.dominant_consumption(i, alpha)` (None when nothing scores above
-    zero). The base-class method derives it from `item_best` and
-    `consumption`; `DspChoiceModel` overrides it with a fused scalar kernel
-    that returns the same bits.
+    The step asks the model for that consumption alone, as a list of K
+    floats, through `model.dominant_consumption(i, alpha)` (None when nothing
+    scores above zero). The base-class method derives it from `item_best`
+    and `consumption`; `DspChoiceModel` overrides it with a fused scalar
+    kernel that returns the same bits. The update itself runs on Python
+    floats with the operations, and so the bits, of the array update
+    `np.maximum(0.0, alpha - eta * (B / N - W))`; alpha becomes an array
+    once per step, for the model's next matrix-vector product.
 
     The returned alpha is the best of the epoch-end iterates and the tail
     average of the last quarter of epochs, judged by dual value; plain last
@@ -177,15 +184,26 @@ def sgd_solve(
     alpha_trace = [alpha.copy()]
     best_alpha, best_value, best_epoch = alpha.copy(), trace[0], 0
     guard = divergence_factor * max(1.0, abs(trace[0]))
-    b_over_n = model.budgets / max(n_items, 1)
+    per_epoch = max(n_items, 1)
+    step = model.dominant_consumption
 
+    # alpha and B / N as floats; `0.0 if x < 0.0 else x` is
+    # `np.maximum(0.0, x)`, -0.0 and NaN included.
+    a = alpha.tolist()
+    b = (model.budgets / per_epoch).tolist()
     t = 0
     for epoch in range(epochs):
         for i in rng.permutation(n_items).tolist():
-            eta = step0 / math.sqrt(1.0 + t / max(n_items, 1))
-            used = model.dominant_consumption(i, alpha)
-            grad = b_over_n if used is None else b_over_n - used
-            alpha = np.maximum(0.0, alpha - eta * grad)
+            eta = step0 / math.sqrt(1.0 + t / per_epoch)
+            used = step(i, alpha)
+            if used is None:
+                a = [0.0 if (x := ak - eta * bk) < 0.0 else x for ak, bk in zip(a, b)]
+            else:
+                a = [
+                    0.0 if (x := ak - eta * (bk - uk)) < 0.0 else x
+                    for ak, bk, uk in zip(a, b, used, strict=True)
+                ]
+            alpha = np.array(a)
             t += 1
         value = dual_objective(model, alpha)
         trace.append(value)

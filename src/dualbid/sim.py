@@ -583,12 +583,12 @@ class LinStrategy(_WindowedStrategy):
         return self._ad_idx, np.full(self._ad_idx.shape, self.level)
 
     def _update(self, actual_roi: float) -> None:
-        # `param` records the level, so it is clamped to the cap here as well.
         self.level = lin_bid(self.bid_base, actual_roi, self.target_roi, self._cap).value
 
     @property
     def param(self) -> float | None:
-        return self.level
+        # The level the replay bid: it clips a start level above the cap.
+        return min(self.level, self._cap)
 
 
 class FixedAlphaStrategy(Strategy):

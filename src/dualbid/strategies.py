@@ -68,12 +68,13 @@ def lin_bid(
 
     Note the ratio is inverted relative to `multiplicative_update`: a window
     that beat its ROI target can afford to bid above the base. Degenerate
-    windows keep the base bid.
+    windows keep the base bid, clamped to the cap.
     """
     if target_roi <= 0.0:
         raise ValueError(f"target_roi must be positive, got {target_roi!r}")
     if actual_roi <= 0.0 or not math.isfinite(actual_roi):
-        return UpdateResult(bid_base, degenerate=True)
+        level = min(bid_base, bid_cap)
+        return UpdateResult(level, degenerate=True, clamped=level != bid_base)
     raw = actual_roi / target_roi * bid_base
     clamped = min(max(raw, PARAM_BOUNDS[0]), min(bid_cap, PARAM_BOUNDS[1]))
     return UpdateResult(clamped, clamped=clamped != raw)

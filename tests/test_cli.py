@@ -7,7 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 import jsonschema
 
@@ -198,6 +200,33 @@ class TestSolve:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["complete"] is False
 
+    def test_manifest_records_stage_times(self, small_instance, tmp_path):
+        out = tmp_path / "o"
+        argv = ["solve", "--instance", str(small_instance), "--out-dir", str(out), "--epochs-sgd", "3"]
+        assert run(argv) == 0
+        stages = json.loads((out / "manifest.json").read_text())["stages_s"]
+        assert list(stages) == sorted(["load", "model_build", "sgd", "evaluate", "decisions", "write"])
+        assert all(isinstance(t, float) and t >= 0.0 for t in stages.values())
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "simulate", "fit"])
+def test_manifest_records_versions(command, small_instance, tmp_path):
+    obs = tmp_path / "obs.csv"
+    write_observations_csv(obs, [BidObservation(Outcome.WON, 2.0, 1.0), BidObservation(Outcome.LOST, 1.0)])
+    argv = {
+        "gen": ["gen", "--n-impressions", "5"],
+        "solve": ["solve", "--instance", str(small_instance), "--epochs-sgd", "2"],
+        "simulate": ["simulate", "--instance", str(small_instance), "--strategy", "lin", "--epochs", "2"],
+        "fit": ["fit", "--observations", str(obs), "--family", "ortb"],
+    }[command]
+    assert run([*argv, "--out-dir", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    python = ".".join(str(v) for v in sys.version_info[:3])
+    assert manifest["versions"] == {
+        "python": python, "numpy": numpy.__version__, "scipy": scipy.__version__,
+    }
+    assert ("stages_s" in manifest) == (command == "solve")
+
 
 @pytest.mark.parametrize(
     "command, flags",
@@ -285,6 +314,22 @@ def test_non_numeric_ad_economics_exits_2(command, small_instance, tmp_path, cap
 
 
 class TestSimulateAndCompare:
+    def test_lin_param_stays_under_bid_cap(self, tmp_path):
+        # A base bid far above the cap: the replay bids at most the cap, and
+        # the recorded level says so from the first epoch on.
+        gen = ["gen", "--out-dir", str(tmp_path / "gen"), "--n-impressions", "2000", "--bid-cap", "0.05"]
+        assert run(gen) == 0
+        out = tmp_path / "lin"
+        assert run(
+            [
+                "simulate", "--instance", str(tmp_path / "gen" / "instance.json"),
+                "--out-dir", str(out), "--strategy", "lin", "--params", '{"bid_base": 50000}',
+            ]
+        ) == 0
+        with open(out / "epochs_lin.csv", newline="") as handle:
+            params = [float(row["param"]) for row in csv.DictReader(handle)]
+        assert len(params) == 60 and max(params) <= 0.05
+
     def test_simulate_outputs(self, small_instance, tmp_path):
         out = tmp_path / "simulate"
         assert run(

@@ -299,9 +299,9 @@ def assert_same_step(model, i, alpha):
     if generic is None:
         assert fused is None
         return False
-    assert fused is not None
-    assert fused.dtype == generic.dtype and fused.shape == generic.shape
-    assert fused.tobytes() == generic.tobytes()
+    assert isinstance(fused, list) and isinstance(generic, list)
+    assert len(fused) == len(generic) == model.n_constraints
+    assert np.asarray(fused).tobytes() == np.asarray(generic).tobytes()
     return True
 
 
@@ -331,7 +331,7 @@ class TestDominantConsumption:
         model = DspChoiceModel(p4p_instance(constraints=[], impressions=impressions))
         for i in range(4):
             assert assert_same_step(model, i, np.zeros(0))
-            assert model.dominant_consumption(i, np.zeros(0)).shape == (0,)
+            assert model.dominant_consumption(i, np.zeros(0)) == []
 
     def test_zero_ppi(self):
         instance = p4p_instance(impressions=[Impression(0, STANDARD, (0.0, 0.0))])

@@ -62,6 +62,12 @@ class TestLinBid:
         result = lin_bid(1.0, 100.0, 1.0, bid_cap=5.0)
         assert result.value == 5.0 and result.clamped
 
+    def test_degenerate_window_keeps_base_under_the_cap(self):
+        result = lin_bid(50.0, 0.0, 1.0, bid_cap=5.0)
+        assert result.value == 5.0 and result.degenerate and result.clamped
+        result = lin_bid(2.0, math.nan, 1.0, bid_cap=5.0)
+        assert result.value == 2.0 and result.degenerate and not result.clamped
+
     def test_state_validation(self):
         with pytest.raises(ValueError, match="bid_base"):
             make_strategy("lin", {"bid_base": 0})
