@@ -14,10 +14,12 @@ stores phi and psi stacked on an axis of their own, gains as (N, 2, M) and
 consumptions as (N, 2, M, K), so one matrix-vector call prices both halves
 of a composite with the bits of two separate products.
 
-One array kernel, `DspChoiceModel.decide_rows`, applies that rule to every
-impression. Every decision path reads it except the SGD step, whose fused
-scalar copy (`dominant_consumption`) runs on Python floats around that one
-matrix-vector call and returns the generic step's bits.
+One array kernel applies that rule to any set of impressions: the composite
+of the selected rows, every ad's best response, then each row's first
+top-scoring ad. `DspChoiceModel.decide_rows` runs it over all rows for the
+evaluator, `decisions.csv` and the replay; the SGD step runs it over each
+mini-batch (`batch_consumption`), and `beta_sum` and `item_best` read the
+per-ad scores it computes on the way.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from . import landscape, mmkp
-from .landscape import LandscapePrior, partial_moment
+from .landscape import LandscapePrior
 from .utility import (
     AdEconomics,
     ConstraintSpec,
@@ -150,16 +151,6 @@ def _best_bids(phi: np.ndarray, psi: np.ndarray, cap: float) -> np.ndarray:
     return np.where(at_cap, cap, bp)
 
 
-def _best_bid(phi: float, psi: float, cap: float) -> float:
-    """Scalar form of `_best_bids`: the same bid for any non-NaN coefficients."""
-    if phi > 0.0 and psi < 0.0:
-        bp = -phi / psi
-        return cap if bp > cap else bp
-    if phi <= 0.0 and psi <= 0.0:
-        return 0.0
-    return cap
-
-
 def _win_prob_cost(bp: np.ndarray, mu, sigma, mean) -> tuple[np.ndarray, np.ndarray]:
     """Win probability and expected cost at bids `bp`; the prior arrays broadcast to it.
 
@@ -231,7 +222,8 @@ class DspChoiceModel(mmkp.ChoiceModel):
     `constraint_coeffs` are views of these. They are built here, the one
     place that runs the encoders: one array encoder call per ad and
     objective or constraint, each over the ad's PPI column. `decide_rows`
-    decides all rows at once.
+    decides all rows at once and `batch_consumption` a mini-batch of them,
+    through the same kernel.
     """
 
     def __init__(self, instance: DspInstance):
@@ -266,11 +258,6 @@ class DspChoiceModel(mmkp.ChoiceModel):
     def n_items(self) -> int:
         return len(self.instance.impressions)
 
-    @cached_property
-    def _prior_rows(self) -> list[tuple[float, float, float]]:
-        """(mu, sigma, mean) per impression as Python floats, built on the first SGD step."""
-        return list(zip(self._mu.tolist(), self._sigma.tolist(), self._mean.tolist()))
-
     @property
     def budgets(self) -> np.ndarray:
         return self._budgets
@@ -300,8 +287,10 @@ class DspChoiceModel(mmkp.ChoiceModel):
         """Consumption coefficient arrays (phi_W, psi_W), each shaped (N, M, K); views of `_w`."""
         return self._w[:, 0], self._w[:, 1]
 
-    def composite(self, rows: int | slice, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-ad (phi_F, psi_F) at prices `alpha` for an impression index or a slice of them.
+    def composite(
+        self, rows: int | slice | np.ndarray, alpha: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-ad (phi_F, psi_F) at prices `alpha` for an impression index, slice or index array.
 
         Each row comes out bit for bit the same whichever way it is selected,
         and the same as separate `phi_V - phi_W @ alpha` and
@@ -310,11 +299,15 @@ class DspChoiceModel(mmkp.ChoiceModel):
         c = self._v[rows] - self._w[rows] @ np.asarray(alpha, dtype=float)
         return c[..., 0, :], c[..., 1, :]
 
+    def _respond(self, rows: int | slice | np.ndarray, alpha: np.ndarray):
+        """`_responses` of every ad's composite on the selected impressions."""
+        phi, psi = self.composite(rows, alpha)
+        prior = (self._mu[rows, None], self._sigma[rows, None], self._mean[rows, None])
+        return _responses(phi, psi, *prior, self._cap)
+
     def decide_rows(self, alpha: np.ndarray) -> RowDecisions:
         """The decision rule for every impression at prices `alpha`."""
-        phi, psi = self.composite(slice(None), alpha)
-        prior = (self._mu[:, None], self._sigma[:, None], self._mean[:, None])
-        return _first_max(*_responses(phi, psi, *prior, self._cap))
+        return _first_max(*self._respond(slice(None), alpha))
 
     def bid_decisions(self, alpha: np.ndarray) -> list[BidDecision]:
         """`decide_rows` as one `BidDecision` per impression."""
@@ -329,46 +322,25 @@ class DspChoiceModel(mmkp.ChoiceModel):
         ]
 
     def item_best(self, i: int, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        phi, psi = self.composite(i, alpha)
-        prior = (self._mu[i], self._sigma[i], self._mean[i])
-        bp, _, _, score = _responses(phi, psi, *prior, self._cap)
+        bp, _, _, score = self._respond(i, alpha)
         return bp, score
 
-    def dominant_consumption(self, i: int, alpha: np.ndarray) -> list[float] | None:
-        # The base-class path fused into one pass over the ads on Python
-        # floats: the composite from one stacked matrix-vector product, the
-        # same case table, CDF and cost as `item_best`, the first maximum as
-        # in `np.argmax`, and W formed for the chosen ad only. `np.log` and
-        # not `math.log`: the two differ in the last bit for some inputs, and
-        # the result must match bit for bit.
-        w = self._w[i]
-        phi_f, psi_f = (self._v[i] - w @ alpha).tolist()
-        mu, sigma, mean = self._prior_rows[i]
-        cap = self._cap
-        best, chosen = 0.0, None
-        for j, (phi, psi) in enumerate(zip(phi_f, psi_f)):
-            bp = _best_bid(phi, psi, cap)
-            if bp > 0.0:
-                z = (float(np.log(bp)) - mu) / sigma
-                prob = float(ndtr(z))
-                if mean < math.inf:
-                    cost = mean * float(ndtr(z - sigma))
-                else:
-                    cost = float(partial_moment(mu, sigma, z))
-            else:
-                prob = cost = 0.0
-            score = phi * prob + psi * cost
-            if score > best:
-                best, chosen = score, (j, prob, cost)
-            elif score != score:  # np.argmax picks the first NaN, which is not > 0
-                return None
-        if chosen is None:
-            return None
-        j, prob, cost = chosen
-        return [p * prob + q * cost for p, q in zip(*w[:, j].tolist())]
+    def batch_consumption(self, rows: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """Summed consumption of the chosen ad of each impression in `rows` that bids.
+
+        The rule is `decide_rows`': a row bids iff its top score is >= 0 and
+        its bid is positive.
+        """
+        decided = _first_max(*self._respond(rows, alpha))
+        bids = decided.ad >= 0
+        w = self._w[np.asarray(rows)[bids], :, decided.ad[bids]]  # (bidding rows, 2, K)
+        return decided.prob[bids] @ w[:, 0] + decided.cost[bids] @ w[:, 1]
 
     def beta_sum(self, alpha: np.ndarray) -> float:
-        return float(np.sum(np.maximum(self.decide_rows(alpha).score, 0.0)))
+        score = self._respond(slice(None), alpha)[3]
+        if score.shape[1] == 0:
+            return 0.0
+        return float(np.sum(np.maximum(score.max(axis=1), 0.0)))
 
     def _prob_cost_at(self, i: int, sub_choice: float) -> tuple[float, float]:
         prob, cost = _win_prob_cost(

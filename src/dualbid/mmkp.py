@@ -10,14 +10,15 @@ nonnegative, and alpha itself is found by minimizing the convex dual
 
     D(alpha) = sum_k alpha_k B_k + sum_i max(0, max_j S_ij(alpha))
 
-with projected stochastic subgradient steps over items. A step needs only
-the dominating assignment's consumption, which a model returns as a list of
-K floats (`ChoiceModel.dominant_consumption`); `sgd_solve` then updates
-alpha on Python floats, with the bits of the same update on numpy arrays.
+with projected stochastic subgradient steps over mini-batches of items. A
+step needs only the summed consumption of the batch's dominating
+assignments, which a model returns as one (K,) array
+(`ChoiceModel.batch_consumption`).
 
 The generic `ChoiceModel` methods derive everything from `item_best`. Here
-the allocation rule is applied only by `primal_value_of_strategy`; the DSP
-commands read it from `dsp.DspChoiceModel.decide_rows`, one array kernel.
+the allocation rule is applied only by `primal_value_of_strategy` and the
+base `batch_consumption`; the DSP model answers every decision, the SGD step
+included, from one array kernel behind `dsp.DspChoiceModel.decide_rows`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+# Items per SGD step; the last batch of an epoch takes the remainder.
+BATCH_SIZE = 64
 
 __all__ = [
     "ChoiceModel",
@@ -52,8 +56,8 @@ class ChoiceModel(ABC):
     Implementations expose the item count and resource limits and, for each
     item, the vector of score-maximizing sub-choices and scores across users,
     plus the gain and per-constraint consumption of any concrete sub-choice.
-    The class holds no allocation rule: `primal_value_of_strategy` applies it
-    over `item_best`, and `dsp.DspChoiceModel.decide_rows` in array form.
+    The generic methods apply the allocation rule over `item_best`;
+    `dsp.DspChoiceModel` overrides them with its array kernel.
     """
 
     @property
@@ -81,20 +85,27 @@ class ChoiceModel(ABC):
     def n_constraints(self) -> int:
         return len(self.budgets)
 
-    def dominant_consumption(self, i: int, alpha: np.ndarray) -> list[float] | None:
-        """Consumption W of item `i`'s top-scoring assignment when that score is > 0.
+    def batch_consumption(self, rows: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """Summed consumption W of the top-scoring assignment of each item in `rows`.
 
-        Returns the K consumptions as Python floats, or None when no user
-        scores above zero. Ties go to the lowest user index, as in
-        `np.argmax`. This is all one SGD step needs from a model; models may
-        override it with a fused kernel that returns the same bits.
+        An item counts when its top score is > 0; ties go to the lowest user
+        index, as in `np.argmax`. Returns shape (K,). This is all one SGD
+        step needs from a model; models may answer it from an array kernel.
         """
-        subs, scores = self.item_best(i, alpha)
-        if scores.size:
-            j = int(np.argmax(scores))
-            if scores[j] > 0.0:
-                return self.consumption(i, j, float(subs[j])).tolist()
-        return None
+        total = np.zeros(self.n_constraints)
+        for i in np.asarray(rows).tolist():
+            subs, scores = self.item_best(i, alpha)
+            if scores.size:
+                j = int(np.argmax(scores))
+                if scores[j] > 0.0:
+                    used = self.consumption(i, j, float(subs[j]))
+                    if np.shape(used) != total.shape:
+                        raise ValueError(
+                            f"consumption of item {i} has shape {np.shape(used)}, "
+                            f"expected {total.shape}"
+                        )
+                    total += used
+        return total
 
     def beta_sum(self, alpha: np.ndarray) -> float:
         """Sum of per-item dual inner values; models may vectorize this."""
@@ -121,7 +132,6 @@ class DualState:
     iteration: int
     dual_value_trace: list[float]
     alpha_trace: list[np.ndarray] = field(default_factory=list, repr=False)
-    best_epoch: int = 0
 
     @property
     def dual_value(self) -> float:
@@ -146,26 +156,22 @@ def sgd_solve(
 ) -> DualState:
     """Minimize the dual by projected stochastic subgradient descent.
 
-    Items are visited in a reshuffled order each epoch. The per-item
-    subgradient of G_i = sum_k alpha_k B_k / N + beta_i is B_k / N minus the
-    dominating assignment's consumption when its score is positive (zero
-    otherwise); steps follow the diminishing schedule step0 / sqrt(1 + t/N)
-    and every update projects back onto alpha >= 0.
-
-    The step asks the model for that consumption alone, as a list of K
-    floats, through `model.dominant_consumption(i, alpha)` (None when nothing
-    scores above zero). The base-class method derives it from `item_best`
-    and `consumption`; `DspChoiceModel` overrides it with a fused scalar
-    kernel that returns the same bits. The update itself runs on Python
-    floats with the operations, and so the bits, of the array update
-    `np.maximum(0.0, alpha - eta * (B / N - W))`; alpha becomes an array
-    once per step, for the model's next matrix-vector product.
+    Each epoch walks a fresh permutation of the items in batches of
+    `BATCH_SIZE` (fewer for the last batch, and all N when N is smaller).
+    The subgradient of sum_{i in batch} G_i, with G_i = sum_k alpha_k B_k / N
+    + beta_i, is len(batch) * B / N minus the summed consumption of the
+    batch's dominating assignments, which `model.batch_consumption` returns.
+    The step size follows the diminishing schedule step0 / sqrt(1 + t/N),
+    where t counts the items visited so far, and every update projects back
+    onto alpha >= 0.
 
     The returned alpha is the best of the epoch-end iterates and the tail
     average of the last quarter of epochs, judged by dual value; plain last
     iterates of subgradient methods oscillate around the minimizer and both
-    candidates are standard cures. Raises `DivergenceError` if the dual value
-    grows past `divergence_factor` times its initial magnitude.
+    candidates are standard cures. With no items the dual is alpha . B, which
+    alpha = 0 minimizes for B >= 0, so the solve starts and stays there.
+    Raises `DivergenceError` if the dual value grows past `divergence_factor`
+    times its initial magnitude.
     """
     if not (math.isfinite(step0) and step0 > 0.0):
         raise ValueError(f"step0 must be positive and finite, got {step0!r}")
@@ -178,38 +184,30 @@ def sgd_solve(
         raise ValueError(f"alpha0 must broadcast to shape ({k},)")
     if not np.all(np.isfinite(alpha) & (alpha >= 0.0)):
         raise ValueError("alpha0 must be finite and nonnegative")
+    if n_items == 0:
+        alpha = np.zeros(k)
 
     rng = np.random.default_rng(shuffle_seed)
     trace = [dual_objective(model, alpha)]
     alpha_trace = [alpha.copy()]
-    best_alpha, best_value, best_epoch = alpha.copy(), trace[0], 0
+    best_alpha, best_value = alpha.copy(), trace[0]
     guard = divergence_factor * max(1.0, abs(trace[0]))
     per_epoch = max(n_items, 1)
-    step = model.dominant_consumption
-
-    # alpha and B / N as floats; `0.0 if x < 0.0 else x` is
-    # `np.maximum(0.0, x)`, -0.0 and NaN included.
-    a = alpha.tolist()
-    b = (model.budgets / per_epoch).tolist()
+    share = model.budgets / per_epoch
     t = 0
     for epoch in range(epochs):
-        for i in rng.permutation(n_items).tolist():
+        order = rng.permutation(n_items)
+        for start in range(0, n_items, BATCH_SIZE):
+            rows = order[start : start + BATCH_SIZE]
             eta = step0 / math.sqrt(1.0 + t / per_epoch)
-            used = step(i, alpha)
-            if used is None:
-                a = [0.0 if (x := ak - eta * bk) < 0.0 else x for ak, bk in zip(a, b)]
-            else:
-                a = [
-                    0.0 if (x := ak - eta * (bk - uk)) < 0.0 else x
-                    for ak, bk, uk in zip(a, b, used, strict=True)
-                ]
-            alpha = np.array(a)
-            t += 1
+            grad = len(rows) * share - model.batch_consumption(rows, alpha)
+            alpha = np.maximum(0.0, alpha - eta * grad)
+            t += len(rows)
         value = dual_objective(model, alpha)
         trace.append(value)
         alpha_trace.append(alpha.copy())
         if value < best_value:
-            best_alpha, best_value, best_epoch = alpha.copy(), value, epoch + 1
+            best_alpha, best_value = alpha.copy(), value
         if value > guard:
             raise DivergenceError(
                 f"dual value {value:.6g} exceeded {guard:.6g} after epoch {epoch + 1}"
@@ -222,14 +220,10 @@ def sgd_solve(
         if value < best_value:
             trace.append(value)
             alpha_trace.append(averaged.copy())
-            best_alpha, best_value, best_epoch = averaged, value, len(trace) - 1
+            best_alpha, best_value = averaged, value
 
     return DualState(
-        alpha=best_alpha,
-        iteration=t,
-        dual_value_trace=trace,
-        alpha_trace=alpha_trace,
-        best_epoch=best_epoch,
+        alpha=best_alpha, iteration=t, dual_value_trace=trace, alpha_trace=alpha_trace
     )
 
 

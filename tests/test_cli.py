@@ -172,6 +172,17 @@ class TestSolve:
                         continue
                     assert math.isfinite(value), (name, key, cell)
 
+    def test_instance_without_impressions_solves_to_zero_prices(self, tmp_path):
+        gen, out = tmp_path / "gen", tmp_path / "solve"
+        assert run(["gen", "--out-dir", str(gen), "--n-impressions", "0"]) == 0
+        assert run(["solve", "--instance", str(gen / "instance.json"), "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        jsonschema.validate(summary, SCHEMA)
+        assert summary["alpha"] and all(a == 0.0 for a in summary["alpha"])
+        assert summary["dual_value"] == 0.0
+        assert summary["duality_gap_rel"] is None
+        assert json.loads((out / "alpha.json").read_text())["alpha"] == summary["alpha"]
+
     def test_truncated_instance_exits_2_with_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"mode": "p4p", "ads": [')

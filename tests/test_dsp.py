@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from dualbid import dsp
@@ -289,86 +290,115 @@ class TestGradientRule:
         assert fd == pytest.approx(0.0, abs=1e-12)
 
 
-def generic_step(model, i, alpha):
-    return ChoiceModel.dominant_consumption(model, i, alpha)
+def base_loop(model, rows, alpha):
+    """The base class's `batch_consumption`: `item_best`, first argmax, `> 0`, `consumption`."""
+    return ChoiceModel.batch_consumption(model, rows, alpha)
 
 
-def assert_same_step(model, i, alpha):
-    """The fused kernel returns the generic path's consumption bit for bit."""
-    fused, generic = model.dominant_consumption(i, alpha), generic_step(model, i, alpha)
-    if generic is None:
-        assert fused is None
-        return False
-    assert isinstance(fused, list) and isinstance(generic, list)
-    assert len(fused) == len(generic) == model.n_constraints
-    assert np.asarray(fused).tobytes() == np.asarray(generic).tobytes()
-    return True
+def assert_matches_base_loop(model, alpha):
+    """The kernel's batch consumption equals the base-class loop's.
+
+    Checks every one-row batch and one batch of all N rows in shuffled order.
+    Returns the number of impressions that get a bid.
+    """
+    batches = [np.array([i]) for i in range(model.n_items)]
+    batches.append(np.random.default_rng(model.n_items).permutation(model.n_items))
+    for rows in batches:
+        got, want = model.batch_consumption(rows, alpha), base_loop(model, rows, alpha)
+        assert got.shape == want.shape == (model.n_constraints,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    return int(np.sum(model.decide_rows(alpha).ad >= 0))
 
 
-class TestDominantConsumption:
+def nan_score_model():
+    """ad1's budget row priced at 1e308 overflows its composite phi to -inf.
+
+    Its bid is then 0 and its score -inf * 0.0 is NaN; `np.argmax` takes the
+    first NaN, so the impression gets no bid although ad0 scores above zero.
+    """
+    budget = ConstraintSpec(ConstraintKind.BUDGET, PaymentMode.P4P, 1.0, frozenset(["ad1"]))
+    ads = [Ad("ad0", AdEconomics(cpp=1.0)), Ad("ad1", AdEconomics(cpp=100.0))]
+    revenue = ObjectiveSpec(PaymentMode.P4P, ObjectiveKind.REVENUE)
+    impressions = [Impression(0, STANDARD, (0.1, 0.1))]
+    model = DspChoiceModel(DspInstance(PaymentMode.P4P, revenue, ads, [budget], impressions))
+    return model, np.full(1, 1e308)
+
+
+class TestBatchConsumption:
+    """The SGD step's array kernel against the base-class per-item loop."""
+
+    @pytest.mark.parametrize("mode", list(PaymentMode))
+    @pytest.mark.parametrize("objective", list(ObjectiveKind))
+    def test_random_shapes(self, mode, objective):
+        rng = np.random.default_rng(
+            [list(PaymentMode).index(mode), list(ObjectiveKind).index(objective)]
+        )
+        kinds = list(ConstraintKind)
+        bidding = 0
+        for m in range(1, 9):
+            picked = [kinds[c] for c in rng.integers(0, len(kinds), size=rng.integers(0, 11))]
+            model = DspChoiceModel(mixed_instance(rng, mode, objective, 20, m, picked))
+            scale = float(rng.choice([0.0, 0.5, 1.0, 3.0]))
+            bidding += assert_matches_base_loop(
+                model, scale * rng.uniform(0.0, 2.0, model.n_constraints)
+            )
+        assert 0 < bidding < 8 * 20
+
     def test_random_instances(self):
         rng = np.random.default_rng(17)
-        allocated = skipped = 0
+        bidding = 0
         for draw in range(60):
             m = 1 + draw % 4
-            instance = random_instance(rng, n=4, m=m, with_budgets=draw % 3 != 0)
-            model = DspChoiceModel(instance)
-            for i in range(model.n_items):
-                alpha = rng.uniform(0.0, 8.0, instance.n_constraints)
-                if assert_same_step(model, i, alpha):
-                    allocated += 1
-                else:
-                    skipped += 1
-        assert allocated >= 100 and skipped >= 10
+            model = DspChoiceModel(random_instance(rng, n=4, m=m, with_budgets=draw % 3 != 0))
+            bidding += assert_matches_base_loop(model, rng.uniform(0.0, 8.0, model.n_constraints))
+        assert 100 <= bidding < 240  # some rows bid and some do not
+
+    @pytest.mark.parametrize("k", [0, 10])
+    def test_k_extremes(self, k):
+        rng = np.random.default_rng(50 + k)
+        kinds = list(ConstraintKind)
+        picked = [kinds[c] for c in rng.integers(0, len(kinds), size=k)]
+        model = DspChoiceModel(
+            mixed_instance(rng, PaymentMode.P4P, ObjectiveKind.REVENUE, 25, 4, picked)
+        )
+        assert assert_matches_base_loop(model, rng.uniform(0.0, 0.02, k)) > 0
 
     def test_single_ad(self):
         model = DspChoiceModel(random_instance(np.random.default_rng(3), n=8, m=1))
-        hits = [assert_same_step(model, i, np.full(model.n_constraints, 0.2)) for i in range(8)]
-        assert any(hits)
+        assert assert_matches_base_loop(model, np.full(model.n_constraints, 0.2)) > 0
 
     def test_no_constraints(self):
         impressions = [Impression(i, STANDARD, (0.05 * i, 0.1)) for i in range(4)]
         model = DspChoiceModel(p4p_instance(constraints=[], impressions=impressions))
-        for i in range(4):
-            assert assert_same_step(model, i, np.zeros(0))
-            assert model.dominant_consumption(i, np.zeros(0)) == []
+        assert assert_matches_base_loop(model, np.zeros(0)) == 4
 
     def test_zero_ppi(self):
-        instance = p4p_instance(impressions=[Impression(0, STANDARD, (0.0, 0.0))])
+        instance = p4p_instance(impressions=[Impression(i, STANDARD, (0.0, 0.0)) for i in range(3)])
         model = DspChoiceModel(instance)
         for a in (0.0, 0.5, 3.0):
-            assert not assert_same_step(model, 0, np.asarray([a]))
+            assert assert_matches_base_loop(model, np.asarray([a])) == 0
 
     def test_bids_clipped_at_cap(self):
         rng = np.random.default_rng(11)
         instance = random_instance(rng, n=12, m=3)
         instance.bid_cap = 0.02
         model = DspChoiceModel(instance)
-        clipped = 0
-        for i in range(model.n_items):
-            alpha = rng.uniform(0.0, 0.5, instance.n_constraints)
-            clipped += int(np.any(model.item_best(i, alpha)[0] == instance.bid_cap))
-            assert_same_step(model, i, alpha)
-        assert clipped > 0
+        alpha = rng.uniform(0.0, 0.5, instance.n_constraints)
+        assert assert_matches_base_loop(model, alpha) > 0
+        assert np.any(model.decide_rows(alpha).bp == 0.02)
 
     def test_zero_and_large_prices(self):
         model = DspChoiceModel(random_instance(np.random.default_rng(23), n=10, m=3))
         k = model.n_constraints
-        assert all(assert_same_step(model, i, np.zeros(k)) for i in range(10))
-        for i in range(10):
-            assert_same_step(model, i, np.full(k, 1e6))
+        assert assert_matches_base_loop(model, np.zeros(k)) == 10
+        assert_matches_base_loop(model, np.full(k, 1e6))
 
     def test_bid_logs_follow_numpy(self):
-        # One ad with its ROI row priced at 1 bids exactly its ppi. For a few
-        # such bids `math.log` and numpy's vectorized log differ in the last
-        # bit on some CPUs; the kernel must take numpy's, as `item_best` does.
+        # One ad with its ROI row priced at 1 bids exactly its ppi.
         ppis = np.random.default_rng(31).uniform(0.5, 2.0, 3000)
         impressions = [Impression(i, STANDARD, (p,)) for i, p in enumerate(ppis.tolist())]
         model = DspChoiceModel(p4p_instance(cpps=(1.0,), impressions=impressions))
-        alpha = np.ones(1)
-        for i, ppi in enumerate(ppis.tolist()):
-            assert model.item_best(i, alpha)[0][0] == ppi
-            assert assert_same_step(model, i, alpha)
+        assert assert_matches_base_loop(model, np.ones(1)) == 3000
 
     def test_tie_goes_to_the_first_ad(self):
         # Twin ads tie on score; only ad1 consumes the (unpriced) budget row.
@@ -376,38 +406,79 @@ class TestDominantConsumption:
         model = DspChoiceModel(p4p_instance(cpps=(1.0, 1.0), constraints=[budget]))
         scores = model.item_best(0, np.zeros(1))[1]
         assert scores[0] == scores[1] > 0.0
-        assert assert_same_step(model, 0, np.zeros(1))
-        assert model.dominant_consumption(0, np.zeros(1))[0] > 0.0
+        assert assert_matches_base_loop(model, np.zeros(1)) == 1
+        assert model.batch_consumption(np.arange(1), np.zeros(1))[0] > 0.0
 
-    def test_sigma_forty_prior(self):
-        rng = np.random.default_rng(29)
-        instance = random_instance(rng, n=10, m=2)
+    @pytest.mark.parametrize(
+        "prior", [LandscapePrior(-1.0, 40.0), LandscapePrior(710.0, 1.0)],
+        ids=["sigma-40", "mean-overflows"],
+    )
+    def test_overflowing_mean(self, prior):
+        # Both priors overflow exp(mu + sigma^2/2), so the cost is formed in
+        # log space.
+        rng = np.random.default_rng(12)
+        instance = random_instance(rng, n=16, m=3)
         instance.impressions = [
-            dataclasses.replace(imp, prior=LandscapePrior(imp.prior.mu, 40.0))
-            for imp in instance.impressions
+            dataclasses.replace(imp, prior=prior) if i % 2 else imp
+            for i, imp in enumerate(instance.impressions)
         ]
         model = DspChoiceModel(instance)
-        hits = [
-            assert_same_step(model, i, rng.uniform(0.0, 1.0, model.n_constraints))
-            for i in range(10)
-        ]
-        assert any(hits)
+        assert assert_matches_base_loop(model, rng.uniform(0.0, 1.0, model.n_constraints)) > 0
+
+    def test_no_bid_ad_with_a_nan_score(self):
+        model, alpha = nan_score_model()
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi, _ = model.composite(0, alpha)
+            assert phi[1] == -math.inf and phi[0] > 0.0
+            assert math.isnan(model.item_best(0, alpha)[1][1])
+            assert assert_matches_base_loop(model, alpha) == 0
+        assert np.any(model.batch_consumption(np.arange(1), np.zeros(1)) != 0.0)
 
 
-class _GenericStepModel(DspChoiceModel):
-    def dominant_consumption(self, i, alpha):
-        return generic_step(self, i, alpha)
+class _BaseLoopModel(DspChoiceModel):
+    def batch_consumption(self, rows, alpha):
+        return base_loop(self, rows, alpha)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sgd_matches_generic_step_bit_for_bit(seed):
-    instance = random_instance(np.random.default_rng(40 + seed), n=40, m=2)
-    fused = sgd_solve(DspChoiceModel(instance), epochs=20, shuffle_seed=seed)
-    generic = sgd_solve(_GenericStepModel(instance), epochs=20, shuffle_seed=seed)
-    assert len(set(fused.dual_value_trace)) > 2
-    assert fused.alpha.tobytes() == generic.alpha.tobytes()
-    assert fused.dual_value_trace == generic.dual_value_trace
-    assert fused.best_epoch == generic.best_epoch
+def test_sgd_matches_base_class_step(seed):
+    # N = 150 walks batches of 64, 64 and 22 rows.
+    instance = random_instance(np.random.default_rng(40 + seed), n=150, m=2)
+    kernel = sgd_solve(DspChoiceModel(instance), epochs=20, shuffle_seed=seed)
+    loop = sgd_solve(_BaseLoopModel(instance), epochs=20, shuffle_seed=seed)
+    assert len(set(kernel.dual_value_trace)) > 2
+    np.testing.assert_allclose(kernel.alpha, loop.alpha, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(kernel.dual_value_trace, loop.dual_value_trace, rtol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 8),
+    k=st.integers(0, 10),
+    scale=st.sampled_from([0.0, 1e-3, 1.0, 1e6]),
+)
+def test_composite_equals_separate_products(seed, m, k, scale):
+    # Whether a row is selected by index, slice or index array, its
+    # composite has the bits of two separate matrix-vector products.
+    rng = np.random.default_rng(seed)
+    kinds = list(ConstraintKind)
+    picked = [kinds[c] for c in rng.integers(0, len(kinds), size=k)]
+    model = DspChoiceModel(mixed_instance(rng, PaymentMode.P4P, ObjectiveKind.REVENUE, 5, m, picked))
+    alpha = scale * rng.uniform(0.0, 2.0, k)
+    (phi_v, psi_v), (phi_w, psi_w) = model.objective_coeffs, model.constraint_coeffs
+    phi_all, psi_all = model.composite(slice(None), alpha)
+    order = rng.permutation(model.n_items)
+    phi_some, psi_some = model.composite(order, alpha)
+    for i in range(model.n_items):
+        phi_ref = phi_v[i] - np.ascontiguousarray(phi_w[i]) @ alpha
+        psi_ref = psi_v[i] - np.ascontiguousarray(psi_w[i]) @ alpha
+        phi, psi = model.composite(i, alpha)
+        at = int(np.flatnonzero(order == i)[0])
+        for got in (phi, phi_all[i], phi_some[at]):
+            assert got.tobytes() == phi_ref.tobytes()
+        for got in (psi, psi_all[i], psi_some[at]):
+            assert got.tobytes() == psi_ref.tobytes()
 
 
 def scalar_reference(model, phi, psi, i):
@@ -458,7 +529,7 @@ def assert_kernel_matches_reference(model, alpha):
 
 
 class TestDecideRows:
-    """The array kernel against the per-ad scalar path, on TestDominantConsumption's cases."""
+    """The array kernel against the per-ad scalar path, on TestBatchConsumption's cases."""
 
     def test_random_instances(self):
         rng = np.random.default_rng(17)
@@ -548,6 +619,25 @@ class TestDecideRows:
             alpha = rng.uniform(0.0, 2.0, model.n_constraints)
             row_max = [model.item_best(i, alpha)[1].max() for i in range(model.n_items)]
             assert bits(model.beta_sum(alpha)) == bits(np.sum(np.maximum(row_max, 0.0)))
+
+    def test_beta_sum_is_the_decided_score_sum(self):
+        def assert_same(model, alpha):
+            want = np.sum(np.maximum(model.decide_rows(alpha).score, 0.0))
+            assert bits(model.beta_sum(alpha)) == bits(want)
+
+        rng = np.random.default_rng(61)
+        for draw in range(40):
+            model = DspChoiceModel(random_instance(rng, n=1 + draw, m=1 + draw % 4))
+            assert_same(model, rng.uniform(0.0, 3.0, model.n_constraints))
+        single = DspChoiceModel(random_instance(rng, n=9, m=1))
+        assert_same(single, rng.uniform(0.0, 1.0, single.n_constraints))
+        impressions = [Impression(i, STANDARD, (0.05 * i, 0.1)) for i in range(4)]
+        unpriced = DspChoiceModel(p4p_instance(constraints=[], impressions=impressions))
+        assert_same(unpriced, np.zeros(0))
+        model, alpha = nan_score_model()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(model.beta_sum(alpha))
+            assert_same(model, alpha)
 
     def test_bid_decision_is_a_row_of_the_kernel(self):
         rng = np.random.default_rng(41)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dualbid.mmkp import (
+    BATCH_SIZE,
     DivergenceError,
     DualState,
     beta_value,
@@ -181,11 +182,36 @@ class TestSgdSolve:
             sgd_solve(RunawayModel(), step0=50.0, epochs=500)
 
     def test_empty_instance(self):
+        # With no items the dual is alpha . B, minimized at alpha = 0.
         model = FixedChoiceModel(np.zeros((0, 2)), np.zeros((0, 2, 1)), [1.0])
         state = sgd_solve(model, epochs=10)
-        assert state.alpha[0] == 1.0 and state.iteration == 0
+        assert state.alpha[0] == 0.0 and state.iteration == 0
+        assert state.dual_value == 0.0
         primal = primal_value_of_strategy(model, state.alpha)
         assert primal.objective == 0.0 and np.all(primal.consumption == 0.0)
+
+    def test_iterations_count_item_visits(self):
+        n = 2 * BATCH_SIZE + 22
+        rng = np.random.default_rng(9)
+        model = FixedChoiceModel(
+            rng.uniform(-0.5, 2.0, (n, 2)), rng.uniform(0.0, 1.0, (n, 2, 2)), [20.0, 30.0]
+        )
+        assert sgd_solve(model, epochs=3).iteration == 3 * n
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
+    def test_zero_start(self, zero):
+        # A zero start given per coordinate solves as the scalar 0.0 does,
+        # whatever the sign of the zero.
+        rng = np.random.default_rng(10)
+        model = FixedChoiceModel(
+            rng.uniform(-0.5, 2.0, (12, 3)), rng.uniform(-1.0, 1.5, (12, 3, 3)),
+            rng.uniform(0.5, 4.0, 3),
+        )
+        state = sgd_solve(model, epochs=20, step0=0.3, alpha0=np.full(3, zero))
+        scalar = sgd_solve(model, epochs=20, step0=0.3, alpha0=0.0)
+        assert state.dual_value_trace == scalar.dual_value_trace
+        assert np.array_equal(state.alpha, scalar.alpha)
+        assert np.all(state.alpha >= 0.0)
 
     def test_input_validation(self):
         model = fixed([[1.0]], [[[1.0]]], [1.0])
@@ -195,6 +221,46 @@ class TestSgdSolve:
             sgd_solve(model, alpha0=[-1.0])
         with pytest.raises(ValueError):
             sgd_solve(model, alpha0=[1.0, 2.0])
+
+
+class TestBatchConsumption:
+    """The base class's per-item loop behind the SGD step."""
+
+    def test_random_models(self):
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            n, m, k = 12, 1 + seed % 3, 1 + seed % 4
+            gains, used = rng.uniform(-0.5, 2.0, (n, m)), rng.uniform(-1.0, 1.5, (n, m, k))
+            model = FixedChoiceModel(gains, used, rng.uniform(0.5, 4.0, k))
+            alpha = rng.uniform(0.0, 1.0, k)
+            rows = rng.permutation(n)[: rng.integers(0, n + 1)]
+            want = np.zeros(k)
+            for i in rows:
+                scores = gains[i] - used[i] @ alpha
+                j = int(np.argmax(scores))
+                if scores[j] > 0.0:
+                    want += used[i, j]
+            assert np.array_equal(model.batch_consumption(rows, alpha), want)
+
+    def test_nothing_allocated(self):
+        # Every gain is negative: no consumption, and each step lowers alpha
+        # by eta * B until the projection holds it at zero.
+        model = FixedChoiceModel(-np.ones((4, 2)), np.ones((4, 2, 2)), [1.0, 2.0])
+        assert np.array_equal(model.batch_consumption(np.arange(4), np.ones(2)), np.zeros(2))
+        state = sgd_solve(model, epochs=10, alpha0=0.5)
+        assert np.all(np.diff(state.dual_value_trace) <= 0.0)
+        assert np.array_equal(state.alpha, np.zeros(2))
+
+    def test_consumption_of_the_wrong_length_raises(self):
+        class ShortConsumption(FixedChoiceModel):
+            def consumption(self, i, j, sub_choice):
+                return np.ones(1)
+
+        model = ShortConsumption(np.ones((2, 1)), np.ones((2, 1, 2)), [1.0, 1.0])
+        with pytest.raises(ValueError, match="shape"):
+            model.batch_consumption(np.arange(2), np.zeros(2))
+        with pytest.raises(ValueError):
+            sgd_solve(model, epochs=1, alpha0=0.0)
 
 
 class TestPrimalOfStrategy:

@@ -51,8 +51,8 @@ class TestGenMockInstance:
         model = DspChoiceModel(instance)
         state = sgd_solve(model, epochs=5)
         report = run_expectation(model, state.alpha)
-        assert report.primal_value == 0.0
-        assert np.allclose(state.alpha, 1.0)
+        assert report.primal_value == 0.0 and report.dual_value == 0.0
+        assert np.array_equal(state.alpha, np.zeros(model.n_constraints))
 
     def test_invalid_ranges(self):
         with pytest.raises(InvalidRangeError):

@@ -61,7 +61,8 @@ def test_tracer_patch_points_record_spans(tmp_path):
     assert cli.main is main
 
     assert {"sim.gen_mock_instance", "sim.save_instance"} <= set(spans["gen"])
-    assert {"dsp.model_build", "mmkp.sgd_solve", "mmkp.dual_objective"} <= set(spans["solve"])
+    solve_spans = {"dsp.model_build", "mmkp.sgd_solve", "mmkp.dual_objective", "dsp.beta_sum"}
+    assert solve_spans <= set(spans["solve"])
     expected = {
         "strategies.ortb_fit_c",
         "strategies.ortb_bid",
