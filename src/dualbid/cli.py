@@ -29,7 +29,7 @@ from .dsp import bid_decision  # noqa: F401 - perfbench/tracing.py wraps cli.bid
 from .landscape import fit_censored, fit_to_json, read_observations_csv, split_observations
 from .mmkp import DivergenceError, dual_state_to_json, sgd_solve
 from .sim import InstanceFormatError, InvalidRangeError, MockConfig
-from .strategies import ortb_fit_c
+from .strategies import ortb_fit_c, ortb_log_likelihood
 from .utility import ObjectiveKind, PaymentMode
 
 EXIT_OK = 0
@@ -268,8 +268,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
         fit = fit_censored(observations)
         payload = fit_to_json(fit)
     else:
-        fit = ortb_fit_c(*split_observations(observations))
-        payload = {"c": fit.c, "converged": fit.converged, "log_likelihood": fit.log_likelihood}
+        won, lost = split_observations(observations)
+        fit = ortb_fit_c(won, lost)
+        payload = {
+            "c": fit.c,
+            "converged": fit.converged,
+            "log_likelihood": ortb_log_likelihood(fit.c, won, lost),
+        }
     payload |= _summary_base("fit", None) | {"family": args.family}
     _write_json(out_dir / "fit.json", payload)
     manifest.finish(["fit.json"])

@@ -515,13 +515,37 @@ class DualBidStrategy(_WindowedStrategy):
         return self.alpha
 
 
+class _GrowingArray:
+    """A float array appended to in place; its capacity doubles when it runs out."""
+
+    def __init__(self) -> None:
+        self._data = np.empty(0)
+        self._size = 0
+
+    def extend(self, values: np.ndarray) -> None:
+        end = self._size + values.size
+        if end > self._data.size:
+            grown = np.empty(max(end, 2 * self._data.size))
+            grown[: self._size] = self._data[: self._size]
+            self._data = grown
+        self._data[self._size : end] = values
+        self._size = end
+
+    @property
+    def view(self) -> np.ndarray:
+        """The values appended so far, in order, as a view of the storage."""
+        return self._data[: self._size]
+
+
 class OrtbStrategy(_WindowedStrategy):
     """Win-curve baseline: bids the shaded-surplus maximizer of w(bp) = bp/(c+bp).
 
     The curve scale c is refitted at window boundaries from all won/lost
     observations accumulated so far (an expanding fit window keeps it from
     whipsawing the shadow price); the shadow price follows the multiplicative
-    ROI rule.
+    ROI rule. Each epoch's won costs and lost bids are appended to two
+    growing arrays, and a refit reads views of them, so a window copies only
+    its own epochs' observations.
     """
 
     def __init__(
@@ -535,20 +559,20 @@ class OrtbStrategy(_WindowedStrategy):
     def _restart(self) -> None:
         self.state = OrtbState(c=self._c0, lam=self._lambda0)
         # Won costs and lost bids of every epoch so far, in replay order.
-        self._won_costs: list[np.ndarray] = []
-        self._lost_bids: list[np.ndarray] = []
+        self._won_costs = _GrowingArray()
+        self._lost_bids = _GrowingArray()
 
     def epoch_bids(self) -> tuple[np.ndarray, np.ndarray]:
         return self._ad_idx, ortb_bid(self.state, self._cpi, self.target_roi)
 
     def _observe(self, feedback: EpochFeedback) -> None:
         active = feedback.bids > 0.0
-        self._won_costs.append(feedback.paid[active & feedback.won])
-        self._lost_bids.append(feedback.bids[active & ~feedback.won])
+        self._won_costs.extend(feedback.paid[active & feedback.won])
+        self._lost_bids.extend(feedback.bids[active & ~feedback.won])
 
     def _update(self, actual_roi: float) -> None:
-        won, lost = np.concatenate(self._won_costs), np.concatenate(self._lost_bids)
-        c = ortb_fit_c(won, lost).c if won.size else self.state.c
+        won = self._won_costs.view
+        c = ortb_fit_c(won, self._lost_bids.view).c if won.size else self.state.c
         lam = multiplicative_update(self.state.lam, self.target_roi, actual_roi).value
         self.state = OrtbState(c=c, lam=lam)
 
@@ -672,6 +696,10 @@ def run_monte_carlo(
     The strategy's update hook runs between epochs. Draws depend only on
     (seed, epoch), so distinct strategies replayed with one seed face
     identical auctions.
+
+    The chosen ads' coefficient rows are gathered again only when the
+    strategy's ad indices differ in value from those of the last gather, so
+    a strategy may return a new array or mutate the same one in place.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -686,18 +714,25 @@ def run_monte_carlo(
     rng = np.random.default_rng(seed)
     metrics: list[EpochMetrics] = []
     consumption_total = np.zeros(instance.n_constraints)
+    gathered_for = None
     for epoch in range(epochs):
         x = np.exp(mus + sigmas * rng.standard_normal(n))
         ad_idx, bids = strategy.epoch_bids()
+        if gathered_for is None or not np.array_equal(ad_idx, gathered_for):
+            gathered_for = np.array(ad_idx, copy=True)
+            has_ad = ad_idx >= 0
+            sel = np.where(has_ad, ad_idx, 0)
+            rev_won, rev_paid = phi_v[rows, sel], psi_v[rows, sel]
+            perf_won = ppi[rows, sel]
+            use_won, use_paid = phi_w[rows, sel, :], psi_w[rows, sel, :]
         bids = np.minimum(np.maximum(bids, 0.0), instance.bid_cap)
-        active = (ad_idx >= 0) & (bids > 0.0)
+        active = has_ad & (bids > 0.0)
         won = active & (bids > x)
         paid = np.where(won, x, 0.0)
-        sel = np.where(ad_idx >= 0, ad_idx, 0)
-        revenue_vec = np.where(won, phi_v[rows, sel], 0.0) + psi_v[rows, sel] * paid
-        perf_vec = np.where(won, ppi[rows, sel], 0.0)
+        revenue_vec = np.where(won, rev_won, 0.0) + rev_paid * paid
+        perf_vec = np.where(won, perf_won, 0.0)
         consumption_total += (
-            np.where(won[:, None], phi_w[rows, sel, :], 0.0) + psi_w[rows, sel, :] * paid[:, None]
+            np.where(won[:, None], use_won, 0.0) + use_paid * paid[:, None]
         ).sum(axis=0)
 
         revenue = float(np.sum(revenue_vec))

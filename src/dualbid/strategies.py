@@ -25,6 +25,7 @@ __all__ = [
     "multiplicative_update",
     "ortb_bid",
     "ortb_fit_c",
+    "ortb_log_likelihood",
 ]
 
 #: Clamp range shared by all feedback-updated parameters.
@@ -106,26 +107,60 @@ def ortb_bid(state: OrtbState, cpi, target_roi: float):
 
 @dataclass(frozen=True)
 class OrtbFit:
+    """A fitted win-curve scale; `converged` is False when the root left the bracket."""
+
     c: float
     converged: bool
-    log_likelihood: float
 
 
-def _ortb_log_likelihood(c: float, won: np.ndarray, lost: np.ndarray) -> float:
-    # Density c/(c+x)^2 for won prices, survival c/(c+bid) for lost auctions.
+def _ortb_observations(won_costs, lost_bids) -> tuple[np.ndarray, np.ndarray]:
+    """The fit's inputs as float arrays, checked, with vacuous lost bids (<= 0) dropped."""
+    won = np.asarray(won_costs, dtype=float)
+    lost = np.asarray(lost_bids, dtype=float)
+    if won.size == 0:
+        raise NoWinObservationsError("at least one won auction is required")
+    # min and max propagate NaN, so two passes per array check finiteness.
+    won_min, won_max = float(np.min(won)), float(np.max(won))
+    lost_min = float(np.min(lost)) if lost.size else 1.0
+    lost_max = float(np.max(lost)) if lost.size else 1.0
+    if not all(map(math.isfinite, (won_min, won_max, lost_min, lost_max))):
+        raise ValueError("won costs and lost bids must be finite")
+    if won_min <= 0.0:
+        raise ValueError("won auctions must have strictly positive paid costs")
+    return won, (lost[lost > 0.0] if lost_min <= 0.0 else lost)
+
+
+def ortb_log_likelihood(c: float, won_costs, lost_bids) -> float:
+    """Censored log-likelihood of the win-curve scale c, the value `fit` reports.
+
+    Won costs contribute the log density c/(c+x)^2 and lost bids the log
+    survival c/(c+bid); lost bids at or below 0 are dropped, as in `ortb_fit_c`.
+    """
+    won, lost = _ortb_observations(won_costs, lost_bids)
     ll = won.size * math.log(c) - 2.0 * float(np.sum(np.log(c + won)))
     if lost.size:
         ll += lost.size * math.log(c) - float(np.sum(np.log(c + lost)))
     return ll
 
 
-def _ortb_score(c: float, won: np.ndarray, lost: np.ndarray, n: int) -> float:
-    # n - 2 sum c/(c+won) - sum c/(c+lost): strictly decreasing in c.
-    return (
-        n
-        - 2.0 * float(np.sum(c / (c + won)))
-        - (float(np.sum(c / (c + lost))) if lost.size else 0.0)
-    )
+def _ortb_score(
+    c: float, won: np.ndarray, lost: np.ndarray, n: int,
+    won_buf: np.ndarray, lost_buf: np.ndarray, known: dict[float, float],
+) -> float:
+    # n - 2 sum c/(c+won) - sum c/(c+lost): strictly decreasing in c. The
+    # ratios are formed in place in the fit's scratch buffers. `known` holds
+    # the values at the bracket ends, which brentq asks for again.
+    value = known.get(c)
+    if value is not None:
+        return value
+    np.add(c, won, out=won_buf)
+    np.divide(c, won_buf, out=won_buf)
+    value = n - 2.0 * float(np.sum(won_buf))
+    if lost.size:
+        np.add(c, lost, out=lost_buf)
+        np.divide(c, lost_buf, out=lost_buf)
+        value -= float(np.sum(lost_buf))
+    return value
 
 
 def ortb_fit_c(won_costs: np.ndarray, lost_bids: np.ndarray) -> OrtbFit:
@@ -134,31 +169,37 @@ def ortb_fit_c(won_costs: np.ndarray, lost_bids: np.ndarray) -> OrtbFit:
     The curve w(bp; c) = bp/(c + bp) implies the competing-bid density
     c/(c + x)^2, so won auctions contribute its log density at the paid cost
     and lost ones the log survival at our bid. Lost bids at or below 0 are
-    vacuous and dropped. The score equation in c is strictly monotone, giving
-    a unique root found by bracketed root-finding. `landscape.split_observations`
-    turns an observation log into the two arrays.
+    vacuous and dropped; non-finite inputs raise `ValueError`. The score
+    equation in c is strictly monotone, giving a unique root found by
+    bracketed root-finding on [1e-12, hi]. When the root lies outside the
+    bracket, the nearer end is returned with `converged=False`.
+
+    The fit allocates one scratch array for the score, evaluates it once per
+    distinct c, and leaves the log-likelihood to `ortb_log_likelihood`.
+    `landscape.split_observations` turns an observation log into the two
+    arrays.
     """
     # Imported here: scipy.optimize takes about 0.3 s to load, and only this
     # fit needs it.
     from scipy.optimize import brentq
 
-    won = np.asarray(won_costs, dtype=float)
-    lost = np.asarray(lost_bids, dtype=float)
-    if won.size == 0:
-        raise NoWinObservationsError("at least one won auction is required")
-    if np.any(won <= 0.0):
-        raise ValueError("won auctions must have strictly positive paid costs")
-    lost = lost[lost > 0.0]
+    won, lost = _ortb_observations(won_costs, lost_bids)
+    scratch = np.empty(max(won.size, lost.size))
+    known: dict[float, float] = {}
     # The arrays reach the score through `args`, not a closure: brentq wraps
     # its callable in a self-referencing function, and a closure would keep
     # every refit's arrays alive until the cyclic garbage collector runs.
-    args = (won, lost, won.size + lost.size)
+    args = (won, lost, won.size + lost.size, scratch[: won.size], scratch[: lost.size], known)
 
-    lo = 1e-12
     hi = 4.0 * float(np.max(won)) + 1.0
-    while _ortb_score(hi, *args) > 0.0 and hi < 1e15:
+    while (f_hi := _ortb_score(hi, *args)) > 0.0 and hi < 1e15:
         hi *= 10.0
-    if _ortb_score(hi, *args) > 0.0:
-        return OrtbFit(hi, converged=False, log_likelihood=_ortb_log_likelihood(hi, won, lost))
+    if f_hi > 0.0:
+        return OrtbFit(hi, converged=False)
+    lo = 1e-12
+    f_lo = _ortb_score(lo, *args)
+    if f_lo < 0.0:
+        return OrtbFit(lo, converged=False)
+    known[lo], known[hi] = f_lo, f_hi
     c_hat = float(brentq(_ortb_score, lo, hi, args=args, xtol=1e-12, rtol=1e-12))
-    return OrtbFit(c_hat, converged=True, log_likelihood=_ortb_log_likelihood(c_hat, won, lost))
+    return OrtbFit(c_hat, converged=True)

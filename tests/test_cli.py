@@ -430,6 +430,18 @@ class TestFit:
             assert run(["fit", "--observations", str(observations_csv), "--out-dir", str(out)]) == 0
         assert read_dir(a) == read_dir(b)
 
+    def test_ortb_root_below_the_bracket_is_reported_unconverged(self, tmp_path):
+        path = tmp_path / "tiny.csv"
+        path.write_text("outcome,bid_price,paid_cost\nWON,2.0,1e-300\nLOST,0.5,\n")
+        out = tmp_path / "fit"
+        argv = ["fit", "--observations", str(path), "--out-dir", str(out), "--family", "ortb"]
+        assert run(argv) == 0
+        payload = json.loads((out / "fit.json").read_text())
+        jsonschema.validate(payload, SCHEMA)
+        assert payload["c"] == 1e-12
+        assert payload["converged"] is False
+        assert math.isfinite(payload["log_likelihood"])
+
     def test_bad_csv_exits_2(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("outcome\nWON\n")

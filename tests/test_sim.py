@@ -229,10 +229,92 @@ class TestRunMonteCarlo:
         run_monte_carlo(instance, FixedAlphaStrategy(np.ones(4)), epochs=2, seed=0)
         assert len(builds) == 1
 
+    def test_ad_changes_regather_rows(self):
+        instance = gen_mock_instance(MockConfig(n_impressions=90, seed=4))
+        expected = reference_run_monte_carlo(instance, ShiftingAds(), epochs=6, seed=5)
+        strategy = ShiftingAds()
+        report = run_monte_carlo(instance, strategy, epochs=6, seed=5)
+        assert report.per_strategy_metrics["shifting"] == expected[0]
+        assert report.per_constraint == expected[1]
+        # Epoch 2 bid from a new array, epoch 4 from the same array mutated.
+        arrays = [array for array, _ in strategy.seen]
+        values = [copy for _, copy in strategy.seen]
+        assert arrays[1] is not arrays[2] and arrays[3] is arrays[4]
+        assert not np.array_equal(values[1], values[2])
+        assert not np.array_equal(values[3], values[4])
+        assert all(np.any(v == -1) for v in values)
+
     def test_epoch_count_validation(self):
         instance = gen_mock_instance(MockConfig(n_impressions=10))
         with pytest.raises(ValueError):
             run_monte_carlo(instance, FixedAlphaStrategy(np.ones(4)), epochs=0, seed=0)
+
+
+def reference_run_monte_carlo(instance, strategy, epochs, seed):
+    """`run_monte_carlo` written out with the chosen ads' rows gathered on every epoch."""
+    n = len(instance.impressions)
+    model = DspChoiceModel(instance)
+    phi_v, psi_v = model.objective_coeffs
+    phi_w, psi_w = model.constraint_coeffs
+    rows = np.arange(n)
+    strategy.reset(model)
+    rng = np.random.default_rng(seed)
+    metrics = []
+    consumption_total = np.zeros(instance.n_constraints)
+    for epoch in range(epochs):
+        x = np.exp(model.mu + model.sigma * rng.standard_normal(n))
+        ad_idx, bids = strategy.epoch_bids()
+        bids = np.minimum(np.maximum(bids, 0.0), instance.bid_cap)
+        won = (ad_idx >= 0) & (bids > 0.0) & (bids > x)
+        paid = np.where(won, x, 0.0)
+        sel = np.where(ad_idx >= 0, ad_idx, 0)
+        revenue_vec = np.where(won, phi_v[rows, sel], 0.0) + psi_v[rows, sel] * paid
+        perf_vec = np.where(won, model.ppi[rows, sel], 0.0)
+        consumption_total += (
+            np.where(won[:, None], phi_w[rows, sel, :], 0.0) + psi_w[rows, sel, :] * paid[:, None]
+        ).sum(axis=0)
+        revenue, cost, wins = float(np.sum(revenue_vec)), float(np.sum(paid)), int(np.sum(won))
+        metrics.append(
+            sim.EpochMetrics(
+                epoch=epoch, revenue=revenue, cost=cost, performance=float(np.sum(perf_vec)),
+                wins=wins, actual_roi=revenue / cost if cost > 0.0 else 0.0,
+                revenue_per_win=revenue / wins if wins else 0.0, param=strategy.param,
+                degenerate=cost <= 0.0,
+            )
+        )
+        strategy.end_epoch(
+            sim.EpochFeedback(bids=bids, won=won, paid=paid, revenue=revenue, cost=cost)
+        )
+    per_constraint = [
+        sim.ConstraintRow(k=k, limit=float(model.budgets[k]), consumption=float(total / epochs))
+        for k, total in enumerate(consumption_total)
+    ]
+    return metrics, per_constraint
+
+
+class ShiftingAds(sim.Strategy):
+    """Random ads (some -1) whose choice changes twice: by a new array, then in place."""
+
+    name = "shifting"
+
+    def reset(self, model):
+        rng = np.random.default_rng(8)
+        self.n_ads = model.instance.n_ads
+        self.ad_idx = rng.integers(-1, self.n_ads, model.n_items)
+        self.bids = rng.uniform(0.0, 0.2, model.n_items)
+        self.seen, self.epoch = [], 0
+
+    def epoch_bids(self):
+        self.seen.append((self.ad_idx, self.ad_idx.copy()))
+        return self.ad_idx, self.bids
+
+    def end_epoch(self, feedback):
+        self.epoch += 1
+        if self.epoch == 2:
+            self.ad_idx = np.where(self.ad_idx >= 0, (self.ad_idx + 1) % self.n_ads, -1)
+        elif self.epoch == 4:
+            self.ad_idx[::3] = -1
+            self.ad_idx[1::3] = self.n_ads - 1
 
 
 class TestCompareStrategies:

@@ -14,11 +14,13 @@ from dualbid.landscape import (
 )
 from dualbid.sim import make_strategy
 from dualbid.strategies import (
+    OrtbFit,
     OrtbState,
     lin_bid,
     multiplicative_update,
     ortb_bid,
     ortb_fit_c,
+    ortb_log_likelihood,
 )
 
 
@@ -153,6 +155,28 @@ class TestOrtbFitC:
             split_observations([])
         with pytest.raises(NoWinObservationsError):
             ortb_fit_c(np.array([]), np.array([1.0]))
+
+    def test_root_below_the_lower_bracket(self):
+        # A won cost far below the bracket end 1e-12 makes the score negative there.
+        fit = ortb_fit_c(np.array([1e-300]), np.array([0.5]))
+        assert fit == OrtbFit(1e-12, converged=False)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_won_cost_raises(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ortb_fit_c(np.array([0.5, bad]), np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lost_bid_raises(self, bad):
+        # A NaN lost bid used to fail `lost > 0` and vanish from the fit.
+        with pytest.raises(ValueError, match="finite"):
+            ortb_fit_c(np.array([0.5]), np.array([1.0, bad]))
+
+    def test_log_likelihood_drops_vacuous_lost_bids(self):
+        won = np.array([0.3, 0.9])
+        assert ortb_log_likelihood(1.2, won, np.array([0.0, 2.0, -1.0])) == ortb_log_likelihood(
+            1.2, won, np.array([2.0])
+        )
 
     def test_leaves_no_cyclic_garbage(self):
         # The fit's arrays must be freed by reference counting alone: with a
