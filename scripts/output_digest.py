@@ -9,10 +9,10 @@ match wrote byte-identical outputs.
     python scripts/output_digest.py                   # the src/ beside this script
     python scripts/output_digest.py --src other/src   # another checkout's package
 
-The observation logs for `fit` are generated and written here with numpy and
-the csv module alone, so both trees fit the same bytes. They match the
-benchmark's `fit_logs` pools of the first seed: log-normal competing bids
-censored at bids set to lose 20% or 40% of auctions, flat or scattered.
+The observation logs for `fit` are the benchmark's `fit_logs` pools of seed 0,
+drawn by `perfbench/workloads.py:observation_pool` of this checkout. They are
+written here with the csv module, not with the package under test, so both
+trees fit the same bytes.
 """
 
 from __future__ import annotations
@@ -28,40 +28,32 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (0, 1, 2)
 REPLAY_EPOCHS = 60
 N_IMPRESSIONS = 2000
 STRATEGIES = "db_single,db_multi,ortb,lin"
 #: Prices of the two budget rows and the two ROI rows of a default instance.
 FIXED_ALPHA = [0.0, 0.66, 0.36, 0.0]
-FIT_POOLS = [(share, per_row) for share in (0.2, 0.4) for per_row in (False, True)]
-FIT_ROWS = 2000
+#: Seed of the benchmark's `fit_logs` pools that `fit` runs on.
+FIT_SEED = 0
 
 
-def write_pool(path: Path, seed: int, k: int, share: float, per_row: bool) -> None:
-    """One censored auction log in the `fit --observations` CSV format."""
-    rng = np.random.default_rng([seed, k])
-    mu = float(rng.uniform(-0.5, 0.5))
-    sigma = float(rng.uniform(0.4, 0.7))
-    competing = np.exp(mu + sigma * rng.standard_normal(FIT_ROWS))
-    level = mu + sigma * float(ndtri(1.0 - share))
-    spread = 0.5 * rng.standard_normal(FIT_ROWS) if per_row else np.zeros(FIT_ROWS)
-    bids = np.exp(level + spread)
+def write_log(path: Path, observations) -> None:
+    """Observations in the `fit --observations` CSV format."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["outcome", "bid_price", "paid_cost"])
-        for x, b in zip(competing, bids):
-            if x < b:
-                writer.writerow(["WON", repr(float(b)), repr(float(x))])
-            else:
-                writer.writerow(["LOST", repr(float(b)), ""])
+        for o in observations:
+            cost = "" if o.paid_cost is None else repr(o.paid_cost)
+            writer.writerow([o.outcome.value, repr(o.bid_price), cost])
 
 
-def commands(work: Path, seeds: list[int]) -> list[tuple[str, list[str]]]:
+def commands(work: Path, n_pools: int) -> list[tuple[str, list[str]]]:
     """(label, argv) pairs; each label is also the command's output directory."""
     out = []
-    for seed in seeds:
+    for seed in SEEDS:
         instance = str(work / f"gen_{seed}" / "instance.json")
         replay = ["--instance", instance, "--epochs", str(REPLAY_EPOCHS), "--seed", str(seed)]
         out += [
@@ -75,7 +67,7 @@ def commands(work: Path, seeds: list[int]) -> list[tuple[str, list[str]]]:
                  "--params", json.dumps({"alpha": FIXED_ALPHA})],
             ),
         ]
-    for k in range(len(FIT_POOLS)):
+    for k in range(n_pools):
         log = str(work / f"observations_{k}.csv")
         for family in ("lognormal", "ortb"):
             out.append((f"fit_{family}_{k}", ["fit", "--observations", log, "--family", family]))
@@ -85,16 +77,16 @@ def commands(work: Path, seeds: list[int]) -> list[tuple[str, list[str]]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+        "--src", type=Path, default=ROOT / "src",
         help="directory holding the dualbid package to run (default: this checkout's src/)",
     )
-    parser.add_argument("--seeds", default="0,1,2", help="comma-separated instance seeds")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
 
     src = args.src.resolve()
+    sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, str(src))
     from dualbid import cli
+    from workloads import FIT_POOLS, FIT_ROWS, observation_pool
 
     if not Path(cli.__file__).resolve().is_relative_to(src):
         parser.error(f"imported dualbid from {cli.__file__}, not from {src}")
@@ -102,8 +94,10 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for k, (share, per_row) in enumerate(FIT_POOLS):
-            write_pool(work / f"observations_{k}.csv", seeds[0], k, share, per_row)
-        for label, cmd in commands(work, seeds):
+            rng = np.random.default_rng([FIT_SEED, k])
+            _, _, observations = observation_pool(rng, FIT_ROWS, share, per_row)
+            write_log(work / f"observations_{k}.csv", observations)
+        for label, cmd in commands(work, len(FIT_POOLS)):
             out_dir = work / label
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main([*cmd, "--out-dir", str(out_dir)])
