@@ -1,18 +1,20 @@
 """Print the SHA-256 of every primary output of a fixed set of dualbid commands.
 
-Runs `gen`, `solve`, `compare`, `simulate` (ortb and fixed_alpha) and `fit`
-(both families) in process into a temporary directory, and prints one line
-per output file: digest, then `<command label>/<file name>`. `manifest.json`
-holds timings and versions, so it is left out. Two source trees whose digests
-match wrote byte-identical outputs.
+Runs `gen` and `solve` (both objectives), `compare`, `simulate` (ortb and
+fixed_alpha), a wide `solve` and `fit` (both families) in process into a
+temporary directory, and prints one line per output file: digest, then
+`<command label>/<file name>`. `manifest.json` holds timings and versions, so
+it is left out. Two source trees whose digests match wrote byte-identical
+outputs.
 
     python scripts/output_digest.py                   # the src/ beside this script
     python scripts/output_digest.py --src other/src   # another checkout's package
 
 The observation logs for `fit` are the benchmark's `fit_logs` pools of seed 0,
-drawn by `perfbench/workloads.py:observation_pool` of this checkout. They are
-written here with the csv module, not with the package under test, so both
-trees fit the same bytes.
+drawn by `perfbench/workloads.py:observation_pool` of this checkout, and the
+wide instance is the benchmark's `solve_wide` instance of seed 0
+(`wide_instance`). They are written here with the csv and json modules, not
+with the package under test, so both trees read the same bytes.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ STRATEGIES = "db_single,db_multi,ortb,lin"
 FIXED_ALPHA = [0.0, 0.66, 0.36, 0.0]
 #: Seed of the benchmark's `fit_logs` pools that `fit` runs on.
 FIT_SEED = 0
+#: Size, seed and epochs of the benchmark's `solve_wide` instance solved here.
+WIDE_N, WIDE_SEED, WIDE_EPOCHS = 2000, 0, 40
 
 
 def write_log(path: Path, observations) -> None:
@@ -50,15 +54,41 @@ def write_log(path: Path, observations) -> None:
             writer.writerow([o.outcome.value, repr(o.bid_price), cost])
 
 
+def write_instance(path: Path, instance, seed: int) -> None:
+    """`instance` in the `solve --instance` JSON format."""
+    payload = {
+        "mode": instance.mode.value,
+        "objective": {"mode": instance.objective.mode.value, "kind": instance.objective.kind.value},
+        "bid_cap": instance.bid_cap,
+        "ads": [
+            {"id": ad.id, "cpp": ad.economics.cpp, "cr": ad.economics.cr} for ad in instance.ads
+        ],
+        "constraints": [
+            {"kind": c.kind.value, "mode": c.mode.value, "bound": c.bound, "scope": sorted(c.scope)}
+            for c in instance.constraints
+        ],
+        "impressions": [
+            {"id": imp.id, "mu": imp.prior.mu, "sigma": imp.prior.sigma, "ppi": list(imp.ppi)}
+            for imp in instance.impressions
+        ],
+        "seed": seed,
+    }
+    path.write_text(json.dumps(payload))
+
+
 def commands(work: Path, n_pools: int) -> list[tuple[str, list[str]]]:
     """(label, argv) pairs; each label is also the command's output directory."""
     out = []
     for seed in SEEDS:
         instance = str(work / f"gen_{seed}" / "instance.json")
         replay = ["--instance", instance, "--epochs", str(REPLAY_EPOCHS), "--seed", str(seed)]
+        performance = str(work / f"gen_performance_{seed}" / "instance.json")
+        gen = ["gen", "--n-impressions", str(N_IMPRESSIONS), "--seed", str(seed)]
         out += [
-            (f"gen_{seed}", ["gen", "--n-impressions", str(N_IMPRESSIONS), "--seed", str(seed)]),
+            (f"gen_{seed}", gen),
             (f"solve_{seed}", ["solve", "--instance", instance]),
+            (f"gen_performance_{seed}", [*gen, "--objective", "performance"]),
+            (f"solve_performance_{seed}", ["solve", "--instance", performance]),
             (f"compare_{seed}", ["compare", "--strategies", STRATEGIES, *replay]),
             (f"simulate_ortb_{seed}", ["simulate", "--strategy", "ortb", *replay]),
             (
@@ -67,6 +97,8 @@ def commands(work: Path, n_pools: int) -> list[tuple[str, list[str]]]:
                  "--params", json.dumps({"alpha": FIXED_ALPHA})],
             ),
         ]
+    wide = ["solve", "--instance", str(work / "wide.json"), "--epochs-sgd", str(WIDE_EPOCHS)]
+    out.append(("solve_wide", wide))
     for k in range(n_pools):
         log = str(work / f"observations_{k}.csv")
         for family in ("lognormal", "ortb"):
@@ -86,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, str(src))
     from dualbid import cli
-    from workloads import FIT_POOLS, FIT_ROWS, observation_pool
+    from workloads import FIT_POOLS, FIT_ROWS, observation_pool, wide_instance
 
     if not Path(cli.__file__).resolve().is_relative_to(src):
         parser.error(f"imported dualbid from {cli.__file__}, not from {src}")
@@ -97,6 +129,7 @@ def main(argv: list[str] | None = None) -> int:
             rng = np.random.default_rng([FIT_SEED, k])
             _, _, observations = observation_pool(rng, FIT_ROWS, share, per_row)
             write_log(work / f"observations_{k}.csv", observations)
+        write_instance(work / "wide.json", wide_instance(WIDE_N, WIDE_SEED), WIDE_SEED)
         for label, cmd in commands(work, len(FIT_POOLS)):
             out_dir = work / label
             with contextlib.redirect_stdout(io.StringIO()):

@@ -20,12 +20,19 @@ top-scoring ad. `DspChoiceModel.decide_rows` runs it over all rows for the
 evaluator, `decisions.csv` and the replay; the SGD step runs it over each
 mini-batch (`batch_consumption`), and `beta_sum` and `item_best` read the
 per-ad scores it computes on the way.
+
+A 64-row batch at M = 2 gives each array pass 128 cells, which cost about as
+much as the numpy call itself, so the kernel makes few calls, about 40 per
+SGD step: bid, win probability, cost and score fill one stacked buffer in
+place, and one `take` picks each row's top ad from all four. Each element
+goes through the same floating-point operations, so outputs keep their bits.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -76,9 +83,15 @@ class Impression:
     ppi: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ppi", tuple(float(p) for p in self.ppi))
-        if any(p < 0.0 or not math.isfinite(p) for p in self.ppi):
-            raise ValueError(f"ppi entries must be finite and >= 0, got {self.ppi!r}")
+        # One pass converts and checks each entry; NaN fails `0.0 <= p`.
+        ppi = []
+        for p in self.ppi:
+            if not isinstance(p, float) and (isinstance(p, bool) or not isinstance(p, numbers.Real)):
+                raise TypeError(f"ppi entries must be real numbers, got {p!r}")
+            if not 0.0 <= (p := float(p)) < math.inf:
+                raise ValueError(f"ppi entries must be finite and >= 0, got {self.ppi!r}")
+            ppi.append(p)
+        object.__setattr__(self, "ppi", tuple(ppi))
 
 
 @dataclass
@@ -140,44 +153,42 @@ def compose_coeffs(
     return UtilityCoeffs(float(phi[j]), float(psi[j]))
 
 
-def _best_bids(phi: np.ndarray, psi: np.ndarray, cap: float) -> np.ndarray:
-    """Vectorized argmax-bid case table over per-ad coefficient arrays."""
-    interior = (phi > 0.0) & (psi < 0.0)
-    safe_psi = np.where(interior, psi, -1.0)
-    bp = np.where(interior, np.minimum(-phi / safe_psi, cap), 0.0)
-    at_cap = ((phi >= 0.0) & (psi >= 0.0) & ((phi > 0.0) | (psi > 0.0))) | (
-        (phi < 0.0) & (psi > 0.0)
-    )
-    return np.where(at_cap, cap, bp)
+def _best_bids(phi: np.ndarray, psi: np.ndarray, cap: float, out: np.ndarray) -> np.ndarray:
+    """Vectorized argmax-bid case table over per-ad coefficient arrays, into zeroed `out`.
 
-
-def _win_prob_cost(bp: np.ndarray, mu, sigma, mean) -> tuple[np.ndarray, np.ndarray]:
-    """Win probability and expected cost at bids `bp`; the prior arrays broadcast to it.
-
-    The cost is the landscape mean times Phi(z - sigma), formed in log space
-    where the mean overflowed, as `landscape.partial_moment` does. Bids <= 0
-    neither win nor pay.
+    The bid is min(-phi/psi, cap) where phi > 0 > psi, else the cap where
+    max(phi, psi) > 0, else 0 (NaN included). `out` holds the negated bid
+    until the last pass, 0 - out, which leaves a zero bid +0.0.
     """
-    prob = np.zeros(bp.shape)
-    cost = np.zeros(bp.shape)
-    pos = bp > 0.0
-    mu, sigma, mean = (np.broadcast_to(a, bp.shape)[pos] for a in (mu, sigma, mean))
-    z = (np.log(bp[pos]) - mu) / sigma
-    prob[pos] = ndtr(z)
-    over = np.isinf(mean)
-    moment = np.where(over, 0.0, mean) * ndtr(z - sigma)
-    if np.any(over):
-        mu, sigma, z = mu[over], sigma[over], z[over]
-        moment[over] = np.exp(mu + 0.5 * sigma * sigma + log_ndtr(z - sigma))
-    cost[pos] = moment
-    return prob, cost
+    positive = np.maximum(phi, psi) > 0.0
+    np.copyto(out, -cap, where=positive)
+    np.divide(phi, psi, out=out, where=positive & (psi < 0.0))
+    np.maximum(out, -cap, out=out)
+    return np.subtract(0.0, out, out=out)
 
 
-def _responses(phi, psi, mu, sigma, mean, cap: float):
-    """Best bid, win probability, expected cost and score of every ad's composite."""
-    bp = _best_bids(phi, psi, cap)
-    prob, cost = _win_prob_cost(bp, mu, sigma, mean)
-    return bp, prob, cost, phi * prob + psi * cost
+def _win_prob_cost(bp: np.ndarray, mu, sigma, mean, over, out: np.ndarray) -> np.ndarray:
+    """Win probability and expected cost at bids `bp`, into `out`, shaped (2, *bp.shape).
+
+    The prior arrays broadcast to `bp`; the cost is the mean times Phi(z -
+    sigma), and one `ndtr` call forms both CDFs. A bid <= 0 keeps z = -inf,
+    so it neither wins nor pays (scipy's ufuncs mishandle `where=`). Where
+    `over` (None if empty) marks an overflowed mean, `mean` holds 0 and the
+    cost is formed in log space, as `landscape.partial_moment` does.
+    """
+    prob, cost = out
+    prob.fill(-np.inf)
+    np.log(bp, out=prob, where=bp > 0.0)
+    prob -= mu
+    prob /= sigma
+    np.subtract(prob, sigma, out=cost)
+    if over is not None:
+        log_moment = mu + 0.5 * sigma * sigma + log_ndtr(cost)
+    ndtr(out, out=out)
+    cost *= mean
+    if over is not None:
+        np.exp(log_moment, out=cost, where=over & (bp > 0.0))
+    return out
 
 
 class RowDecisions(NamedTuple):
@@ -196,21 +207,18 @@ class RowDecisions(NamedTuple):
     cost: np.ndarray
 
 
-def _first_max(bp, prob, cost, score) -> RowDecisions:
-    """Each row's first top-scoring ad, which bids iff its score is >= 0 and its bid > 0.
+def _first_max(responses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's first top-scoring ad, that ad's column of `responses`, and whether it bids.
 
-    A bid of 0 cannot win a second-price auction, so it counts as no bid.
+    A row bids iff the score is >= 0 and the bid > 0, as a bid of 0 cannot
+    win a second-price auction. With no ads no row bids and the score is -inf.
     """
-    n, m = score.shape
+    _, n, m = responses.shape
     if m == 0:
-        none = np.zeros(n)
-        return RowDecisions(np.full(n, -1), none, np.full(n, -np.inf), none, none)
-    rows = np.arange(n)
-    ad = np.argmax(score, axis=1)
-    best = score[rows, ad]
-    bids = (best >= 0.0) & (bp[rows, ad] > 0.0)
-    bp, prob, cost = (np.where(bids, a[rows, ad], 0.0) for a in (bp, prob, cost))
-    return RowDecisions(np.where(bids, ad, -1), bp, best, prob, cost)
+        return np.full(n, -1), np.repeat([[0.0], [0.0], [0.0], [-np.inf]], n, 1), np.zeros(n, bool)
+    ad = responses[3].argmax(axis=1)
+    picked = responses.reshape(4, n * m).take(np.arange(0, n * m, m) + ad, axis=1)
+    return ad, picked, (picked[3] >= 0.0) & (picked[0] > 0.0)
 
 
 class DspChoiceModel(mmkp.ChoiceModel):
@@ -246,12 +254,18 @@ class DspChoiceModel(mmkp.ChoiceModel):
                 self._w[:, 1, j, c] = w.psi
         self._budgets = np.array([constraint_limit(s) for s in instance.constraints])
         self._cap = float(instance.bid_cap)
-        self._mu = np.array([imp.prior.mu for imp in instance.impressions])
-        self._sigma = np.array([imp.prior.sigma for imp in instance.impressions])
-        # `landscape.mean` per impression, not `np.exp` over the array: the
-        # two can differ in the last bit.
-        self._mean = np.array([landscape.mean(imp.prior) for imp in instance.impressions])
-        for shared in (self._ppi, self._mu, self._sigma):
+        # mu, sigma and mean stacked as (3, N, 1) for one gather per batch. The
+        # mean is `landscape.mean` per impression, not `np.exp` over the array
+        # (their last bits can differ); where it overflowed it is stored as 0
+        # and flagged in `_over` (None if there is none).
+        priors = [imp.prior for imp in instance.impressions]
+        self._prior = np.array(
+            [[p.mu for p in priors], [p.sigma for p in priors], [landscape.mean(p) for p in priors]]
+        )[:, :, None]
+        over = np.isinf(self._prior[2])
+        self._prior[2][over] = 0.0
+        self._over = over if over.any() else None
+        for shared in (self._ppi, self._prior):
             shared.flags.writeable = False
 
     @property
@@ -270,12 +284,12 @@ class DspChoiceModel(mmkp.ChoiceModel):
     @property
     def mu(self) -> np.ndarray:
         """Landscape prior `mu` per impression, shaped (N,); read-only."""
-        return self._mu
+        return self._prior[0, :, 0]
 
     @property
     def sigma(self) -> np.ndarray:
         """Landscape prior `sigma` per impression, shaped (N,); read-only."""
-        return self._sigma
+        return self._prior[1, :, 0]
 
     @property
     def objective_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -299,15 +313,22 @@ class DspChoiceModel(mmkp.ChoiceModel):
         c = self._v[rows] - self._w[rows] @ np.asarray(alpha, dtype=float)
         return c[..., 0, :], c[..., 1, :]
 
-    def _respond(self, rows: int | slice | np.ndarray, alpha: np.ndarray):
-        """`_responses` of every ad's composite on the selected impressions."""
-        phi, psi = self.composite(rows, alpha)
-        prior = (self._mu[rows, None], self._sigma[rows, None], self._mean[rows, None])
-        return _responses(phi, psi, *prior, self._cap)
+    def _respond(self, rows: int | slice | np.ndarray, alpha: np.ndarray, w=None) -> np.ndarray:
+        """Stacked bid, win probability, cost and score per ad; `w` is `_w[rows]` if gathered."""
+        w = self._w[rows] if w is None else w
+        c = (self._v[rows] - w @ np.asarray(alpha, dtype=float)).swapaxes(0, -2)  # phi, psi
+        over = None if self._over is None else self._over[rows]
+        out = np.zeros((4, *c.shape[1:]))
+        _best_bids(*c, self._cap, out[0])
+        _win_prob_cost(out[0], *self._prior[:, rows], over, out[1:3])
+        np.add(*(c * out[1:3]), out=out[3])
+        return out
 
     def decide_rows(self, alpha: np.ndarray) -> RowDecisions:
         """The decision rule for every impression at prices `alpha`."""
-        return _first_max(*self._respond(slice(None), alpha))
+        ad, picked, bids = _first_max(self._respond(slice(None), alpha))
+        bp, prob, cost = np.where(bids, picked[:3], 0.0)
+        return RowDecisions(np.where(bids, ad, -1), bp, picked[3], prob, cost)
 
     def bid_decisions(self, alpha: np.ndarray) -> list[BidDecision]:
         """`decide_rows` as one `BidDecision` per impression."""
@@ -331,22 +352,23 @@ class DspChoiceModel(mmkp.ChoiceModel):
         The rule is `decide_rows`': a row bids iff its top score is >= 0 and
         its bid is positive.
         """
-        decided = _first_max(*self._respond(rows, alpha))
-        bids = decided.ad >= 0
-        w = self._w[np.asarray(rows)[bids], :, decided.ad[bids]]  # (bidding rows, 2, K)
-        return decided.prob[bids] @ w[:, 0] + decided.cost[bids] @ w[:, 1]
+        w = self._w[rows]
+        ad, picked, bids = _first_max(self._respond(rows, alpha, w))
+        # `compress` keeps rows contiguous; strided vectors change the products' bits.
+        prob, cost = picked[1:3].compress(bids, axis=1)
+        w = w[bids, :, ad[bids]]  # (bidding rows, 2, K)
+        return prob @ w[:, 0] + cost @ w[:, 1]
 
     def beta_sum(self, alpha: np.ndarray) -> float:
         score = self._respond(slice(None), alpha)[3]
         if score.shape[1] == 0:
             return 0.0
-        return float(np.sum(np.maximum(score.max(axis=1), 0.0)))
+        return float(np.maximum(score.max(axis=1), 0.0).sum())
 
     def _prob_cost_at(self, i: int, sub_choice: float) -> tuple[float, float]:
-        prob, cost = _win_prob_cost(
-            np.array([sub_choice]), self._mu[i], self._sigma[i], self._mean[i]
-        )
-        return prob[0], cost[0]
+        over = None if self._over is None else self._over[i]
+        out = _win_prob_cost(np.array([sub_choice]), *self._prior[:, i], over, np.empty((2, 1)))
+        return out[0, 0], out[1, 0]
 
     def gain(self, i: int, j: int, sub_choice: float) -> float:
         prob, cost = self._prob_cost_at(i, sub_choice)

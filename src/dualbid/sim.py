@@ -255,7 +255,7 @@ def instance_from_json(payload: dict) -> DspInstance:
             ConstraintSpec(
                 ConstraintKind(entry["kind"]),
                 PaymentMode(entry["mode"]),
-                float(entry["bound"]),
+                _real(entry["bound"], "constraint bound"),
                 frozenset(entry["scope"]),
             )
             for entry in payload["constraints"]
@@ -263,8 +263,8 @@ def instance_from_json(payload: dict) -> DspInstance:
         impressions = [
             Impression(
                 entry.get("id", i),
-                LandscapePrior(float(entry["mu"]), float(entry["sigma"])),
-                tuple(entry["ppi"]),
+                LandscapePrior(_real(entry["mu"], "mu"), _real(entry["sigma"], "sigma")),
+                entry["ppi"],
             )
             for i, entry in enumerate(payload["impressions"])
         ]
@@ -274,12 +274,19 @@ def instance_from_json(payload: dict) -> DspInstance:
             ads=ads,
             constraints=constraints,
             impressions=impressions,
-            bid_cap=float(payload.get("bid_cap", DEFAULT_BID_CAP)),
+            bid_cap=_real(payload.get("bid_cap", DEFAULT_BID_CAP), "bid_cap"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InstanceFormatError):
             raise
         raise InstanceFormatError(f"malformed instance document: {exc}") from exc
+
+
+def _real(value, name: str) -> float:
+    """A JSON number as a float; strings, booleans and other values raise."""
+    if isinstance(value, float) or _is_number(value):
+        return float(value)
+    raise InstanceFormatError(f"{name} must be a number, got {value!r}")
 
 
 def _optional_real(entry: dict, key: str) -> float | None:

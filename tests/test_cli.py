@@ -324,6 +324,43 @@ def test_non_numeric_ad_economics_exits_2(command, small_instance, tmp_path, cap
     assert "cpp" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("impressions", 0, "ppi"), "12"),
+        (("impressions", 0, "ppi"), ["0.1", "0.2"]),
+        (("impressions", 0, "ppi"), [True, False]),
+        (("impressions", 0, "mu"), "-3"),
+        (("impressions", 0, "sigma"), True),
+        (("constraints", 0, "bound"), "20"),
+        (("bid_cap",), "10"),
+    ],
+    ids=["ppi-string", "ppi-strings", "ppi-bools", "mu-string", "sigma-bool", "bound-string",
+         "bid-cap-string"],
+)
+def test_non_numeric_instance_numbers_exit_2(path, value, small_instance, tmp_path, capsys):
+    payload = json.loads(small_instance.read_text())
+    *parents, key = path
+    target = payload
+    for part in parents:
+        target = target[part]
+    target[key] = value
+    bad = tmp_path / "instance.json"
+    bad.write_text(json.dumps(payload))
+    assert run(["solve", "--instance", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_integer_instance_numbers_are_accepted(small_instance, tmp_path):
+    payload = json.loads(small_instance.read_text())
+    payload["impressions"][0].update(mu=-3, sigma=1, ppi=[0] * len(payload["ads"]))
+    payload["constraints"][0]["bound"] = 20
+    payload["bid_cap"] = 10
+    good = tmp_path / "instance.json"
+    good.write_text(json.dumps(payload))
+    assert run(["solve", "--instance", str(good), "--out-dir", str(tmp_path / "o")]) == 0
+
+
 class TestSimulateAndCompare:
     def test_lin_param_stays_under_bid_cap(self, tmp_path):
         # A base bid far above the cap: the replay bids at most the cap, and

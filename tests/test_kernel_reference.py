@@ -1,0 +1,266 @@
+"""The DSP decision kernel against a written-out reference copy of its array passes.
+
+The reference keeps the case table, the win-probability and cost pass and the
+first-max pass as plain numpy expressions over the model's own composite:
+one mask or `np.where` per case, prior arrays gathered per row, compressed
+log-normal arrays, fancy-indexed picks. `decide_rows`, `batch_consumption`,
+`beta_sum`, `item_best`, `gain` and `consumption` must reproduce it bit for
+bit, zero signs and NaNs included, on composites drawn from signed zeros,
+infinities, NaN, subnormal and huge values and bids exactly at the cap.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from scipy.special import log_ndtr, ndtr
+
+from dualbid import landscape
+from dualbid.dsp import Ad, DspChoiceModel, DspInstance, Impression, RowDecisions
+from dualbid.landscape import LandscapePrior
+from dualbid.utility import (
+    AdEconomics,
+    ConstraintKind,
+    ConstraintSpec,
+    ObjectiveKind,
+    ObjectiveSpec,
+    PaymentMode,
+)
+
+
+def reference_best_bids(phi, psi, cap):
+    interior = (phi > 0.0) & (psi < 0.0)
+    safe_psi = np.where(interior, psi, -1.0)
+    bp = np.where(interior, np.minimum(-phi / safe_psi, cap), 0.0)
+    at_cap = ((phi >= 0.0) & (psi >= 0.0) & ((phi > 0.0) | (psi > 0.0))) | (
+        (phi < 0.0) & (psi > 0.0)
+    )
+    return np.where(at_cap, cap, bp)
+
+
+def reference_win_prob_cost(bp, mu, sigma, mean):
+    prob = np.zeros(bp.shape)
+    cost = np.zeros(bp.shape)
+    pos = bp > 0.0
+    mu, sigma, mean = (np.broadcast_to(a, bp.shape)[pos] for a in (mu, sigma, mean))
+    z = (np.log(bp[pos]) - mu) / sigma
+    prob[pos] = ndtr(z)
+    over = np.isinf(mean)
+    moment = np.where(over, 0.0, mean) * ndtr(z - sigma)
+    if np.any(over):
+        mu, sigma, z = mu[over], sigma[over], z[over]
+        moment[over] = np.exp(mu + 0.5 * sigma * sigma + log_ndtr(z - sigma))
+    cost[pos] = moment
+    return prob, cost
+
+
+def reference_first_max(bp, prob, cost, score):
+    n, m = score.shape
+    if m == 0:
+        none = np.zeros(n)
+        return RowDecisions(np.full(n, -1), none, np.full(n, -np.inf), none, none)
+    rows = np.arange(n)
+    ad = np.argmax(score, axis=1)
+    best = score[rows, ad]
+    bids = (best >= 0.0) & (bp[rows, ad] > 0.0)
+    bp, prob, cost = (np.where(bids, a[rows, ad], 0.0) for a in (bp, prob, cost))
+    return RowDecisions(np.where(bids, ad, -1), bp, best, prob, cost)
+
+
+def prior_arrays(model):
+    """Per-impression mu, sigma and landscape mean, each shaped (N,)."""
+    means = np.array([landscape.mean(imp.prior) for imp in model.instance.impressions])
+    return model.mu, model.sigma, means
+
+
+def reference_responses(model, rows, alpha):
+    """Best bid, win probability, expected cost and score of every ad on `rows`."""
+    phi, psi = model.composite(rows, alpha)
+    prior = [a[rows, None] for a in prior_arrays(model)]
+    bp = reference_best_bids(phi, psi, model.instance.bid_cap)
+    prob, cost = reference_win_prob_cost(bp, *prior)
+    return bp, prob, cost, phi * prob + psi * cost
+
+
+def reference_batch_consumption(model, rows, alpha):
+    decided = reference_first_max(*reference_responses(model, rows, alpha))
+    bids = decided.ad >= 0
+    w = np.stack(model.constraint_coeffs, axis=1)[rows[bids], :, decided.ad[bids]]
+    return decided.prob[bids] @ w[:, 0] + decided.cost[bids] @ w[:, 1]
+
+
+def reference_beta_sum(model, alpha):
+    score = reference_responses(model, slice(None), alpha)[3]
+    if score.shape[1] == 0:
+        return 0.0
+    return float(np.sum(np.maximum(score.max(axis=1), 0.0)))
+
+
+def bits(x):
+    return np.asarray(x).tobytes()
+
+
+def assert_kernel_matches_reference(model, alpha, batches):
+    """Every kernel output equals the reference bit for bit; returns the bidding rows."""
+    decided = model.decide_rows(alpha)
+    want = reference_first_max(*reference_responses(model, slice(None), alpha))
+    for field, got, expected in zip(RowDecisions._fields, decided, want):
+        assert got.dtype == expected.dtype and got.shape == expected.shape, field
+        assert bits(got) == bits(expected), field
+    for rows in batches:
+        got = model.batch_consumption(rows, alpha)
+        assert bits(got) == bits(reference_batch_consumption(model, rows, alpha)), rows
+    assert bits(model.beta_sum(alpha)) == bits(reference_beta_sum(model, alpha))
+
+    mu, sigma, means = prior_arrays(model)
+    (phi_v, psi_v), (phi_w, psi_w) = model.objective_coeffs, model.constraint_coeffs
+    for i in range(model.n_items):
+        bp, _, _, score = reference_responses(model, i, alpha)
+        got_bp, got_score = model.item_best(i, alpha)
+        assert bits(got_bp) == bits(bp) and bits(got_score) == bits(score), i
+        for j in range(model.instance.n_ads):
+            for sub in (0.0, 0.01, float(bp[j]), model.instance.bid_cap):
+                prob, cost = reference_win_prob_cost(np.array([sub]), mu[i], sigma[i], means[i])
+                prob, cost = prob[0], cost[0]
+                gain = float(phi_v[i, j] * prob + psi_v[i, j] * cost)
+                used = phi_w[i, j] * prob + psi_w[i, j] * cost
+                assert bits(model.gain(i, j, sub)) == bits(gain), (i, j, sub)
+                assert bits(model.consumption(i, j, sub)) == bits(used), (i, j, sub)
+    return int(np.sum(decided.ad >= 0))
+
+
+def batches_of(n, rng):
+    """Every one-row batch, all rows in shuffled order, and a random subset."""
+    batches = [np.array([i]) for i in range(n)]
+    batches.append(rng.permutation(n))
+    batches.append(rng.permutation(n)[: rng.integers(0, n + 1)])
+    return batches
+
+
+def dsp_instance(rng, n, m, k, bid_cap=1e4, wide_sigma=False):
+    """Random P4P revenue instance; with `wide_sigma` every other prior has sigma 40."""
+    ads = [Ad(f"ad{j}", AdEconomics(cpp=rng.uniform(0.5, 3.0))) for j in range(m)]
+    ids = [ad.id for ad in ads]
+    kinds = list(ConstraintKind)
+    constraints = []
+    for _ in range(k if m else 0):
+        kind = kinds[rng.integers(len(kinds))]
+        scope = frozenset(rng.choice(ids, size=rng.integers(1, m + 1), replace=False).tolist())
+        constraints.append(ConstraintSpec(kind, PaymentMode.P4P, rng.uniform(0.5, 5.0), scope))
+    ppi = rng.uniform(0.0, 0.2, (n, m))
+    ppi[rng.uniform(size=(n, m)) < 0.15] = 0.0
+    impressions = [
+        Impression(
+            i,
+            LandscapePrior(
+                rng.uniform(-3.0, 0.0), 40.0 if wide_sigma and i % 2 else rng.uniform(0.3, 1.2)
+            ),
+            tuple(ppi[i]),
+        )
+        for i in range(n)
+    ]
+    revenue = ObjectiveSpec(PaymentMode.P4P, ObjectiveKind.REVENUE)
+    return DspInstance(PaymentMode.P4P, revenue, ads, constraints, impressions, bid_cap=bid_cap)
+
+
+CAPS = (0.05, 1.0, 1e4)
+SPECIAL = (
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300
+)
+coefficient = st.one_of(st.sampled_from(SPECIAL), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(0, 6),
+    m=st.integers(0, 4),
+    k=st.integers(0, 3),
+    cap=st.sampled_from(CAPS),
+    wide_sigma=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_special_composites(data, n, m, k, cap, wide_sigma, seed):
+    # The gain tensor is overwritten with the drawn composites and priced at
+    # alpha = 0, so `composite` returns them as drawn. `at_cap` cells hold
+    # (2 cap, -2), whose closed-form bid -phi/psi is the cap exactly;
+    # (-inf, inf) bids the cap with a NaN score, so its row must not bid.
+    rng = np.random.default_rng(seed)
+    model = DspChoiceModel(dsp_instance(rng, n, m, k, cap, wide_sigma))
+    cell = st.one_of(
+        st.sampled_from(["at_cap", (-math.inf, math.inf)]), st.tuples(coefficient, coefficient)
+    )
+    cells = data.draw(st.lists(cell, min_size=n * m, max_size=n * m))
+    for value, (i, j) in zip(cells, np.ndindex(n, m)):
+        model._v[i, :, j] = (2.0 * cap, -2.0) if value == "at_cap" else value
+    alpha = np.zeros(model.n_constraints)
+    with np.errstate(all="ignore"):
+        assert_kernel_matches_reference(model, alpha, batches_of(n, rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 70),
+    m=st.integers(0, 8),
+    k=st.integers(0, 10),
+    cap=st.sampled_from(CAPS),
+    scale=st.sampled_from([0.0, 0.3, 3.0, 1e6]),
+    wide_sigma=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_encoded_instances(n, m, k, cap, scale, wide_sigma, seed):
+    # Encoder-built coefficients at random prices; a RuntimeWarning fails.
+    rng = np.random.default_rng(seed)
+    model = DspChoiceModel(dsp_instance(rng, n, m, k, cap, wide_sigma))
+    alpha = rng.uniform(0.0, scale, model.n_constraints)
+    assert_kernel_matches_reference(model, alpha, batches_of(n, rng))
+
+
+class TestEdgeCases:
+    def test_bids_and_no_bids(self):
+        # One ad, so the rows where its PPI is 0 get no bid.
+        rng = np.random.default_rng(3)
+        model = DspChoiceModel(dsp_instance(rng, 40, 1, 2))
+        bidding = assert_kernel_matches_reference(model, np.full(2, 0.2), batches_of(40, rng))
+        assert 0 < bidding < 40
+
+    def test_overflowing_mean(self):
+        rng = np.random.default_rng(4)
+        instance = dsp_instance(rng, 12, 3, 2, wide_sigma=True)
+        assert landscape.mean(instance.impressions[1].prior) == math.inf
+        model = DspChoiceModel(instance)
+        assert assert_kernel_matches_reference(model, np.full(2, 0.1), batches_of(12, rng)) > 0
+
+    def test_no_ads(self):
+        rng = np.random.default_rng(5)
+        model = DspChoiceModel(dsp_instance(rng, 5, 0, 0))
+        assert assert_kernel_matches_reference(model, np.zeros(0), batches_of(5, rng)) == 0
+        assert model.batch_consumption(np.arange(5), np.zeros(0)).shape == (0,)
+
+    def test_no_constraints(self):
+        rng = np.random.default_rng(6)
+        model = DspChoiceModel(dsp_instance(rng, 9, 2, 0))
+        assert assert_kernel_matches_reference(model, np.zeros(0), batches_of(9, rng)) > 0
+
+    def test_no_impressions(self):
+        model = DspChoiceModel(dsp_instance(np.random.default_rng(7), 0, 2, 3))
+        assert_kernel_matches_reference(model, np.ones(model.n_constraints), [])
+
+    def test_zero_bids_are_positive_zeros(self):
+        # A NaN composite and one with phi <= 0 <= psi both bid +0.0.
+        model = DspChoiceModel(dsp_instance(np.random.default_rng(8), 1, 3, 0))
+        model._v[0] = [[math.nan, -1.0, 0.0], [1.0, 0.0, -0.0]]
+        bp, score = model.item_best(0, np.zeros(0))
+        assert bits(bp) == bits(np.zeros(3))
+        assert model.decide_rows(np.zeros(0)).ad[0] == -1
+        assert_kernel_matches_reference(model, np.zeros(0), [np.array([0])])
+
+    def test_nan_score_at_a_positive_bid_gets_no_bid(self):
+        # (-inf, inf) bids the cap and scores -inf * prob + inf * cost = NaN.
+        model = DspChoiceModel(dsp_instance(np.random.default_rng(9), 1, 2, 1))
+        model._v[0] = [[-math.inf, 1.0], [math.inf, -2.0]]
+        with np.errstate(invalid="ignore"):
+            bp, score = model.item_best(0, np.zeros(1))
+            assert bp[0] == model.instance.bid_cap and math.isnan(score[0])
+            assert model.decide_rows(np.zeros(1)).ad[0] == -1
+            assert assert_kernel_matches_reference(model, np.zeros(1), [np.array([0])]) == 0
