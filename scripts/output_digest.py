@@ -1,8 +1,9 @@
 """Print the SHA-256 of every primary output of a fixed set of dualbid commands.
 
 Runs `gen` and `solve` (both objectives), `compare`, `simulate` (ortb and
-fixed_alpha), a wide `solve` and `fit` (both families) in process into a
-temporary directory, and prints one line per output file: digest, then
+fixed_alpha), a wide `solve`, a `solve` of an instance with string impression
+ids and one of an instance with no ads, and `fit` (both families) in process
+into a temporary directory, and prints one line per output file: digest, then
 `<command label>/<file name>`. `manifest.json` holds timings and versions, so
 it is left out. Two source trees whose digests match wrote byte-identical
 outputs.
@@ -13,8 +14,10 @@ outputs.
 The observation logs for `fit` are the benchmark's `fit_logs` pools of seed 0,
 drawn by `perfbench/workloads.py:observation_pool` of this checkout, and the
 wide instance is the benchmark's `solve_wide` instance of seed 0
-(`wide_instance`). They are written here with the csv and json modules, not
-with the package under test, so both trees read the same bytes.
+(`wide_instance`); the string-id and no-ads instances are a smaller one of
+those with its impression ids, or its ads and constraints, replaced. They are
+written here with the csv and json modules, not with the package under test,
+so both trees read the same bytes.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ FIXED_ALPHA = [0.0, 0.66, 0.36, 0.0]
 FIT_SEED = 0
 #: Size, seed and epochs of the benchmark's `solve_wide` instance solved here.
 WIDE_N, WIDE_SEED, WIDE_EPOCHS = 2000, 0, 40
+#: Size of the string-id and no-ads instances, and the epochs they are solved with.
+SMALL_N, SMALL_EPOCHS = 200, 20
+#: String impression ids, cycled; two need quoting in a CSV field.
+STRING_IDS = ("imp-a", "imp,b", 'imp "c"', " imp d")
 
 
 def write_log(path: Path, observations) -> None:
@@ -54,9 +61,9 @@ def write_log(path: Path, observations) -> None:
             writer.writerow([o.outcome.value, repr(o.bid_price), cost])
 
 
-def write_instance(path: Path, instance, seed: int) -> None:
+def instance_payload(instance, seed: int) -> dict:
     """`instance` in the `solve --instance` JSON format."""
-    payload = {
+    return {
         "mode": instance.mode.value,
         "objective": {"mode": instance.objective.mode.value, "kind": instance.objective.kind.value},
         "bid_cap": instance.bid_cap,
@@ -73,7 +80,20 @@ def write_instance(path: Path, instance, seed: int) -> None:
         ],
         "seed": seed,
     }
-    path.write_text(json.dumps(payload))
+
+
+def write_instances(work: Path, wide_instance) -> None:
+    """The wide instance, and a small one with string impression ids and with no ads."""
+    wide = instance_payload(wide_instance(WIDE_N, WIDE_SEED), WIDE_SEED)
+    (work / "wide.json").write_text(json.dumps(wide))
+    small = instance_payload(wide_instance(SMALL_N, WIDE_SEED), WIDE_SEED)
+    impressions = small["impressions"]
+    for i, imp in enumerate(impressions):
+        imp["id"] = STRING_IDS[i % len(STRING_IDS)] + str(i)
+    (work / "string_ids.json").write_text(json.dumps(small))
+    no_ppi = [imp | {"ppi": []} for imp in impressions]
+    no_ads = small | {"ads": [], "constraints": [], "impressions": no_ppi}
+    (work / "no_ads.json").write_text(json.dumps(no_ads))
 
 
 def commands(work: Path, n_pools: int) -> list[tuple[str, list[str]]]:
@@ -99,6 +119,9 @@ def commands(work: Path, n_pools: int) -> list[tuple[str, list[str]]]:
         ]
     wide = ["solve", "--instance", str(work / "wide.json"), "--epochs-sgd", str(WIDE_EPOCHS)]
     out.append(("solve_wide", wide))
+    for name in ("string_ids", "no_ads"):
+        small = ["solve", "--instance", str(work / f"{name}.json"), "--epochs-sgd", str(SMALL_EPOCHS)]
+        out.append((f"solve_{name}", small))
     for k in range(n_pools):
         log = str(work / f"observations_{k}.csv")
         for family in ("lognormal", "ortb"):
@@ -129,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
             rng = np.random.default_rng([FIT_SEED, k])
             _, _, observations = observation_pool(rng, FIT_ROWS, share, per_row)
             write_log(work / f"observations_{k}.csv", observations)
-        write_instance(work / "wide.json", wide_instance(WIDE_N, WIDE_SEED), WIDE_SEED)
+        write_instances(work, wide_instance)
         for label, cmd in commands(work, len(FIT_POOLS)):
             out_dir = work / label
             with contextlib.redirect_stdout(io.StringIO()):

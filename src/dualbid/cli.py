@@ -28,7 +28,7 @@ from .dsp import DspChoiceModel, write_decisions_csv
 from .dsp import bid_decision  # noqa: F401 - perfbench/tracing.py wraps cli.bid_decision
 from .landscape import fit_censored, fit_to_json, read_observations_csv, split_observations
 from .mmkp import DivergenceError, dual_state_to_json, sgd_solve
-from .sim import InstanceFormatError, InvalidRangeError, MockConfig
+from .sim import InvalidRangeError, MockConfig
 from .strategies import ortb_fit_c, ortb_log_likelihood
 from .utility import ObjectiveKind, PaymentMode
 
@@ -119,6 +119,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.config is not None:
         with open(args.config) as handle:
             overrides = json.load(handle)
+        if not isinstance(overrides, dict):
+            raise InvalidRangeError(f"mock config must be a JSON object, got {overrides!r}")
         known = set(MockConfig.__dataclass_fields__)
         unknown = set(overrides) - known
         if unknown:
@@ -165,12 +167,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     stages.end("sgd")
     report = sim.run_expectation(model, state.alpha)
     stages.end("evaluate")
-    decisions = model.bid_decisions(state.alpha)
+    decisions = model.decide_rows(state.alpha)
     stages.end("decisions")
 
     _write_json(out_dir / "alpha.json", dual_state_to_json(state))
     sim.write_constraints_csv(out_dir / "constraints.csv", report.per_constraint)
-    write_decisions_csv(out_dir / "decisions.csv", decisions)
+    write_decisions_csv(out_dir / "decisions.csv", instance, decisions)
     summary = _summary_base("solve", args.seed) | {
         "primal_value": report.primal_value,
         "dual_value": report.dual_value,
@@ -355,13 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON in input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InstanceFormatError, InvalidRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DivergenceError as exc:

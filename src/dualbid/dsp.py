@@ -17,9 +17,10 @@ of a composite with the bits of two separate products.
 One array kernel applies that rule to any set of impressions: the composite
 of the selected rows, every ad's best response, then each row's first
 top-scoring ad. `DspChoiceModel.decide_rows` runs it over all rows for the
-evaluator, `decisions.csv` and the replay; the SGD step runs it over each
-mini-batch (`batch_consumption`), and `beta_sum` and `item_best` read the
-per-ad scores it computes on the way.
+evaluator and the replay, and `write_decisions_csv` writes `decisions.csv`
+straight from its arrays; `bid_decision` is its one-row view. The SGD step
+runs the kernel over each mini-batch (`batch_consumption`), and `beta_sum`
+and `item_best` read the per-ad scores it computes on the way.
 
 A 64-row batch at M = 2 gives each array pass 128 cells, which cost about as
 much as the numpy call itself, so the kernel makes few calls, about 40 per
@@ -35,7 +36,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
@@ -330,18 +331,6 @@ class DspChoiceModel(mmkp.ChoiceModel):
         bp, prob, cost = np.where(bids, picked[:3], 0.0)
         return RowDecisions(np.where(bids, ad, -1), bp, picked[3], prob, cost)
 
-    def bid_decisions(self, alpha: np.ndarray) -> list[BidDecision]:
-        """`decide_rows` as one `BidDecision` per impression."""
-        rows = self.decide_rows(alpha)
-        return [
-            BidDecision(imp.id, None, None, score)
-            if j < 0
-            else BidDecision(imp.id, self.instance.ads[j].id, bp, score)
-            for imp, j, bp, score in zip(
-                self.instance.impressions, rows.ad.tolist(), rows.bp.tolist(), rows.score.tolist()
-            )
-        ]
-
     def item_best(self, i: int, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bp, _, _, score = self._respond(i, alpha)
         return bp, score
@@ -388,23 +377,24 @@ def bid_decision(
     belong to `instance`. The top score wins (lowest ad index on ties) and a
     bid is sent iff that score is nonnegative and the bid is positive.
     """
-    single = DspChoiceModel(replace(instance, impressions=[impression]))
-    return single.bid_decisions(alpha)[0]
+    rows = DspChoiceModel(replace(instance, impressions=[impression])).decide_rows(alpha)
+    j = int(rows.ad[0])
+    ad, bp = (None, None) if j < 0 else (instance.ads[j].id, float(rows.bp[0]))
+    return BidDecision(impression.id, ad, bp, float(rows.score[0]))
 
 
 DECISION_CSV_HEADER = ["impression_id", "ad_id", "bid_price", "best_score"]
 
 
-def write_decisions_csv(path: str | Path, decisions: Sequence[BidDecision]) -> None:
+def write_decisions_csv(path: str | Path, instance: DspInstance, rows: RowDecisions) -> None:
+    """`decisions.csv` from `decide_rows`' arrays; a row without a bid leaves ad and bid empty."""
+    ad_ids = [ad.id for ad in instance.ads]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(DECISION_CSV_HEADER)
-        for d in decisions:
-            writer.writerow(
-                [
-                    d.impression_id,
-                    d.chosen_ad or "",
-                    "" if d.bid_price is None else repr(d.bid_price),
-                    repr(d.best_score),
-                ]
+        writer.writerows(
+            (imp.id, "", "", repr(score)) if j < 0 else (imp.id, ad_ids[j], repr(bp), repr(score))
+            for imp, j, bp, score in zip(
+                instance.impressions, rows.ad.tolist(), rows.bp.tolist(), rows.score.tolist()
             )
+        )

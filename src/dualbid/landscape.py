@@ -404,12 +404,14 @@ def read_observations_csv(path: str | Path) -> list[BidObservation]:
         if missing:
             raise ValueError(f"observation CSV missing columns: {sorted(missing)}")
         for row in reader:
+            if (bid := row["bid_price"]) is None:
+                raise ValueError(f"observation CSV line {reader.line_num} has no bid_price")
             outcome = Outcome(row["outcome"].strip().upper())
             paid = row.get("paid_cost", "")
             observations.append(
                 BidObservation(
                     outcome=outcome,
-                    bid_price=float(row["bid_price"]),
+                    bid_price=float(bid),
                     paid_cost=float(paid) if paid not in ("", None) else None,
                 )
             )

@@ -13,7 +13,9 @@ nonnegative, and alpha itself is found by minimizing the convex dual
 with projected stochastic subgradient steps over mini-batches of items. A
 step needs only the summed consumption of the batch's dominating
 assignments, which a model returns as one (K,) array
-(`ChoiceModel.batch_consumption`).
+(`ChoiceModel.batch_consumption`). The solve returns its chosen prices, the
+item visits and the dual value after each epoch (`DualState`); of the
+iterates themselves it keeps only the last quarter's, for their average.
 
 The generic `ChoiceModel` methods derive everything from `item_best`. Here
 the allocation rule is applied only by `primal_value_of_strategy` and the
@@ -25,13 +27,15 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 # Items per SGD step; the last batch of an epoch takes the remainder.
 BATCH_SIZE = 64
+# `sgd_solve` gives up once the dual value exceeds this multiple of its start.
+DIVERGENCE_FACTOR = 1e6
 
 __all__ = [
     "ChoiceModel",
@@ -131,7 +135,6 @@ class DualState:
     alpha: np.ndarray
     iteration: int
     dual_value_trace: list[float]
-    alpha_trace: list[np.ndarray] = field(default_factory=list, repr=False)
 
     @property
     def dual_value(self) -> float:
@@ -152,7 +155,6 @@ def sgd_solve(
     epochs: int = 200,
     shuffle_seed: int = 0,
     alpha0: float | Sequence[float] = 1.0,
-    divergence_factor: float = 1e6,
 ) -> DualState:
     """Minimize the dual by projected stochastic subgradient descent.
 
@@ -168,10 +170,10 @@ def sgd_solve(
     The returned alpha is the best of the epoch-end iterates and the tail
     average of the last quarter of epochs, judged by dual value; plain last
     iterates of subgradient methods oscillate around the minimizer and both
-    candidates are standard cures. With no items the dual is alpha . B, which
-    alpha = 0 minimizes for B >= 0, so the solve starts and stays there.
-    Raises `DivergenceError` if the dual value grows past `divergence_factor`
-    times its initial magnitude.
+    candidates are standard cures. Only that quarter's iterates are kept. With
+    no items the dual is alpha . B, which alpha = 0 minimizes for B >= 0, so
+    the solve starts and stays there. Raises `DivergenceError` if an epoch's
+    dual value exceeds `DIVERGENCE_FACTOR` times max(1, |initial dual value|).
     """
     if not (math.isfinite(step0) and step0 > 0.0):
         raise ValueError(f"step0 must be positive and finite, got {step0!r}")
@@ -189,9 +191,10 @@ def sgd_solve(
 
     rng = np.random.default_rng(shuffle_seed)
     trace = [dual_objective(model, alpha)]
-    alpha_trace = [alpha.copy()]
     best_alpha, best_value = alpha.copy(), trace[0]
-    guard = divergence_factor * max(1.0, abs(trace[0]))
+    guard = DIVERGENCE_FACTOR * max(1.0, abs(trace[0]))
+    tail_from = epochs - max(1, epochs // 4)
+    tail = []
     per_epoch = max(n_items, 1)
     share = model.budgets / per_epoch
     t = 0
@@ -205,7 +208,8 @@ def sgd_solve(
             t += len(rows)
         value = dual_objective(model, alpha)
         trace.append(value)
-        alpha_trace.append(alpha.copy())
+        if epoch >= tail_from:
+            tail.append(alpha)
         if value < best_value:
             best_alpha, best_value = alpha.copy(), value
         if value > guard:
@@ -213,18 +217,14 @@ def sgd_solve(
                 f"dual value {value:.6g} exceeded {guard:.6g} after epoch {epoch + 1}"
             )
 
-    tail = alpha_trace[max(1, len(alpha_trace) - max(1, epochs // 4)) :]
     if tail:
         averaged = np.mean(tail, axis=0)
         value = dual_objective(model, averaged)
         if value < best_value:
             trace.append(value)
-            alpha_trace.append(averaged.copy())
             best_alpha, best_value = averaged, value
 
-    return DualState(
-        alpha=best_alpha, iteration=t, dual_value_trace=trace, alpha_trace=alpha_trace
-    )
+    return DualState(alpha=best_alpha, iteration=t, dual_value_trace=trace)
 
 
 @dataclass(frozen=True)

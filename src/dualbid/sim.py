@@ -248,7 +248,7 @@ def instance_from_json(payload: dict) -> DspInstance:
             PaymentMode(payload["objective"]["mode"]), ObjectiveKind(payload["objective"]["kind"])
         )
         ads = [
-            Ad(entry["id"], AdEconomics(_optional_real(entry, "cpp"), _optional_real(entry, "cr")))
+            Ad(_ad_id(entry), AdEconomics(_optional_real(entry, "cpp"), _optional_real(entry, "cr")))
             for entry in payload["ads"]
         ]
         constraints = [
@@ -287,6 +287,12 @@ def _real(value, name: str) -> float:
     if isinstance(value, float) or _is_number(value):
         return float(value)
     raise InstanceFormatError(f"{name} must be a number, got {value!r}")
+
+
+def _ad_id(entry: dict) -> str:
+    if isinstance(value := entry["id"], str) and value:
+        return value
+    raise InstanceFormatError(f"ad id must be a non-empty string, got {value!r}")
 
 
 def _optional_real(entry: dict, key: str) -> float | None:
@@ -605,7 +611,6 @@ class LinStrategy(_WindowedStrategy):
             raise ValueError(f"bid_base must be positive, got {bid_base!r}")
         super().__init__(name, target_roi, update_window * cadence)
         self.bid_base = bid_base
-        self.cadence = cadence
 
     def _restart(self) -> None:
         self.level = self.bid_base
@@ -661,8 +666,8 @@ def make_strategy(name: str, params: dict | None = None) -> Strategy:
 
     `params` is user input, so a malformed one raises `ValueError`: a
     non-dict, a key the strategy does not take, or a value of the wrong
-    type. `alpha` is a price vector and every other value a finite real
-    number.
+    type. `alpha` is a sequence of real numbers and every other value a
+    finite real number; booleans are not numbers here.
     """
     if name not in STRATEGY_PARAMS:
         raise ValueError(f"unknown strategy {name!r}")
@@ -675,6 +680,8 @@ def make_strategy(name: str, params: dict | None = None) -> Strategy:
                 f"strategy {name!r} takes no parameter {key!r}; "
                 f"it takes {sorted(STRATEGY_PARAMS[name])}"
             )
+        if key == "alpha" and not _is_sequence_of_numbers(value):
+            raise ValueError(f"strategy parameter 'alpha' must be a list of numbers, got {value!r}")
         if key != "alpha" and not (_is_number(value) and math.isfinite(value)):
             raise ValueError(f"strategy parameter {key!r} must be a finite number, got {value!r}")
     if name == "fixed_alpha":
@@ -710,6 +717,8 @@ def run_monte_carlo(
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if not instance.ads:
+        raise ValueError("a replay needs an instance with at least one ad")
     n = len(instance.impressions)
     model = DspChoiceModel(instance)
     phi_v, psi_v = model.objective_coeffs

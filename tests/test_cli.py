@@ -106,13 +106,17 @@ class TestGen:
             {"ppi_range": [0.0, None]},
             {"bid_cap": "x"},
             {"constraints": [{"kind": "budget"}]},
+            5,
+            [{}],
+            ["seed"],
         ],
     )
     def test_wrongly_typed_config_value_exits_2(self, tmp_path, capsys, overrides):
         config = tmp_path / "mock.json"
         config.write_text(json.dumps(overrides))
         assert run(["gen", "--out-dir", str(tmp_path / "o"), "--config", str(config)]) == 2
-        assert next(iter(overrides)) in capsys.readouterr().err
+        message = next(iter(overrides)) if isinstance(overrides, dict) else "JSON object"
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o" / "instance.json").exists()
 
 
@@ -282,10 +286,17 @@ SIMULATE_DB = ["simulate", "--strategy", "db_single"]
           '{"alpha": [0, 0, 0, 0], "name": "x/y"}'], "'fixed_alpha' takes no parameter 'name'"),
         (["simulate", "--strategy", "fixed_alpha", "--params",
           '{"alpha": [0, 0, 0, 0], "name": ""}'], "'fixed_alpha' takes no parameter 'name'"),
+        (["simulate", "--strategy", "fixed_alpha", "--params", '{"alpha": {"0": 1}}'],
+         "'alpha' must be a list of numbers"),
+        (["simulate", "--strategy", "fixed_alpha", "--params", '{"alpha": [0, {}, 0, 0]}'],
+         "'alpha' must be a list of numbers"),
+        (["simulate", "--strategy", "fixed_alpha", "--params", '{"alpha": [true, 0, 0, 0]}'],
+         "'alpha' must be a list of numbers"),
     ],
     ids=["unknown-key", "list", "list-with-target-roi", "key-of-another-strategy", "alpha0-zero",
          "alpha0-negative", "alpha0-inf", "alpha0-string", "window-string", "window-bool",
-         "c0-nan", "fixed-alpha-length", "fixed-alpha-name-slash", "fixed-alpha-name-empty"],
+         "c0-nan", "fixed-alpha-length", "fixed-alpha-name-slash", "fixed-alpha-name-empty",
+         "fixed-alpha-object", "fixed-alpha-holds-object", "fixed-alpha-bool"],
 )
 def test_malformed_params_exit_2_before_any_epoch(flags, message, small_instance, tmp_path, capsys):
     out = tmp_path / "o"
@@ -349,6 +360,54 @@ def test_non_numeric_instance_numbers_exit_2(path, value, small_instance, tmp_pa
     bad.write_text(json.dumps(payload))
     assert run(["solve", "--instance", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ad_id", [0, None, "", True, 1.5], ids=["zero", "null", "empty", "true", "float"]
+)
+def test_ad_id_that_is_not_a_non_empty_string_exits_2(ad_id, small_instance, tmp_path, capsys):
+    # The constraints' scopes follow the new id, so only the id itself is wrong.
+    payload = json.loads(small_instance.read_text())
+    old, payload["ads"][0]["id"] = payload["ads"][0]["id"], ad_id
+    for spec in payload["constraints"]:
+        spec["scope"] = [ad_id if a == old else a for a in spec["scope"]]
+    bad = tmp_path / "instance.json"
+    bad.write_text(json.dumps(payload))
+    assert run(["solve", "--instance", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "ad id must be a non-empty string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("solve", ["--instance", "{dir}"], "Is a directory"),
+        ("simulate", ["--strategy", "lin", "--instance", "{dir}"], "Is a directory"),
+        ("fit", ["--observations", "{dir}"], "Is a directory"),
+        ("fit", ["--observations", "{short_row}"], "line 3 has no bid_price"),
+    ],
+    ids=["solve-instance-directory", "simulate-instance-directory", "fit-observations-directory",
+         "fit-row-without-bid-price"],
+)
+def test_unreadable_input_file_exits_2(command, flags, message, tmp_path, capsys):
+    short_row = tmp_path / "short.csv"
+    short_row.write_text("outcome,bid_price,paid_cost\nLOST,0.5,\nWON\n")
+    flags = [flag.format(dir=tmp_path, short_row=short_row) for flag in flags]
+    assert run([command, "--out-dir", str(tmp_path / "o"), *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy", list(sim.STRATEGY_PARAMS))
+def test_replay_without_ads_exits_2(strategy, small_instance, tmp_path, capsys):
+    payload = json.loads(small_instance.read_text())
+    payload["ads"], payload["constraints"] = [], []
+    for imp in payload["impressions"]:
+        imp["ppi"] = []
+    empty = tmp_path / "instance.json"
+    empty.write_text(json.dumps(payload))
+    params = ["--params", '{"alpha": []}'] if strategy == "fixed_alpha" else []
+    argv = ["simulate", "--instance", str(empty), "--out-dir", str(tmp_path / "o")]
+    assert run([*argv, "--strategy", strategy, "--target-roi", "2", *params]) == 2
+    assert "at least one ad" in capsys.readouterr().err
 
 
 def test_integer_instance_numbers_are_accepted(small_instance, tmp_path):

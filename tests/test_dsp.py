@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from dualbid import dsp
 from dualbid.dsp import (
     Ad,
+    BidDecision,
     DECISION_CSV_HEADER,
     DspChoiceModel,
     DspInstance,
@@ -641,11 +643,25 @@ class TestDecideRows:
 
     def test_bid_decision_is_a_row_of_the_kernel(self):
         rng = np.random.default_rng(41)
-        model = DspChoiceModel(random_instance(rng, n=30, m=3))
-        alpha = rng.uniform(0.0, 1.0, model.n_constraints)
-        assert model.bid_decisions(alpha) == [
-            bid_decision(model.instance, imp, alpha) for imp in model.instance.impressions
+        instance = random_instance(rng, n=30, m=3)
+        # Every third impression has zero PPI, so it gets no bid.
+        instance.impressions[::3] = [
+            dataclasses.replace(imp, ppi=(0.0, 0.0, 0.0)) for imp in instance.impressions[::3]
         ]
+        model = DspChoiceModel(instance)
+        alpha = rng.uniform(0.0, 1.0, model.n_constraints)
+        rows = model.decide_rows(alpha)
+        assert 0 < np.count_nonzero(rows.ad >= 0) < model.n_items
+        for i, imp in enumerate(model.instance.impressions):
+            decision = bid_decision(model.instance, imp, alpha)
+            j = int(rows.ad[i])
+            assert decision.impression_id == imp.id
+            assert bits(decision.best_score) == bits(rows.score[i])
+            if j < 0:
+                assert decision.chosen_ad is None and decision.bid_price is None
+            else:
+                assert decision.chosen_ad == model.instance.ads[j].id
+                assert bits(decision.bid_price) == bits(rows.bp[i])
 
 
 def reference_tensors(instance):
@@ -793,11 +809,76 @@ class TestInstanceValidation:
 
 def test_decisions_csv(tmp_path):
     instance = p4p_instance()
-    decisions = [
-        bid_decision(instance, imp, np.asarray([1.0])) for imp in instance.impressions
-    ]
+    model = DspChoiceModel(instance)
     path = tmp_path / "decisions.csv"
-    write_decisions_csv(path, decisions)
+    write_decisions_csv(path, instance, model.decide_rows(np.asarray([1.0])))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(DECISION_CSV_HEADER)
-    assert len(lines) == 1 + len(decisions)
+    assert len(lines) == 1 + len(instance.impressions)
+
+
+def reference_decisions_csv(path, model, alpha):
+    """The former writer: one `BidDecision` per impression, then one CSV row per decision."""
+    rows = model.decide_rows(alpha)
+    decisions = [
+        BidDecision(imp.id, None, None, score)
+        if j < 0
+        else BidDecision(imp.id, model.instance.ads[j].id, bp, score)
+        for imp, j, bp, score in zip(
+            model.instance.impressions, rows.ad.tolist(), rows.bp.tolist(), rows.score.tolist()
+        )
+    ]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(DECISION_CSV_HEADER)
+        for d in decisions:
+            writer.writerow(
+                [
+                    d.impression_id,
+                    d.chosen_ad or "",
+                    "" if d.bid_price is None else repr(d.bid_price),
+                    repr(d.best_score),
+                ]
+            )
+
+
+def decisions_csv_cases():
+    """(label, model, alpha) for each branch of the writer and each kind of id and score."""
+    rng = np.random.default_rng(42)
+    plain = random_instance(rng, n=40, m=3)
+    names = ["a,b", 'q"t', " s", "imp"] * 10
+    named = dataclasses.replace(
+        plain, impressions=[dataclasses.replace(imp, id=n) for imp, n in zip(plain.impressions, names)]
+    )
+    capped = dataclasses.replace(random_instance(rng, n=12, m=3), bid_cap=0.02)
+    no_ads = p4p_instance(
+        cpps=(), constraints=[], impressions=[Impression(i, STANDARD, ()) for i in range(3)]
+    )
+    nan_model, nan_alpha = nan_score_model()
+    return [
+        ("int-ids", DspChoiceModel(plain), rng.uniform(0.0, 1.0, plain.n_constraints)),
+        ("string-ids", DspChoiceModel(named), rng.uniform(0.0, 1.0, named.n_constraints)),
+        ("bids-at-cap", DspChoiceModel(capped), rng.uniform(0.0, 0.5, capped.n_constraints)),
+        ("nan-score", nan_model, nan_alpha),
+        ("no-ads", DspChoiceModel(no_ads), np.zeros(0)),
+    ]
+
+
+def test_decisions_csv_matches_the_bid_decision_writer(tmp_path):
+    seen = set()
+    for label, model, alpha in decisions_csv_cases():
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = model.decide_rows(alpha)
+            reference_decisions_csv(tmp_path / f"{label}.want", model, alpha)
+        write_decisions_csv(tmp_path / f"{label}.got", model.instance, rows)
+        got = (tmp_path / f"{label}.got").read_bytes()
+        assert got == (tmp_path / f"{label}.want").read_bytes(), label
+        hits = {
+            "bid": rows.ad >= 0,
+            "no-bid": rows.ad < 0,
+            "cap": rows.bp == model.instance.bid_cap,
+            "nan": np.isnan(rows.score),
+            "-inf": rows.score == -np.inf,
+        }
+        seen |= {name for name, hit in hits.items() if hit.any()}
+    assert seen == {"bid", "no-bid", "cap", "nan", "-inf"}

@@ -143,11 +143,18 @@ class TestSgdSolve:
         model = FixedChoiceModel(
             gains=rng.uniform(-1.0, 2.0, (5, 3)),
             consumptions=rng.uniform(-0.5, 1.5, (5, 3, 2)),
-            budgets=[0.5, 1.0],
+            budgets=[0.5, 5.0],  # the second row is slack, so its price is pushed to 0
         )
-        state = sgd_solve(model, epochs=40)
-        for alpha in state.alpha_trace:
-            assert np.all(alpha >= 0.0)
+        # Record every price a step starts from, from seeded random start prices.
+        seen = []
+        step = model.batch_consumption
+        model.batch_consumption = lambda rows, alpha: seen.append(alpha) or step(rows, alpha)
+        for alpha0 in rng.uniform(0.0, 2.0, (5, 2)):
+            state = sgd_solve(model, epochs=40, alpha0=alpha0)
+            assert np.all(state.alpha >= 0.0)
+        assert len(seen) == 5 * 40
+        assert all(np.all(alpha >= 0.0) for alpha in seen)
+        assert any(np.any(alpha == 0.0) for alpha in seen)  # the projection did bind
 
     def test_weak_duality_along_trace(self):
         rng = np.random.default_rng(7)
@@ -158,7 +165,7 @@ class TestSgdSolve:
         )
         state = sgd_solve(model, epochs=300)
         # Exact per-price bound: D(a) >= objective(a) + a . (B - consumption(a)).
-        for alpha in state.alpha_trace:
+        for alpha in [state.alpha, *rng.uniform(0.0, 3.0, (50, 2))]:
             primal = primal_value_of_strategy(model, alpha)
             bound = primal.objective + float(alpha @ (model.budgets - primal.consumption))
             assert dual_objective(model, alpha) >= bound - 1e-9
