@@ -4,9 +4,12 @@ Runs `gen` and `solve` (both objectives), `compare`, `simulate` (ortb and
 fixed_alpha), a wide `solve`, a `solve` of an instance with string impression
 ids and one of an instance with no ads, and `fit` (both families) in process
 into a temporary directory, and prints one line per output file: digest, then
-`<command label>/<file name>`. `manifest.json` holds timings and versions, so
-it is left out. Two source trees whose digests match wrote byte-identical
-outputs.
+`<command label>/<file name>`. Two source trees whose digests match wrote
+byte-identical outputs. Each command's `manifest.json` is digested too, after
+its timing fields (`wall_time_s`, `stages_s`) are dropped and the temporary
+directory's path in it is replaced by `<work>`, so a digest diff also shows a
+change in the recorded flags, inputs or outputs. The manifest also records
+the Python, numpy and scipy versions, so compare its digests on one host.
 
     python scripts/output_digest.py                   # the src/ beside this script
     python scripts/output_digest.py --src other/src   # another checkout's package
@@ -96,6 +99,14 @@ def write_instances(work: Path, wide_instance) -> None:
     (work / "no_ads.json").write_text(json.dumps(no_ads))
 
 
+def manifest_bytes(data: bytes, work: Path) -> bytes:
+    """A manifest without its timing fields and with `work` replaced by `<work>`."""
+    manifest = json.loads(data)
+    manifest.pop("wall_time_s")
+    manifest.pop("stages_s", None)
+    return json.dumps(manifest, sort_keys=True).replace(str(work), "<work>").encode()
+
+
 def commands(work: Path, n_pools: int) -> list[tuple[str, list[str]]]:
     """(label, argv) pairs; each label is also the command's output directory."""
     out = []
@@ -161,9 +172,10 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"exit {code}  {label}")
                 continue
             for path in sorted(out_dir.iterdir()):
-                if path.name != "manifest.json":
-                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    print(f"{digest}  {label}/{path.name}")
+                data = path.read_bytes()
+                if path.name == "manifest.json":
+                    data = manifest_bytes(data, work)
+                print(f"{hashlib.sha256(data).hexdigest()}  {label}/{path.name}")
     return 0
 
 

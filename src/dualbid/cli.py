@@ -2,7 +2,8 @@
 strategy comparison, and landscape fitting.
 
 Every command writes its primary outputs plus a `manifest.json` into the
-output directory. The manifest records the command, flags, inputs, seed, tool
+output directory. The manifest records the command, the input paths, every
+other parsed option except `--out-dir` as a flag, the files written, the tool
 version, the Python, numpy and scipy versions, and wall time (`solve` also
 per stage); it is written incomplete first and finalized last, so an
 interrupted run is always detectable. Primary outputs are byte-identical
@@ -44,14 +45,19 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 class _Manifest:
-    """Manifest lifecycle: created incomplete, finalized with outputs and timing."""
+    """Manifest lifecycle: created incomplete, finalized with outputs and timing.
 
-    def __init__(self, out_dir: Path, command: str, flags: dict, inputs: dict):
-        self.out_dir = out_dir
+    Every parsed option except `--out-dir` and the input paths `inputs` is a flag.
+    """
+
+    def __init__(self, args: argparse.Namespace, *inputs: str):
+        self.out_dir = Path(args.out_dir)
+        options = vars(args)
+        skip = {"command", "func", "out_dir", *inputs}
         self.payload = {
-            "command": command,
-            "flags": flags,
-            "inputs": inputs,
+            "command": args.command,
+            "flags": {name: value for name, value in options.items() if name not in skip},
+            "inputs": {name: options[name] for name in inputs},
             "tool_version": __version__,
             "versions": _versions(),
             "complete": False,
@@ -59,12 +65,17 @@ class _Manifest:
             "wall_time_s": None,
         }
         self._t0 = time.monotonic()
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "manifest.json", self.payload)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(self.out_dir / "manifest.json", self.payload)
 
-    def finish(self, outputs: list[str]) -> None:
+    def output(self, name: str) -> Path:
+        """The path of output file `name`, recorded in the manifest's outputs."""
+        self.payload["outputs"].append(name)
+        return self.out_dir / name
+
+    def finish(self) -> None:
         self.payload["complete"] = True
-        self.payload["outputs"] = sorted(outputs)
+        self.payload["outputs"].sort()
         self.payload["wall_time_s"] = round(time.monotonic() - self._t0, 6)
         _write_json(self.out_dir / "manifest.json", self.payload)
 
@@ -114,52 +125,38 @@ def _strategy_totals(metrics: list[sim.EpochMetrics]) -> dict:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    config = MockConfig(bid_cap=args.bid_cap)
+    overrides = {}
     if args.config is not None:
         with open(args.config) as handle:
             overrides = json.load(handle)
         if not isinstance(overrides, dict):
             raise InvalidRangeError(f"mock config must be a JSON object, got {overrides!r}")
-        known = set(MockConfig.__dataclass_fields__)
-        unknown = set(overrides) - known
+        unknown = set(overrides) - set(MockConfig.__dataclass_fields__)
         if unknown:
             raise InvalidRangeError(f"unknown mock config keys: {sorted(unknown)}")
-        if "mode" in overrides:
-            overrides["mode"] = PaymentMode(overrides["mode"])
-        if "objective_kind" in overrides:
-            overrides["objective_kind"] = ObjectiveKind(overrides["objective_kind"])
-        for key in ("ads", "mu_range", "sigma_range", "ppi_range"):
-            if isinstance(overrides.get(key), list):
-                overrides[key] = tuple(overrides[key])
-        config = MockConfig(**{**config.__dict__, **overrides})
-    if args.n_impressions is not None:
-        config.n_impressions = args.n_impressions
-    if args.objective is not None:
-        config.objective_kind = ObjectiveKind(args.objective)
-    if args.seed is not None:
-        config.seed = args.seed
-    manifest = _Manifest(
-        out_dir, "gen", _flags(args, ["seed", "n_impressions", "objective", "bid_cap"]),
-        {"config": args.config},
-    )
+    flags = {"n_impressions": args.n_impressions, "objective_kind": args.objective,
+             "seed": args.seed, "bid_cap": args.bid_cap}
+    overrides |= {key: value for key, value in flags.items() if value is not None}
+    if "mode" in overrides:
+        overrides["mode"] = PaymentMode(overrides["mode"])
+    if "objective_kind" in overrides:
+        overrides["objective_kind"] = ObjectiveKind(overrides["objective_kind"])
+    config = MockConfig(**overrides)
+    manifest = _Manifest(args, "config")
     instance = sim.gen_mock_instance(config)
-    sim.save_instance(out_dir / "instance.json", instance, seed=config.seed)
-    manifest.finish(["instance.json"])
-    print(f"wrote {out_dir / 'instance.json'} ({len(instance.impressions)} impressions)")
+    path = manifest.output("instance.json")
+    sim.save_instance(path, instance, seed=config.seed)
+    manifest.finish()
+    print(f"wrote {path} ({len(instance.impressions)} impressions)")
     return EXIT_OK
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
     stages = _Stages()
     instance = sim.load_instance(args.instance)
     if args.bid_cap is not None:
         instance = dataclasses.replace(instance, bid_cap=args.bid_cap)
-    manifest = _Manifest(
-        out_dir, "solve", _flags(args, ["seed", "step0", "epochs_sgd", "bid_cap"]),
-        {"instance": str(args.instance)},
-    )
+    manifest = _Manifest(args, "instance")
     stages.end("load")
     model = DspChoiceModel(instance)
     stages.end("model_build")
@@ -170,37 +167,30 @@ def cmd_solve(args: argparse.Namespace) -> int:
     decisions = model.decide_rows(state.alpha)
     stages.end("decisions")
 
-    _write_json(out_dir / "alpha.json", dual_state_to_json(state))
-    sim.write_constraints_csv(out_dir / "constraints.csv", report.per_constraint)
-    write_decisions_csv(out_dir / "decisions.csv", instance, decisions)
+    _write_json(manifest.output("alpha.json"), dual_state_to_json(state))
+    sim.write_constraints_csv(manifest.output("constraints.csv"), report.per_constraint)
+    write_decisions_csv(manifest.output("decisions.csv"), instance, decisions)
     summary = _summary_base("solve", args.seed) | {
         "primal_value": report.primal_value,
         "dual_value": report.dual_value,
         "duality_gap_rel": report.duality_gap_rel,
         "alpha": [float(a) for a in state.alpha],
         "sgd": {"step0": args.step0, "epochs": args.epochs_sgd, "iterations": state.iteration},
-        "constraints": [_row_json(r) for r in report.per_constraint],
+        "constraints": [
+            {name: getattr(row, name) for name in sim.CONSTRAINT_CSV_HEADER}
+            for row in report.per_constraint
+        ],
     }
-    _write_json(out_dir / "summary.json", summary)
+    _write_json(manifest.output("summary.json"), summary)
     stages.end("write")
     manifest.payload["stages_s"] = stages.seconds
-    manifest.finish(["alpha.json", "constraints.csv", "decisions.csv", "summary.json"])
+    manifest.finish()
     gap = report.duality_gap_rel
     print(
         f"primal {report.primal_value:.6f}  dual {report.dual_value:.6f}"
         + (f"  gap {gap:.4%}" if gap is not None else "")
     )
     return EXIT_OK
-
-
-def _row_json(row: sim.ConstraintRow) -> dict:
-    return {
-        "k": row.k,
-        "limit": row.limit,
-        "consumption": row.consumption,
-        "surplus": row.surplus,
-        "alpha": row.alpha,
-    }
 
 
 def _load_strategy(name: str, params_json: str | None, target_roi: float | None) -> sim.Strategy:
@@ -212,60 +202,44 @@ def _load_strategy(name: str, params_json: str | None, target_roi: float | None)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
     instance = sim.load_instance(args.instance)
     strategy = _load_strategy(args.strategy, args.params, args.target_roi)
-    manifest = _Manifest(
-        out_dir, "simulate",
-        _flags(args, ["seed", "epochs", "strategy", "target_roi", "params"]),
-        {"instance": str(args.instance)},
-    )
+    manifest = _Manifest(args, "instance")
     report = sim.run_monte_carlo(instance, strategy, epochs=args.epochs, seed=args.seed)
     metrics = report.per_strategy_metrics[strategy.name]
-    sim.write_epoch_metrics_csv(out_dir / f"epochs_{strategy.name}.csv", metrics)
-    sim.write_constraints_csv(out_dir / "constraints.csv", report.per_constraint)
+    sim.write_epoch_metrics_csv(manifest.output(f"epochs_{strategy.name}.csv"), metrics)
+    sim.write_constraints_csv(manifest.output("constraints.csv"), report.per_constraint)
     summary = _summary_base("simulate", args.seed) | {
         "strategies": {strategy.name: _strategy_totals(metrics)},
         "epochs": args.epochs,
     }
-    _write_json(out_dir / "summary.json", summary)
-    manifest.finish([f"epochs_{strategy.name}.csv", "constraints.csv", "summary.json"])
+    _write_json(manifest.output("summary.json"), summary)
+    manifest.finish()
     print(f"{strategy.name}: revenue {summary['strategies'][strategy.name]['revenue']:.4f}")
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
     instance = sim.load_instance(args.instance)
     names = [n.strip() for n in args.strategies.split(",") if n.strip()]
     strategies = [_load_strategy(n, args.params, args.target_roi) for n in names]
-    manifest = _Manifest(
-        out_dir, "compare",
-        _flags(args, ["seed", "epochs", "strategies", "target_roi", "params"]),
-        {"instance": str(args.instance)},
-    )
+    manifest = _Manifest(args, "instance")
     report = sim.compare_strategies(instance, strategies, epochs=args.epochs, seed=args.seed)
-    outputs = []
     totals = {}
     for name, metrics in report.per_strategy_metrics.items():
-        filename = f"epochs_{name}.csv"
-        sim.write_epoch_metrics_csv(out_dir / filename, metrics)
-        outputs.append(filename)
+        sim.write_epoch_metrics_csv(manifest.output(f"epochs_{name}.csv"), metrics)
         totals[name] = _strategy_totals(metrics)
     summary = _summary_base("compare", args.seed) | {"strategies": totals, "epochs": args.epochs}
-    _write_json(out_dir / "summary.json", summary)
-    manifest.finish(outputs + ["summary.json"])
+    _write_json(manifest.output("summary.json"), summary)
+    manifest.finish()
     for name, stats in totals.items():
         print(f"{name}: revenue {stats['revenue']:.4f}  roi {stats['actual_roi']:.3f}")
     return EXIT_OK
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
     observations = read_observations_csv(args.observations)
-    manifest = _Manifest(
-        out_dir, "fit", _flags(args, ["family"]), {"observations": str(args.observations)},
-    )
+    manifest = _Manifest(args, "observations")
     if args.family == "lognormal":
         fit = fit_censored(observations)
         payload = fit_to_json(fit)
@@ -278,14 +252,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "log_likelihood": ortb_log_likelihood(fit.c, won, lost),
         }
     payload |= _summary_base("fit", None) | {"family": args.family}
-    _write_json(out_dir / "fit.json", payload)
-    manifest.finish(["fit.json"])
+    _write_json(manifest.output("fit.json"), payload)
+    manifest.finish()
     print(json.dumps({k: payload[k] for k in payload if k not in ("command", "tool_version")}))
     return EXIT_OK
-
-
-def _flags(args: argparse.Namespace, names: list[str]) -> dict:
-    return {name: getattr(args, name, None) for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-impressions", type=int, default=None)
     p.add_argument("--objective", choices=["revenue", "performance"], default=None)
     p.add_argument("--seed", type=int, default=None, help="overrides the config seed (default 0)")
-    p.add_argument("--bid-cap", type=float, default=1e4)
+    p.add_argument("--bid-cap", type=float, default=None,
+                   help="overrides the config bid cap (default 1e4)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="solve the dual prices by SGD and report the gap")
@@ -357,7 +328,8 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON in input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, FileExistsError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DivergenceError as exc:

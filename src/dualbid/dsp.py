@@ -393,7 +393,7 @@ def write_decisions_csv(path: str | Path, instance: DspInstance, rows: RowDecisi
         writer = csv.writer(handle)
         writer.writerow(DECISION_CSV_HEADER)
         writer.writerows(
-            (imp.id, "", "", repr(score)) if j < 0 else (imp.id, ad_ids[j], repr(bp), repr(score))
+            (imp.id, None, None, score) if j < 0 else (imp.id, ad_ids[j], bp, score)
             for imp, j, bp, score in zip(
                 instance.impressions, rows.ad.tolist(), rows.bp.tolist(), rows.score.tolist()
             )

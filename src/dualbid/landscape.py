@@ -422,7 +422,4 @@ def write_observations_csv(path: str | Path, observations: Sequence[BidObservati
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(OBSERVATION_CSV_HEADER)
-        for o in observations:
-            writer.writerow(
-                [o.outcome.value, repr(o.bid_price), "" if o.paid_cost is None else repr(o.paid_cost)]
-            )
+        writer.writerows((o.outcome.value, o.bid_price, o.paid_cost) for o in observations)

@@ -262,7 +262,7 @@ def instance_from_json(payload: dict) -> DspInstance:
         ]
         impressions = [
             Impression(
-                entry.get("id", i),
+                _impression_id(entry.get("id", i)),
                 LandscapePrior(_real(entry["mu"], "mu"), _real(entry["sigma"], "sigma")),
                 entry["ppi"],
             )
@@ -293,6 +293,12 @@ def _ad_id(entry: dict) -> str:
     if isinstance(value := entry["id"], str) and value:
         return value
     raise InstanceFormatError(f"ad id must be a non-empty string, got {value!r}")
+
+
+def _impression_id(value) -> str | int:
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise InstanceFormatError(f"impression id must be a string or an integer, got {value!r}")
 
 
 def _optional_real(entry: dict, key: str) -> float | None:
@@ -824,37 +830,23 @@ EPOCH_CSV_HEADER = [
 ]
 
 
+# `csv` writes a float as its shortest round-trip form (numpy scalars too) and
+# None as an empty field, so the writers hand it raw values.
+
+
 def write_constraints_csv(path: str | Path, rows: Sequence[ConstraintRow]) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CONSTRAINT_CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.k,
-                    repr(row.limit),
-                    repr(row.consumption),
-                    repr(row.surplus),
-                    "" if row.alpha is None else repr(row.alpha),
-                ]
-            )
+        writer.writerows([getattr(row, name) for name in CONSTRAINT_CSV_HEADER] for row in rows)
 
 
 def write_epoch_metrics_csv(path: str | Path, metrics: Sequence[EpochMetrics]) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(EPOCH_CSV_HEADER)
-        for m in metrics:
-            writer.writerow(
-                [
-                    m.epoch,
-                    repr(m.revenue),
-                    repr(m.cost),
-                    repr(m.performance),
-                    m.wins,
-                    repr(m.actual_roi),
-                    repr(m.revenue_per_win),
-                    "" if m.param is None else repr(m.param),
-                    int(m.degenerate),
-                ]
-            )
+        writer.writerows(
+            (m.epoch, m.revenue, m.cost, m.performance, m.wins, m.actual_roi,
+             m.revenue_per_win, m.param, int(m.degenerate))
+            for m in metrics
+        )

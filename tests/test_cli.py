@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -88,6 +89,17 @@ class TestGen:
         assert run(["gen", "--out-dir", str(flag), "--n-impressions", "3", "--seed", "2"]) == 0
         assert read_dir(out) == read_dir(flag)
         assert json.loads((out / "instance.json").read_text())["seed"] == 2
+
+    def test_bid_cap_flag_overrides_config_bid_cap(self, tmp_path):
+        config = tmp_path / "mock.json"
+        config.write_text(json.dumps({"bid_cap": 10, "n_impressions": 5}))
+        cases = [([], 1e4), (["--config", str(config)], 10), (["--config", str(config), "--bid-cap", "5"], 5)]
+        for k, (flags, bid_cap) in enumerate(cases):
+            out = tmp_path / str(k)
+            assert run(["gen", "--out-dir", str(out), "--n-impressions", "5", *flags]) == 0
+            assert json.loads((out / "instance.json").read_text())["bid_cap"] == bid_cap
+        manifest = json.loads((tmp_path / "0" / "manifest.json").read_text())
+        assert manifest["flags"]["bid_cap"] is None
 
     @pytest.mark.parametrize(
         "overrides",
@@ -243,6 +255,51 @@ def test_manifest_records_versions(command, small_instance, tmp_path):
     assert ("stages_s" in manifest) == (command == "solve")
 
 
+def _option_names(command: str) -> set[str]:
+    """The destinations of every option `command` parses, `--help` aside."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in commands.choices[command]._actions if a.dest != "help"}
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "simulate", "compare", "fit"])
+def test_manifest_records_every_flag_and_output(command, small_instance, tmp_path):
+    obs = tmp_path / "obs.csv"
+    write_observations_csv(obs, [BidObservation(Outcome.WON, 2.0, 1.0), BidObservation(Outcome.LOST, 1.0)])
+    config = tmp_path / "mock.json"
+    config.write_text(json.dumps({"n_impressions": 4}))
+    instance = ["--instance", str(small_instance)]
+    argv, inputs = {
+        "gen": (["gen", "--config", str(config), "--bid-cap", "3"], {"config": str(config)}),
+        "solve": (["solve", *instance, "--epochs-sgd", "2", "--step0", "0.2"],
+                  {"instance": str(small_instance)}),
+        "simulate": (["simulate", *instance, "--strategy", "lin", "--epochs", "2"],
+                     {"instance": str(small_instance)}),
+        "compare": (["compare", *instance, "--strategies", "lin,ortb", "--epochs", "2",
+                     "--target-roi", "2"], {"instance": str(small_instance)}),
+        "fit": (["fit", "--observations", str(obs), "--family", "ortb"], {"observations": str(obs)}),
+    }[command]
+    out = tmp_path / "o"
+    assert run([*argv, "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["inputs"] == inputs
+    assert set(manifest["flags"]) == _option_names(command) - {"out_dir", *inputs}
+    parsed = vars(cli.build_parser().parse_args([*argv, "--out-dir", str(out)]))
+    assert manifest["flags"] == {name: parsed[name] for name in manifest["flags"]}
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert manifest["outputs"] == written and manifest["complete"]
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["existing-file", "path-under-a-file"])
+def test_out_dir_that_is_or_lies_under_a_file_exits_2(under_file, tmp_path, capsys):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    out = a_file / "o" if under_file else a_file
+    assert run(["gen", "--n-impressions", "3", "--out-dir", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, flags",
     [
@@ -345,9 +402,15 @@ def test_non_numeric_ad_economics_exits_2(command, small_instance, tmp_path, cap
         (("impressions", 0, "sigma"), True),
         (("constraints", 0, "bound"), "20"),
         (("bid_cap",), "10"),
+        (("impressions", 1, "id"), [1, 2]),
+        (("impressions", 1, "id"), {"a": 1}),
+        (("impressions", 1, "id"), True),
+        (("impressions", 1, "id"), None),
+        (("impressions", 1, "id"), 1.5),
     ],
     ids=["ppi-string", "ppi-strings", "ppi-bools", "mu-string", "sigma-bool", "bound-string",
-         "bid-cap-string"],
+         "bid-cap-string", "impression-id-list", "impression-id-object", "impression-id-true",
+         "impression-id-null", "impression-id-float"],
 )
 def test_non_numeric_instance_numbers_exit_2(path, value, small_instance, tmp_path, capsys):
     payload = json.loads(small_instance.read_text())
@@ -375,6 +438,19 @@ def test_ad_id_that_is_not_a_non_empty_string_exits_2(ad_id, small_instance, tmp
     bad.write_text(json.dumps(payload))
     assert run(["solve", "--instance", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
     assert "ad id must be a non-empty string" in capsys.readouterr().err
+
+
+def test_missing_impression_id_defaults_to_the_row_index(small_instance, tmp_path):
+    payload = json.loads(small_instance.read_text())
+    payload["impressions"][0]["id"], payload["impressions"][1]["id"] = "first", 2**40
+    del payload["impressions"][2]["id"]
+    good = tmp_path / "instance.json"
+    good.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    assert run(["solve", "--instance", str(good), "--out-dir", str(out), "--epochs-sgd", "2"]) == 0
+    with open(out / "decisions.csv", newline="") as handle:
+        ids = [row["impression_id"] for row in csv.DictReader(handle)]
+    assert ids[:4] == ["first", str(2**40), "2", "3"]
 
 
 @pytest.mark.parametrize(
