@@ -254,6 +254,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     payload |= _summary_base("fit", None) | {"family": args.family}
     _write_json(manifest.output("fit.json"), payload)
     manifest.finish()
+    if not fit.converged:
+        print("warning: fit did not converge", file=sys.stderr)
     print(json.dumps({k: payload[k] for k in payload if k not in ("command", "tool_version")}))
     return EXIT_OK
 

@@ -7,8 +7,9 @@ highest price. Both have closed forms for the log-normal family.
 
 Fitting uses the censored likelihood of win/loss logs: a won auction reveals
 the competing bid exactly (it equals the paid cost), a lost one only that it
-exceeded our own bid. A single (mu, sigma) is fitted per observation pool;
-per-impression priors are supplied externally (e.g. by the simulator).
+exceeded our own bid. A single (mu, sigma) is fitted per observation pool,
+by Newton steps in Olsen's (mu / sigma, 1 / sigma), where that likelihood is
+concave; per-impression priors are supplied externally (e.g. by the simulator).
 """
 
 from __future__ import annotations
@@ -210,6 +211,7 @@ class CensoredFit:
     converged: bool
     log_likelihood: float
     iterations: int
+    grad_norm: float
 
 
 def fit_to_json(fit: CensoredFit) -> dict:
@@ -218,6 +220,8 @@ def fit_to_json(fit: CensoredFit) -> dict:
         "sigma": fit.prior.sigma,
         "converged": fit.converged,
         "log_likelihood": fit.log_likelihood,
+        "iterations": fit.iterations,
+        "grad_norm": fit.grad_norm,
     }
 
 
@@ -242,64 +246,40 @@ def split_observations(
 
 
 def _mean_ll_derivatives(
-    won_log: np.ndarray, lost_log: np.ndarray, mu: float, t: float, n: int
+    won: tuple[int, float, float], lost_y: np.ndarray, delta: float, gamma: float, n: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean log-likelihood with its gradient and Hessian in (mu, t), sigma = exp(t).
+    """Mean log-likelihood with its gradient and Hessian in Olsen's (delta, gamma).
 
-    A won row with z = (ln cost - mu) / sigma has gradient (z / sigma, z^2 - 1)
-    and Hessian [[-1 / sigma^2, -2z / sigma], [., -2z^2]]. A lost row with
-    z = (ln bid - mu) / sigma and hazard h = phi(z) / (1 - Phi(z)) has gradient
-    (h / sigma, h z); with h'(z) = h (h - z) its Hessian is
-    -[[h' / sigma^2, (h' z + h) / sigma], [., h' z^2 + h z]].
+    With delta = mu / sigma and gamma = 1 / sigma, a row at log price y has
+    z = gamma y - delta. A won row contributes ln gamma - z^2 / 2, with gradient
+    (z, 1 / gamma - z y) and Hessian [[-1, y], [., -1 / gamma^2 - y^2]], so the
+    won rows enter only through `won` = (count, sum y, sum y^2). A lost row
+    contributes ln(1 - Phi(z)); with hazard h = phi(z) / (1 - Phi(z)) and
+    h'(z) = h (h - z) in (0, 1), its gradient is (h, -h y) and its Hessian
+    -h' [[1, -y], [., y^2]]. The won part is negative definite and each lost
+    row's is negative semidefinite, so the Hessian is negative definite once
+    an auction is won (Olsen, Econometrica 1978). The value leaves out the
+    won rows' constant, -sum(ln cost) - count ln(2 pi) / 2.
 
-    Where sigma over- or underflows, the values come back non-finite.
+    Where gamma is not positive or a term overflows, the values come back
+    non-finite.
     """
-    sigma = np.exp(t)
-    zw = (won_log - mu) / sigma
-    zw2 = zw * zw
-    sum_zw, sum_zw2 = np.sum(zw), np.sum(zw2)
-    ll = -np.sum(won_log) - won_log.size * (t + 0.5 * math.log(2.0 * math.pi)) - 0.5 * sum_zw2
-    g_mu = sum_zw / sigma
-    g_t = sum_zw2 - won_log.size
-    h_mumu = -won_log.size / sigma**2
-    h_mut = -2.0 * sum_zw / sigma
-    h_tt = -2.0 * sum_zw2
-    if lost_log.size:
-        zl = (lost_log - mu) / sigma
-        log_sf = log_ndtr(-zl)
-        ll += np.sum(log_sf)
-        # Hazard phi(z) / (1 - Phi(z)), computed in log space for stability.
-        hazard = np.exp(-0.5 * zl * zl - 0.5 * math.log(2.0 * math.pi) - log_sf)
-        dhazard = hazard * (hazard - zl)
-        hz = hazard * zl
-        g_mu += np.sum(hazard) / sigma
-        g_t += np.sum(hz)
-        h_mumu -= np.sum(dhazard) / sigma**2
-        h_mut -= np.sum(dhazard * zl + hazard) / sigma
-        h_tt -= np.sum(dhazard * zl * zl + hz)
-    grad = np.array([g_mu, g_t]) / n
-    hess = np.array([[h_mumu, h_mut], [h_mut, h_tt]]) / n
-    return float(ll) / n, grad, hess
-
-
-def _ascent_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """Search direction |hess|^-1 grad from the gradient and the 2x2 Hessian.
-
-    |hess| = V |L| V^T for the eigendecomposition hess = V L V^T. Where the
-    Hessian is negative definite, |hess| = -hess and this is the Newton step.
-    Where it is indefinite, taking |L| turns the step away from the saddle
-    and keeps it an ascent direction. A singular Hessian falls back to the
-    gradient. For a symmetric 2x2 matrix, |hess| is the square root of
-    hess^2 in closed form, (hess^2 + |det| I) / sqrt(tr hess^2 + 2 |det|),
-    and |det| is also the determinant of |hess|.
-    """
-    p, q, r = hess[0, 0], hess[0, 1], hess[1, 1]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        det = abs(p * r - q * q)
-        scale = np.sqrt(p * p + 2.0 * q * q + r * r + 2.0 * det)
-        a, b, c = (p * p + q * q + det) / scale, q * (p + r) / scale, (q * q + r * r + det) / scale
-        direction = np.array([c * grad[0] - b * grad[1], a * grad[1] - b * grad[0]]) / det
-    return direction if np.all(np.isfinite(direction)) else grad
+    count, sum_y, sum_y2 = won
+    sum_z, sum_zy = gamma * sum_y - count * delta, gamma * sum_y2 - delta * sum_y
+    z = gamma * lost_y - delta
+    log_sf = log_ndtr(-z)
+    # Hazard phi(z) / (1 - Phi(z)), computed in log space for stability.
+    hazard = np.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - log_sf)
+    dhazard = hazard * (hazard - z)
+    dhazard_y = dhazard * lost_y
+    ll = count * np.log(gamma) - 0.5 * (gamma * sum_zy - delta * sum_z) + np.sum(log_sf)
+    grad = np.array([sum_z + np.sum(hazard), count / gamma - sum_zy - np.sum(hazard * lost_y)])
+    h_dg = sum_y + np.sum(dhazard_y)
+    hess = np.array([
+        [-count - np.sum(dhazard), h_dg],
+        [h_dg, -count / gamma**2 - sum_y2 - np.sum(dhazard_y * lost_y)],
+    ])
+    return float(ll) / n, grad / n, hess / n
 
 
 def fit_censored(
@@ -310,65 +290,70 @@ def fit_censored(
 ) -> CensoredFit:
     """Fit (mu, sigma) to win/loss logs by censored maximum likelihood.
 
-    The optimizer works on (mu, t = ln sigma), which keeps sigma positive
-    without constraints. Each iteration takes a Newton step built from the
-    closed-form 2x2 Hessian of the mean log-likelihood. Far from the optimum
-    that Hessian can be indefinite; there the step uses the absolute values
-    of its eigenvalues, which keeps it an ascent direction, and a singular
-    Hessian falls back to a gradient step (see `_ascent_direction`).
+    The optimizer works in Olsen's (delta, gamma) = (mu / sigma, 1 / sigma),
+    on log prices centred at the won costs' mean. There the log-likelihood is
+    strictly concave once an auction is won, so each iteration takes the
+    Newton step -H^-1 g from the closed-form 2x2 Hessian of the mean
+    log-likelihood (see `_mean_ll_derivatives`), an ascent direction.
     Backtracking halves the step, starting from a unit step, until the mean
     log-likelihood rises by at least 1e-4 of the rise its slope predicts
     (Armijo).
 
-    The fit stops with ``converged=True`` once the gradient norm of the mean
-    log-likelihood is at or below `grad_tol`. A line-search candidate that
+    The fit stops with ``converged=True`` once `grad_norm`, the norm of the
+    mean log-likelihood's gradient in (mu, ln sigma), is at or below
+    `grad_tol`. (The gradient in (delta, gamma) vanishes as sigma -> 0, where
+    the likelihood can grow without bound.) A line-search candidate that
     meets this rule is taken even if its likelihood shows no rise: near the
     optimum the likelihood changes by less than its own rounding error while
-    the gradient is still resolved. Such a point is the maximum, because the
-    censored normal log-likelihood is strictly concave in Olsen's
-    (mu / sigma, 1 / sigma) once an auction is won, so it has no other
-    stationary point.
+    the gradient is still resolved. By concavity that point is the maximum.
 
     Two exits return the current iterate with ``converged=False`` rather than
     raising: `max_iter` steps without reaching `grad_tol`, and a stall, where
-    backtracking has shrunk the step until it no longer moves (mu, t) in
-    floating point. A `grad_tol` below the rounding error of the gradient
-    ends in a stall after a few steps. When `init` is omitted, the log-space
-    moments of the won costs are used (for uncensored data that is already
-    the maximizer). `iterations` counts the steps taken.
+    the Newton step is not a finite ascent direction or backtracking has
+    shrunk it until it no longer moves (delta, gamma) in floating point. A
+    candidate whose likelihood or gradient is not finite, such as one with
+    gamma <= 0, is rejected. A `grad_tol` below the rounding error of the
+    gradient ends in a stall after a few steps. When `init` is omitted, the
+    log-space moments of the won costs are used (for uncensored data that is
+    already the maximizer). `iterations` counts the steps taken.
     """
     won, lost = split_observations(observations)
     won_log = np.log(won)
-    lost_log = np.log(lost[lost > 0.0]) if lost.size else np.asarray([], dtype=float)
+    centre = float(np.mean(won_log))
+    won_y = won_log - centre
+    won_sums = (won.size, float(np.sum(won_y)), float(np.sum(won_y * won_y)))
+    lost_y = np.log(lost[lost > 0.0]) - centre
     n = won.size + lost.size
 
-    if init is None:
-        mu0 = float(np.mean(won_log))
-        s0 = float(np.std(won_log))
-        theta = np.array([mu0, math.log(max(s0, 1e-3))])
-    else:
-        theta = np.array([init.mu, math.log(init.sigma)])
+    def evaluate(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
+        f, g, h = _mean_ll_derivatives(won_sums, lost_y, theta[0], theta[1], n)
+        # The gradient in (mu, ln sigma), by the chain rule from (delta, gamma).
+        return f, g, h, math.hypot(theta[1] * g[0], theta[0] * g[0] + theta[1] * g[1])
 
-    f, g, h = _mean_ll_derivatives(won_log, lost_log, theta[0], theta[1], n)
-    g_norm = float(np.linalg.norm(g))
+    if init is None:
+        theta = np.array([0.0, 1.0 / max(float(np.std(won_log)), 1e-3)])
+    else:
+        theta = np.array([(init.mu - centre) / init.sigma, 1.0 / init.sigma])
+
+    f, g, h, g_norm = evaluate(theta)
     iterations = 0
     while grad_tol < g_norm < math.inf and iterations < max_iter:
-        direction = _ascent_direction(g, h)
-        slope = float(g @ direction)
+        (h_dd, h_dg), (_, h_gg) = h
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            direction = np.array([h_dg * g[1] - h_gg * g[0], h_dg * g[0] - h_dd * g[1]])
+            direction /= h_dd * h_gg - h_dg * h_dg
+            slope = float(g @ direction)
+        if not 0.0 < slope < math.inf:
+            break  # stalled: the Newton step is not a finite ascent direction
         step = 1.0
         while True:
             cand = theta + step * direction
             if np.array_equal(cand, theta):
                 break
-            # Where sigma over- or underflows, the candidate's likelihood or
-            # gradient is not finite and it is rejected. The Armijo test
-            # compares the rise itself, so a likelihood that rounds to f's
-            # does not pass it.
+            # The Armijo test compares the rise itself, so a likelihood that
+            # rounds to f's does not pass it.
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                f_cand, g_cand, h_cand = _mean_ll_derivatives(
-                    won_log, lost_log, cand[0], cand[1], n
-                )
-                g_cand_norm = float(np.linalg.norm(g_cand))
+                f_cand, g_cand, h_cand, g_cand_norm = evaluate(cand)
             if math.isfinite(f_cand) and math.isfinite(g_cand_norm) and (
                 f_cand - f >= 1e-4 * step * slope or g_cand_norm <= grad_tol
             ):
@@ -379,12 +364,13 @@ def fit_censored(
         theta, f, g, h, g_norm = cand, f_cand, g_cand, h_cand, g_cand_norm
         iterations += 1
 
-    mu_hat, sigma_hat = float(theta[0]), math.exp(float(theta[1]))
+    mu_hat, sigma_hat = centre + float(theta[0] / theta[1]), float(1.0 / theta[1])
     return CensoredFit(
         prior=LandscapePrior(mu_hat, sigma_hat),
         converged=g_norm <= grad_tol,
         log_likelihood=censored_log_likelihood(won, lost, mu_hat, sigma_hat),
         iterations=iterations,
+        grad_norm=g_norm,
     )
 
 
@@ -404,14 +390,14 @@ def read_observations_csv(path: str | Path) -> list[BidObservation]:
         if missing:
             raise ValueError(f"observation CSV missing columns: {sorted(missing)}")
         for row in reader:
-            if (bid := row["bid_price"]) is None:
-                raise ValueError(f"observation CSV line {reader.line_num} has no bid_price")
-            outcome = Outcome(row["outcome"].strip().upper())
+            for column in ("outcome", "bid_price"):
+                if row[column] is None:
+                    raise ValueError(f"observation CSV line {reader.line_num} has no {column}")
             paid = row.get("paid_cost", "")
             observations.append(
                 BidObservation(
-                    outcome=outcome,
-                    bid_price=float(bid),
+                    outcome=Outcome(row["outcome"].strip().upper()),
+                    bid_price=float(row["bid_price"]),
                     paid_cost=float(paid) if paid not in ("", None) else None,
                 )
             )

@@ -460,14 +460,20 @@ def test_missing_impression_id_defaults_to_the_row_index(small_instance, tmp_pat
         ("simulate", ["--strategy", "lin", "--instance", "{dir}"], "Is a directory"),
         ("fit", ["--observations", "{dir}"], "Is a directory"),
         ("fit", ["--observations", "{short_row}"], "line 3 has no bid_price"),
+        ("fit", ["--observations", "{no_outcome}"], "line 2 has no outcome"),
+        ("fit", ["--observations", "{no_outcome}", "--family", "ortb"], "line 2 has no outcome"),
     ],
     ids=["solve-instance-directory", "simulate-instance-directory", "fit-observations-directory",
-         "fit-row-without-bid-price"],
+         "fit-row-without-bid-price", "fit-row-without-outcome", "fit-ortb-row-without-outcome"],
 )
 def test_unreadable_input_file_exits_2(command, flags, message, tmp_path, capsys):
     short_row = tmp_path / "short.csv"
     short_row.write_text("outcome,bid_price,paid_cost\nLOST,0.5,\nWON\n")
-    flags = [flag.format(dir=tmp_path, short_row=short_row) for flag in flags]
+    no_outcome = tmp_path / "no_outcome.csv"
+    no_outcome.write_text("bid_price,paid_cost,outcome\n1.0\n")
+    flags = [
+        flag.format(dir=tmp_path, short_row=short_row, no_outcome=no_outcome) for flag in flags
+    ]
     assert run([command, "--out-dir", str(tmp_path / "o"), *flags]) == 2
     assert message in capsys.readouterr().err
 
@@ -586,6 +592,7 @@ class TestFit:
         assert abs(payload["mu"] - 0.2) < 0.1
         assert abs(payload["sigma"] - 0.6) < 0.1
         assert payload["converged"]
+        assert payload["grad_norm"] <= 1e-8
 
     def test_ortb_fit(self, observations_csv, tmp_path):
         out = tmp_path / "fit"
@@ -602,7 +609,7 @@ class TestFit:
             assert run(["fit", "--observations", str(observations_csv), "--out-dir", str(out)]) == 0
         assert read_dir(a) == read_dir(b)
 
-    def test_ortb_root_below_the_bracket_is_reported_unconverged(self, tmp_path):
+    def test_ortb_root_below_the_bracket_is_reported_unconverged(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"
         path.write_text("outcome,bid_price,paid_cost\nWON,2.0,1e-300\nLOST,0.5,\n")
         out = tmp_path / "fit"
@@ -613,6 +620,22 @@ class TestFit:
         assert payload["c"] == 1e-12
         assert payload["converged"] is False
         assert math.isfinite(payload["log_likelihood"])
+        assert "warning: fit did not converge" in capsys.readouterr().err
+
+    def test_unbounded_lognormal_likelihood_is_reported_unconverged(self, tmp_path, capsys):
+        # Two wins at one cost and a loss below it: the likelihood grows
+        # without bound as sigma -> 0, so the fit stalls short of grad_tol.
+        path = tmp_path / "tied.csv"
+        path.write_text("outcome,bid_price,paid_cost\nWON,2.0,1.0\nWON,2.0,1.0\nLOST,0.5,\n")
+        out = tmp_path / "fit"
+        assert run(["fit", "--observations", str(path), "--out-dir", str(out)]) == 0
+        payload = json.loads((out / "fit.json").read_text())
+        jsonschema.validate(payload, SCHEMA)
+        assert payload["converged"] is False
+        assert payload["sigma"] < 1e-6
+        assert 0 < payload["iterations"] < 10000
+        assert payload["grad_norm"] > 1e-8
+        assert "warning: fit did not converge" in capsys.readouterr().err
 
     def test_bad_csv_exits_2(self, tmp_path):
         path = tmp_path / "bad.csv"

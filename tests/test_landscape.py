@@ -3,7 +3,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import log_ndtr
 
@@ -147,6 +147,21 @@ def _sample_observations(rng, n, mu, sigma, bid):
     return out
 
 
+def _mean_gradient_mu_log_sigma(won_log, lost_log, mu, sigma):
+    """Gradient of the mean censored log-likelihood in (mu, ln sigma), written out.
+
+    A won row with z = (ln cost - mu) / sigma contributes (z / sigma, z^2 - 1); a
+    lost row with z = (ln bid - mu) / sigma and hazard h = phi(z) / (1 - Phi(z))
+    contributes (h / sigma, h z).
+    """
+    zw = (won_log - mu) / sigma
+    zl = (lost_log - mu) / sigma
+    hazard = np.exp(-0.5 * zl * zl - 0.5 * math.log(2.0 * math.pi) - log_ndtr(-zl))
+    g_mu = (np.sum(zw) + np.sum(hazard)) / sigma
+    g_t = np.sum(zw * zw) - zw.size + np.sum(hazard * zl)
+    return np.array([g_mu, g_t]) / (won_log.size + lost_log.size)
+
+
 class TestCensoredFit:
     def test_uncensored_matches_analytic_mle(self, rng):
         costs = np.exp(0.3 + 0.8 * rng.standard_normal(10000))
@@ -201,10 +216,9 @@ class TestCensoredFit:
         assert fit.iterations <= 20
         won = np.log([o.paid_cost for o in observations if o.outcome is Outcome.WON])
         lost = np.log([o.bid_price for o in observations if o.outcome is Outcome.LOST])
-        _, grad, _ = _mean_ll_derivatives(
-            won, lost, fit.prior.mu, math.log(fit.prior.sigma), len(observations)
-        )
+        grad = _mean_gradient_mu_log_sigma(won, lost, fit.prior.mu, fit.prior.sigma)
         assert float(np.linalg.norm(grad)) <= 1e-8
+        assert fit.grad_norm == pytest.approx(float(np.linalg.norm(grad)), abs=1e-12)
         # That optimizer's last iterate, an independent estimate of the optimum.
         assert fit.prior.mu == pytest.approx(0.196691818340874, abs=1e-6)
         assert fit.prior.sigma == pytest.approx(0.5974625271578426, abs=1e-6)
@@ -248,7 +262,59 @@ class TestCensoredFit:
     def test_fit_to_json_keys(self, rng):
         observations = _sample_observations(rng, 500, mu=0.0, sigma=0.5, bid=2.0)
         payload = fit_to_json(fit_censored(observations))
-        assert set(payload) == {"mu", "sigma", "converged", "log_likelihood"}
+        assert set(payload) == {
+            "mu", "sigma", "converged", "log_likelihood", "iterations", "grad_norm"
+        }
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(50, 3000),
+    censored=st.floats(0.05, 0.95),
+    per_row=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_fit_is_a_local_maximum_of_the_censored_likelihood(seed, rows, censored, per_row):
+    # Competing bids from a log-normal landscape, censored at bids that lose
+    # about `censored` of the auctions, either constant or scattered per row.
+    rng = np.random.default_rng(seed)
+    mu, sigma = rng.uniform(-0.5, 0.5), rng.uniform(0.4, 0.7)
+    competing = np.exp(mu + sigma * rng.standard_normal(rows))
+    level = mu + sigma * NormalDist().inv_cdf(1.0 - censored)
+    bids = np.exp(level + (0.5 * rng.standard_normal(rows) if per_row else np.zeros(rows)))
+    wins = competing < bids
+    won, lost = competing[wins], bids[~wins]
+    # Below two distinct won costs the likelihood can grow without bound.
+    assume(won.size >= 2)
+    observations = [BidObservation(Outcome.WON, b, x) for x, b in zip(won, bids[wins])]
+    observations += [BidObservation(Outcome.LOST, b) for b in lost]
+    fit = fit_censored(observations)
+    assert fit.converged
+    best = censored_log_likelihood(won, lost, fit.prior.mu, fit.prior.sigma)
+    for d_mu in (-1e-4, 0.0, 1e-4):
+        for d_t in (-1e-4, 0.0, 1e-4):
+            if d_mu or d_t:
+                sigma_n = fit.prior.sigma * math.exp(d_t)
+                assert best >= censored_log_likelihood(won, lost, fit.prior.mu + d_mu, sigma_n)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_won=st.integers(1, 20),
+    n_lost=st.integers(0, 50),
+    delta=st.floats(-5.0, 5.0),
+    gamma=st.floats(0.05, 20.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_hessian_is_negative_definite_once_a_row_is_won(seed, n_won, n_lost, delta, gamma):
+    # Olsen's concavity, which makes every Newton step of the fit an ascent step.
+    rng = np.random.default_rng(seed)
+    won_y = rng.standard_normal(n_won)
+    lost_y = 2.0 * rng.standard_normal(n_lost)
+    won = (n_won, float(np.sum(won_y)), float(np.sum(won_y * won_y)))
+    _, _, hess = _mean_ll_derivatives(won, lost_y, delta, gamma, n_won + n_lost)
+    assert np.linalg.det(hess) > 0.0
+    assert np.trace(hess) < 0.0
 
 
 class TestObservations:
