@@ -2,14 +2,16 @@
 
 Runs `gen` and `solve` (both objectives), `compare`, `simulate` (ortb and
 fixed_alpha), a wide `solve`, a `solve` of an instance with string impression
-ids and one of an instance with no ads, and `fit` (both families) in process
-into a temporary directory, and prints one line per output file: digest, then
-`<command label>/<file name>`. Two source trees whose digests match wrote
-byte-identical outputs. Each command's `manifest.json` is digested too, after
-its timing fields (`wall_time_s`, `stages_s`) are dropped and the temporary
-directory's path in it is replaced by `<work>`, so a digest diff also shows a
-change in the recorded flags, inputs or outputs. The manifest also records
-the Python, numpy and scipy versions, so compare its digests on one host.
+ids and one of an instance with no ads, a `solve` and a fixed_alpha
+`simulate` of an instance with overflowing landscape means, and `fit` (both
+families) in process into a temporary directory, and prints one line per
+output file: digest, then `<command label>/<file name>`. Two source trees
+whose digests match wrote byte-identical outputs. Each command's
+`manifest.json` is digested too, after its timing fields (`wall_time_s`,
+`stages_s`) are dropped and the temporary directory's path in it is replaced
+by `<work>`, so a digest diff also shows a change in the recorded flags,
+inputs or outputs. The manifest also records the Python, numpy and scipy
+versions, so compare its digests on one host.
 
     python scripts/output_digest.py                   # the src/ beside this script
     python scripts/output_digest.py --src other/src   # another checkout's package
@@ -18,7 +20,10 @@ The observation logs for `fit` are the benchmark's `fit_logs` pools of seed 0,
 drawn by `perfbench/workloads.py:observation_pool` of this checkout, and the
 wide instance is the benchmark's `solve_wide` instance of seed 0
 (`wide_instance`); the string-id and no-ads instances are a smaller one of
-those with its impression ids, or its ads and constraints, replaced. They are
+those with its impression ids, or its ads and constraints, replaced. In the
+overflow instance, the same smaller one, every fifth impression has sigma =
+40, whose mean exp(mu + sigma^2 / 2) overflows a double, so the log-space
+branch of the win-probability and cost kernel shows in the digest. They are
 written here with the csv and json modules, not with the package under test,
 so both trees read the same bytes. One more `fit --family lognormal` runs on
 a three-row log whose likelihood grows without bound as sigma -> 0, so the
@@ -53,6 +58,8 @@ FIT_SEED = 0
 WIDE_N, WIDE_SEED, WIDE_EPOCHS = 2000, 0, 40
 #: Size of the string-id and no-ads instances, and the epochs they are solved with.
 SMALL_N, SMALL_EPOCHS = 200, 20
+#: Prices of the wide instance's ten rows for the overflow instance's replay.
+WIDE_ALPHA = [0.05] * 10
 #: String impression ids, cycled; two need quoting in a CSV field.
 STRING_IDS = ("imp-a", "imp,b", 'imp "c"', " imp d")
 #: Two wins at one cost and a loss below it: the log-normal fit cannot converge.
@@ -91,11 +98,13 @@ def instance_payload(instance, seed: int) -> dict:
 
 
 def write_instances(work: Path, wide_instance) -> None:
-    """The wide instance, and a small one with string impression ids and with no ads."""
+    """The wide instance, and a small one with string ids, with no ads and with overflows."""
     wide = instance_payload(wide_instance(WIDE_N, WIDE_SEED), WIDE_SEED)
     (work / "wide.json").write_text(json.dumps(wide))
     small = instance_payload(wide_instance(SMALL_N, WIDE_SEED), WIDE_SEED)
     impressions = small["impressions"]
+    overflow = [imp | {"sigma": 40.0} if i % 5 == 0 else imp for i, imp in enumerate(impressions)]
+    (work / "overflow.json").write_text(json.dumps(small | {"impressions": overflow}))
     for i, imp in enumerate(impressions):
         imp["id"] = STRING_IDS[i % len(STRING_IDS)] + str(i)
     (work / "string_ids.json").write_text(json.dumps(small))
@@ -135,9 +144,13 @@ def commands(work: Path, n_pools: int) -> list[tuple[str, list[str]]]:
         ]
     wide = ["solve", "--instance", str(work / "wide.json"), "--epochs-sgd", str(WIDE_EPOCHS)]
     out.append(("solve_wide", wide))
-    for name in ("string_ids", "no_ads"):
+    for name in ("string_ids", "no_ads", "overflow"):
         small = ["solve", "--instance", str(work / f"{name}.json"), "--epochs-sgd", str(SMALL_EPOCHS)]
         out.append((f"solve_{name}", small))
+    overflow = ["--instance", str(work / "overflow.json"), "--epochs", str(REPLAY_EPOCHS)]
+    alpha = json.dumps({"alpha": WIDE_ALPHA})
+    out.append(("simulate_fixed_alpha_overflow",
+                ["simulate", "--strategy", "fixed_alpha", *overflow, "--params", alpha]))
     for k in range(n_pools):
         log = str(work / f"observations_{k}.csv")
         for family in ("lognormal", "ortb"):

@@ -3,9 +3,9 @@
 An impression plays the role of an item, an ad of a user, and the bid price
 of the continuous sub-choice. Priced composites stay inside the utility
 family, so the per-ad best response has the closed form bp* = -phi_F/psi_F
-and both the solver and the bidder reduce to coefficient arithmetic plus
-log-normal CDF evaluations; no numeric search over bid prices happens in the
-hot path.
+and both the solver and the bidder reduce to coefficient arithmetic plus the
+log-normal kernel `landscape.win_prob_cost`; no numeric search over bid
+prices happens in the hot path.
 
 `DspChoiceModel` builds the coefficient tensors with the array form of the
 `utility` encoders: one call per ad and objective or constraint, over the
@@ -39,7 +39,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from . import landscape, mmkp
 from .landscape import LandscapePrior
@@ -168,30 +167,6 @@ def _best_bids(phi: np.ndarray, psi: np.ndarray, cap: float, out: np.ndarray) ->
     return np.subtract(0.0, out, out=out)
 
 
-def _win_prob_cost(bp: np.ndarray, mu, sigma, mean, over, out: np.ndarray) -> np.ndarray:
-    """Win probability and expected cost at bids `bp`, into `out`, shaped (2, *bp.shape).
-
-    The prior arrays broadcast to `bp`; the cost is the mean times Phi(z -
-    sigma), and one `ndtr` call forms both CDFs. A bid <= 0 keeps z = -inf,
-    so it neither wins nor pays (scipy's ufuncs mishandle `where=`). Where
-    `over` (None if empty) marks an overflowed mean, `mean` holds 0 and the
-    cost is formed in log space, as `landscape.partial_moment` does.
-    """
-    prob, cost = out
-    prob.fill(-np.inf)
-    np.log(bp, out=prob, where=bp > 0.0)
-    prob -= mu
-    prob /= sigma
-    np.subtract(prob, sigma, out=cost)
-    if over is not None:
-        log_moment = mu + 0.5 * sigma * sigma + log_ndtr(cost)
-    ndtr(out, out=out)
-    cost *= mean
-    if over is not None:
-        np.exp(log_moment, out=cost, where=over & (bp > 0.0))
-    return out
-
-
 class RowDecisions(NamedTuple):
     """The decision rule's outcome per impression, as arrays of shape (N,).
 
@@ -255,17 +230,7 @@ class DspChoiceModel(mmkp.ChoiceModel):
                 self._w[:, 1, j, c] = w.psi
         self._budgets = np.array([constraint_limit(s) for s in instance.constraints])
         self._cap = float(instance.bid_cap)
-        # mu, sigma and mean stacked as (3, N, 1) for one gather per batch. The
-        # mean is `landscape.mean` per impression, not `np.exp` over the array
-        # (their last bits can differ); where it overflowed it is stored as 0
-        # and flagged in `_over` (None if there is none).
-        priors = [imp.prior for imp in instance.impressions]
-        self._prior = np.array(
-            [[p.mu for p in priors], [p.sigma for p in priors], [landscape.mean(p) for p in priors]]
-        )[:, :, None]
-        over = np.isinf(self._prior[2])
-        self._prior[2][over] = 0.0
-        self._over = over if over.any() else None
+        self._prior, self._over = landscape.prior_arrays([imp.prior for imp in instance.impressions])
         for shared in (self._ppi, self._prior):
             shared.flags.writeable = False
 
@@ -321,7 +286,7 @@ class DspChoiceModel(mmkp.ChoiceModel):
         over = None if self._over is None else self._over[rows]
         out = np.zeros((4, *c.shape[1:]))
         _best_bids(*c, self._cap, out[0])
-        _win_prob_cost(out[0], *self._prior[:, rows], over, out[1:3])
+        landscape.win_prob_cost(out[0], *self._prior[:, rows], over, out[1:3])
         np.add(*(c * out[1:3]), out=out[3])
         return out
 
@@ -354,17 +319,14 @@ class DspChoiceModel(mmkp.ChoiceModel):
             return 0.0
         return float(np.maximum(score.max(axis=1), 0.0).sum())
 
-    def _prob_cost_at(self, i: int, sub_choice: float) -> tuple[float, float]:
-        over = None if self._over is None else self._over[i]
-        out = _win_prob_cost(np.array([sub_choice]), *self._prior[:, i], over, np.empty((2, 1)))
-        return out[0, 0], out[1, 0]
-
     def gain(self, i: int, j: int, sub_choice: float) -> float:
-        prob, cost = self._prob_cost_at(i, sub_choice)
+        prior = self.instance.impressions[i].prior
+        prob, cost = landscape.win_prob(prior, sub_choice), landscape.expected_cost(prior, sub_choice)
         return float(self._v[i, 0, j] * prob + self._v[i, 1, j] * cost)
 
     def consumption(self, i: int, j: int, sub_choice: float) -> np.ndarray:
-        prob, cost = self._prob_cost_at(i, sub_choice)
+        prior = self.instance.impressions[i].prior
+        prob, cost = landscape.win_prob(prior, sub_choice), landscape.expected_cost(prior, sub_choice)
         return self._w[i, 0, j] * prob + self._w[i, 1, j] * cost
 
 

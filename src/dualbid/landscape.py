@@ -3,7 +3,8 @@
 The prior describes, per impression, the distribution of the strongest
 opposing bid. Winning probability at a bid price is the CDF; the expected
 payment is the partial first moment, because the winner pays the second
-highest price. Both have closed forms for the log-normal family.
+highest price. One array kernel, `win_prob_cost`, forms both closed forms for
+`dsp`'s decision rule and for the views `win_prob` and `expected_cost`.
 
 Fitting uses the censored likelihood of win/loss logs: a won auction reveals
 the competing bid exactly (it equals the paid cost), a lost one only that it
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import erfcx, log_ndtr, ndtr
 
 __all__ = [
     "BidObservation",
@@ -37,11 +38,12 @@ __all__ = [
     "fit_censored",
     "fit_to_json",
     "mean",
-    "partial_moment",
     "pdf",
+    "prior_arrays",
     "read_observations_csv",
     "split_observations",
     "win_prob",
+    "win_prob_cost",
     "write_observations_csv",
 ]
 
@@ -118,14 +120,55 @@ def pdf(prior: LandscapePrior, x) -> float | np.ndarray:
     return _scalar_or_array(x, out)
 
 
+def prior_arrays(priors: Sequence[LandscapePrior]) -> tuple[np.ndarray, np.ndarray | None]:
+    """`mu`, `sigma` and mean of each prior stacked as (3, N, 1), and the overflow mask.
+
+    The mean is `mean` per prior, not `np.exp` over the array (their last bits
+    can differ). Where it overflowed it is stored as 0 and marked in the mask,
+    shaped (N, 1), for `win_prob_cost`; the mask is None if nothing overflowed.
+    """
+    columns = [[p.mu for p in priors], [p.sigma for p in priors], [mean(p) for p in priors]]
+    stacked = np.array(columns)[:, :, None]
+    over = np.isinf(stacked[2])
+    stacked[2][over] = 0.0
+    return stacked, over if over.any() else None
+
+
+def win_prob_cost(bp: np.ndarray, mu, sigma, mean, over, out: np.ndarray) -> np.ndarray:
+    """Win probability and expected cost at bids `bp`, into `out`, shaped (2, *bp.shape).
+
+    The prior arrays, in `prior_arrays`' format, broadcast to `bp`. With z =
+    (ln bp - mu) / sigma, the cost is the partial first moment mean * Phi(z -
+    sigma); one `ndtr` call forms both CDFs. A bid <= 0 keeps z = -inf, so it
+    neither wins nor pays (scipy's ufuncs mishandle `where=`). Where `over`
+    marks an overflowed mean, the cost is exp(mu + sigma^2/2 + log Phi(z - sigma)).
+    """
+    prob, cost = out
+    prob.fill(-np.inf)
+    np.log(bp, out=prob, where=bp > 0.0)
+    prob -= mu
+    prob /= sigma
+    np.subtract(prob, sigma, out=cost)
+    if over is not None:
+        log_moment = mu + 0.5 * sigma * sigma + log_ndtr(cost)
+    ndtr(out, out=out)
+    cost *= mean
+    if over is not None:
+        np.exp(log_moment, out=cost, where=over & (bp > 0.0))
+    return out
+
+
+def _prob_cost(prior: LandscapePrior, bid_price, row: int) -> float | np.ndarray:
+    """Row `row` of `win_prob_cost` for one prior, with the bids laid out as one model row."""
+    bp = np.asarray(bid_price, dtype=float)
+    stacked, over = prior_arrays([prior])
+    out = win_prob_cost(bp.reshape(1, -1), *stacked, over, np.empty((2, 1, bp.size)))
+    return _scalar_or_array(bid_price, out[row].reshape(bp.shape))
+
+
 def win_prob(prior: LandscapePrior, bid_price) -> float | np.ndarray:
     """Probability of winning at `bid_price`: the CDF of the competing bid."""
-    bp = np.asarray(bid_price, dtype=float)
-    out = np.zeros(bp.shape)
-    pos = bp > 0.0
-    if np.any(pos):
-        out[pos] = ndtr((np.log(bp[pos]) - prior.mu) / prior.sigma)
-    return _scalar_or_array(bid_price, out)
+    return _prob_cost(prior, bid_price, 0)
 
 
 def expected_cost(prior: LandscapePrior, bid_price) -> float | np.ndarray:
@@ -135,13 +178,7 @@ def expected_cost(prior: LandscapePrior, bid_price) -> float | np.ndarray:
     exp(mu + sigma^2/2) * Phi((ln bp - mu)/sigma - sigma); it increases to the
     distribution mean as the bid grows.
     """
-    bp = np.asarray(bid_price, dtype=float)
-    out = np.zeros(bp.shape)
-    pos = bp > 0.0
-    if np.any(pos):
-        z = (np.log(bp[pos]) - prior.mu) / prior.sigma
-        out[pos] = partial_moment(prior.mu, prior.sigma, z)
-    return _scalar_or_array(bid_price, out)
+    return _prob_cost(prior, bid_price, 1)
 
 
 def mean(prior: LandscapePrior) -> float:
@@ -154,21 +191,6 @@ def mean(prior: LandscapePrior) -> float:
         return math.exp(prior.mu + 0.5 * prior.sigma * prior.sigma)
     except OverflowError:
         return math.inf
-
-
-def partial_moment(mu: float, sigma: float, z):
-    """Partial first moment exp(mu + sigma^2/2) * Phi(z - sigma) at standardized log-bid `z`.
-
-    This is the expected second-price payment at a bid bp with
-    z = (ln bp - mu) / sigma, so it never exceeds bp * Phi(z). Where the mean
-    exp(mu + sigma^2/2) overflows, the product is formed in log space as
-    exp(mu + sigma^2/2 + log Phi(z - sigma)), which stays finite; everywhere
-    else it is the plain product. `z` may be a float or an array.
-    """
-    try:
-        return math.exp(mu + 0.5 * sigma * sigma) * ndtr(z - sigma)
-    except OverflowError:
-        return np.exp(mu + 0.5 * sigma * sigma + log_ndtr(z - sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +283,15 @@ def _mean_ll_derivatives(
     an auction is won (Olsen, Econometrica 1978). The value leaves out the
     won rows' constant, -sum(ln cost) - count ln(2 pi) / 2.
 
-    Where gamma is not positive or a term overflows, the values come back
-    non-finite.
+    The hazard is sqrt(2 / pi) / erfcx(z / sqrt(2)), accurate to about eps at
+    large z, so h - z ~ 1/z keeps h' within 1e-6 up to z = 1e5. Where gamma is
+    not positive or a term overflows, the values come back non-finite.
     """
     count, sum_y, sum_y2 = won
     sum_z, sum_zy = gamma * sum_y - count * delta, gamma * sum_y2 - delta * sum_y
     z = gamma * lost_y - delta
     log_sf = log_ndtr(-z)
-    # Hazard phi(z) / (1 - Phi(z)), computed in log space for stability.
-    hazard = np.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - log_sf)
+    hazard = math.sqrt(2.0 / math.pi) / erfcx(z / math.sqrt(2.0))
     dhazard = hazard * (hazard - z)
     dhazard_y = dhazard * lost_y
     ll = count * np.log(gamma) - 0.5 * (gamma * sum_zy - delta * sum_z) + np.sum(log_sf)

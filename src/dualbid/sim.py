@@ -28,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import mmkp
 from .dsp import Ad, DspChoiceModel, DspInstance, Impression
 from .dsp import bid_decision  # noqa: F401 - perfbench/tracing.py wraps sim.bid_decision
 from .landscape import LandscapePrior
@@ -256,13 +255,13 @@ def instance_from_json(payload: dict) -> DspInstance:
                 ConstraintKind(entry["kind"]),
                 PaymentMode(entry["mode"]),
                 _real(entry["bound"], "constraint bound"),
-                frozenset(entry["scope"]),
+                _scope(entry["scope"]),
             )
             for entry in payload["constraints"]
         ]
         impressions = [
             Impression(
-                _impression_id(entry.get("id", i)),
+                _impression_id(entry, i),
                 LandscapePrior(_real(entry["mu"], "mu"), _real(entry["sigma"], "sigma")),
                 entry["ppi"],
             )
@@ -295,8 +294,16 @@ def _ad_id(entry: dict) -> str:
     raise InstanceFormatError(f"ad id must be a non-empty string, got {value!r}")
 
 
-def _impression_id(value) -> str | int:
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+def _scope(value) -> frozenset[str]:
+    if isinstance(value, list) and all(isinstance(ad_id, str) for ad_id in value):
+        return frozenset(value)
+    raise InstanceFormatError(f"constraint scope must be a list of ad ids, got {value!r}")
+
+
+def _impression_id(entry, i: int) -> str | int:
+    if not isinstance(entry, dict):
+        raise InstanceFormatError(f"impression {i} must be an object, got {entry!r}")
+    if isinstance(value := entry.get("id", i), str) or type(value) is int:
         return value
     raise InstanceFormatError(f"impression id must be a string or an integer, got {value!r}")
 
@@ -381,9 +388,9 @@ def _running_total(values: np.ndarray) -> np.ndarray:
 
 
 def run_expectation(model: DspChoiceModel, alpha: np.ndarray) -> SimReport:
-    """Execute the dual-based strategy analytically and account all constraints."""
+    """Primal value, every row's consumption and the dual value from one decision pass."""
     alpha = np.asarray(alpha, dtype=float)
-    ad, _, _, prob, cost = model.decide_rows(alpha)
+    ad, _, score, prob, cost = model.decide_rows(alpha)
     rows = np.flatnonzero(ad >= 0)
     ad, prob, cost = ad[rows], prob[rows], cost[rows]
     (phi_v, psi_v), (phi_w, psi_w) = model.objective_coeffs, model.constraint_coeffs
@@ -393,7 +400,8 @@ def run_expectation(model: DspChoiceModel, alpha: np.ndarray) -> SimReport:
         ConstraintRow(k=k, limit=float(limit), consumption=float(used[k]), alpha=float(alpha[k]))
         for k, limit in enumerate(model.budgets)
     ]
-    return SimReport(float(gain), mmkp.dual_objective(model, alpha), per_constraint)
+    dual = float(alpha @ model.budgets) + float(np.maximum(score, 0.0).sum())
+    return SimReport(float(gain), dual, per_constraint)
 
 
 # ---------------------------------------------------------------------------

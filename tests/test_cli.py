@@ -440,6 +440,34 @@ def test_ad_id_that_is_not_a_non_empty_string_exits_2(ad_id, small_instance, tmp
     assert "ad id must be a non-empty string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [1, "imp", [0.5, 1.0], None], ids=["int", "string", "list", "null"])
+def test_impression_entry_that_is_not_an_object_exits_2(entry, small_instance, tmp_path, capsys):
+    payload = json.loads(small_instance.read_text())
+    payload["impressions"][3] = entry
+    bad = tmp_path / "instance.json"
+    bad.write_text(json.dumps(payload))
+    assert run(["solve", "--instance", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "impression 3 must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ad_ids, scope",
+    [(None, "ad1"), (None, ["ad1", 2]), (None, {"ad1": 1}), (("a", "b"), "ab")],
+    ids=["string", "list-with-number", "object", "string-of-ad-ids"],
+)
+def test_scope_that_is_not_a_list_of_ad_ids_exits_2(ad_ids, scope, small_instance, tmp_path, capsys):
+    # Read as a set of characters, the scope "ab" would name both ads "a" and "b".
+    payload = json.loads(small_instance.read_text())
+    for ad, ad_id in zip(payload["ads"], ad_ids or ()):
+        ad["id"] = ad_id
+    for spec in payload["constraints"]:
+        spec["scope"] = scope
+    bad = tmp_path / "instance.json"
+    bad.write_text(json.dumps(payload))
+    assert run(["solve", "--instance", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "constraint scope must be a list of ad ids" in capsys.readouterr().err
+
+
 def test_missing_impression_id_defaults_to_the_row_index(small_instance, tmp_path):
     payload = json.loads(small_instance.read_text())
     payload["impressions"][0]["id"], payload["impressions"][1]["id"] = "first", 2**40

@@ -597,6 +597,29 @@ class TestDecideRows:
         alpha = rng.uniform(0.0, 1.0, model.n_constraints)
         assert assert_kernel_matches_reference(model, alpha) > 0
 
+    def test_scalar_forms_are_the_kernel(self):
+        # At each row's decided bid (0 for a row without a bid), the scalar
+        # `win_prob` and `expected_cost` give `decide_rows`' prob and cost bit
+        # for bit, on means that overflow and bids at the cap too.
+        rng = np.random.default_rng(43)
+        seen = {"no bid": 0, "at cap": 0, "overflowed mean": 0}
+        for draw in range(40):
+            instance = random_instance(rng, n=12, m=1 + draw % 3)
+            instance.bid_cap = (0.02, 1e4)[draw % 2]
+            instance.impressions = [
+                imp if i % 3 else dataclasses.replace(imp, prior=LandscapePrior(imp.prior.mu, 40.0))
+                for i, imp in enumerate(instance.impressions)
+            ]
+            rows = DspChoiceModel(instance).decide_rows(rng.uniform(0.0, 8.0, len(instance.constraints)))
+            for i, imp in enumerate(instance.impressions):
+                bp = float(rows.bp[i])
+                assert bits(win_prob(imp.prior, bp)) == bits(rows.prob[i]), (draw, i)
+                assert bits(expected_cost(imp.prior, bp)) == bits(rows.cost[i]), (draw, i)
+                seen["no bid"] += int(rows.ad[i] < 0)
+                seen["at cap"] += int(bp == instance.bid_cap)
+                seen["overflowed mean"] += int(rows.ad[i] >= 0 and i % 3 == 0)
+        assert all(seen.values()), seen
+
     def test_no_impressions(self):
         model = DspChoiceModel(p4p_instance(impressions=[]))
         decisions = model.decide_rows(np.ones(1))

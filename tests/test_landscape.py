@@ -18,10 +18,11 @@ from dualbid.landscape import (
     fit_censored,
     fit_to_json,
     mean,
-    partial_moment,
     pdf,
+    prior_arrays,
     read_observations_csv,
     win_prob,
+    win_prob_cost,
     write_observations_csv,
     _mean_ll_derivatives,
 )
@@ -89,11 +90,28 @@ class TestClosedForms:
         assert 0.0 <= expected_cost(prior, 1.0) <= win_prob(prior, 1.0)
 
     def test_partial_moment_log_form_agrees_below_overflow(self):
-        # Both forms at a sigma whose mean is still finite.
-        mu, sigma = -1.0, 30.0
-        z = np.linspace(-5.0, 5.0, 11)
-        log_form = np.exp(mu + 0.5 * sigma * sigma + log_ndtr(z - sigma))
-        np.testing.assert_allclose(partial_moment(mu, sigma, z), log_form, rtol=1e-9)
+        # Both branches of the kernel on priors whose mean is still finite: the
+        # plain product, and the log-space form with every row marked overflowed.
+        priors = [LandscapePrior(-1.0, 30.0), LandscapePrior(0.5, 5.0), LandscapePrior(2.0, 0.7)]
+        (mu, sigma, means), over = prior_arrays(priors)
+        assert over is None
+        bp = np.exp(mu + sigma * np.linspace(-5.0, 5.0, 11))
+        plain = win_prob_cost(bp, mu, sigma, means, None, np.empty((2, *bp.shape)))
+        everywhere = np.ones(mu.shape, dtype=bool)
+        log_form = win_prob_cost(bp, mu, sigma, means, everywhere, np.empty((2, *bp.shape)))
+        assert np.all(plain[1] > 0.0)
+        np.testing.assert_array_equal(log_form[0], plain[0])
+        np.testing.assert_allclose(log_form[1], plain[1], rtol=1e-9)
+
+    def test_prior_arrays_store_an_overflowed_mean_as_zero_and_mark_it(self):
+        priors = [STANDARD, LandscapePrior(-1.0, 40.0), LandscapePrior(0.3, 0.2)]
+        stacked, over = prior_arrays(priors)
+        assert stacked.shape == (3, 3, 1) and over.shape == (3, 1)
+        assert over[:, 0].tolist() == [False, True, False]
+        assert stacked[2, :, 0].tolist() == [mean(STANDARD), 0.0, mean(priors[2])]
+        assert stacked[0, :, 0].tolist() == [0.0, -1.0, 0.3]
+        assert stacked[1, :, 0].tolist() == [1.0, 40.0, 0.2]
+        assert prior_arrays([])[0].shape == (3, 0, 1) and prior_arrays([])[1] is None
 
     def test_vectorized_matches_scalar(self):
         bps = np.array([0.0, 0.3, 1.0, 4.5])
@@ -315,6 +333,14 @@ def test_hessian_is_negative_definite_once_a_row_is_won(seed, n_won, n_lost, del
     _, _, hess = _mean_ll_derivatives(won, lost_y, delta, gamma, n_won + n_lost)
     assert np.linalg.det(hess) > 0.0
     assert np.trace(hess) < 0.0
+
+
+@pytest.mark.parametrize("z", [1e2, 1e3, 1e4, 1e5])
+def test_lost_row_hessian_term_is_accurate_far_in_the_tail(z):
+    # A lost row at z contributes -h'(z) = -h (h - z) to the (delta, delta)
+    # entry, and h'(z) = 1 - 1/z^2 + 6/z^4 + O(1/z^6) for large z.
+    _, _, hess = _mean_ll_derivatives((0, 0.0, 0.0), np.array([z]), 0.0, 1.0, 1)
+    assert -hess[0, 0] == pytest.approx(1.0 - 1.0 / z**2 + 6.0 / z**4, rel=1e-6)
 
 
 class TestObservations:

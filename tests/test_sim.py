@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from dualbid import sim
 from dualbid.dsp import DspChoiceModel
-from dualbid.landscape import BidObservation, Outcome, split_observations
-from dualbid.mmkp import sgd_solve
+from dualbid.landscape import BidObservation, LandscapePrior, Outcome, split_observations
+from dualbid.mmkp import dual_objective, sgd_solve
 from dualbid.sim import (
     FixedAlphaStrategy,
     InstanceFormatError,
@@ -159,6 +160,26 @@ class TestRunExpectation:
             assert row.consumption <= row.limit + 1e-2 * max(1.0, abs(row.limit))
         # P4U ROI is 1 + cr by construction, so the 1.05 floor stays slack.
         assert report.per_constraint[2].alpha <= 1e-3
+
+
+    def test_dual_value_is_dual_objective_bit_for_bit(self):
+        # `run_expectation` reads the dual from its own decision pass, and
+        # `dual_objective` runs the kernel again; the two must share every bit.
+        rng = np.random.default_rng(8)
+        for draw in range(30):
+            instance = gen_mock_instance(MockConfig(n_impressions=int(rng.integers(0, 40)), seed=draw))
+            impressions = [  # every fourth mean overflows
+                imp if i % 4 else dataclasses.replace(imp, prior=LandscapePrior(imp.prior.mu, 40.0))
+                for i, imp in enumerate(instance.impressions)
+            ]
+            instance = dataclasses.replace(instance, impressions=impressions)
+            if draw % 5 == 0:  # M = 0: no ads, and so no constraints
+                impressions = [dataclasses.replace(imp, ppi=()) for imp in impressions]
+                instance = dataclasses.replace(instance, ads=[], constraints=[], impressions=impressions)
+            model = DspChoiceModel(instance)
+            alpha = rng.uniform(0.0, 3.0, model.n_constraints)
+            dual = run_expectation(model, alpha).dual_value
+            assert np.float64(dual).tobytes() == np.float64(dual_objective(model, alpha)).tobytes()
 
 
 class TestRunMonteCarlo:
