@@ -28,7 +28,9 @@ written here with the csv and json modules, not with the package under test,
 so both trees read the same bytes. One more `fit --family lognormal` runs on
 a three-row log whose likelihood grows without bound as sigma -> 0, so the
 fit ends unconverged at its stall exit and a change to that path shows in the
-digest too.
+digest too. Two more `fit --family ortb` runs end at the ends of the range the
+win-curve scale is searched in: one log's root lies below 1e-12 and the
+other's above 1e15, so both unconverged results show in the digest.
 """
 
 from __future__ import annotations
@@ -64,6 +66,12 @@ WIDE_ALPHA = [0.05] * 10
 STRING_IDS = ("imp-a", "imp,b", 'imp "c"', " imp d")
 #: Two wins at one cost and a loss below it: the log-normal fit cannot converge.
 STALL_LOG = "outcome,bid_price,paid_cost\nWON,2.0,1.0\nWON,2.0,1.0\nLOST,0.5,\n"
+#: ORTB logs whose win-curve scale lies below 1e-12 (a won cost of 1e-300) and
+#: above 1e15 (lost bids of 1e300): the fit returns an end of its range.
+ORTB_END_LOGS = {
+    "below": "outcome,bid_price,paid_cost\nWON,2.0,1e-300\nLOST,0.5,\n",
+    "above": "outcome,bid_price,paid_cost\nWON,2.0,1.0\n" + "LOST,1e300,\n" * 5,
+}
 
 
 def write_log(path: Path, observations) -> None:
@@ -156,6 +164,9 @@ def commands(work: Path, n_pools: int) -> list[tuple[str, list[str]]]:
         for family in ("lognormal", "ortb"):
             out.append((f"fit_{family}_{k}", ["fit", "--observations", log, "--family", family]))
     out.append(("fit_lognormal_stall", ["fit", "--observations", str(work / "stall.csv")]))
+    for end in ORTB_END_LOGS:
+        log = str(work / f"ortb_{end}.csv")
+        out.append((f"fit_ortb_{end}", ["fit", "--observations", log, "--family", "ortb"]))
     return out
 
 
@@ -183,6 +194,8 @@ def main(argv: list[str] | None = None) -> int:
             _, _, observations = observation_pool(rng, FIT_ROWS, share, per_row)
             write_log(work / f"observations_{k}.csv", observations)
         (work / "stall.csv").write_text(STALL_LOG)
+        for end, log in ORTB_END_LOGS.items():
+            (work / f"ortb_{end}.csv").write_text(log)
         write_instances(work, wide_instance)
         for label, cmd in commands(work, len(FIT_POOLS)):
             out_dir = work / label

@@ -72,8 +72,9 @@ class LandscapePrior:
     def __post_init__(self) -> None:
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu!r}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        # sigma^2 / 2 enters the mean, so the square must be finite too.
+        if not (self.sigma > 0.0 and math.isfinite(self.sigma * self.sigma)):
+            raise ValueError(f"sigma must be positive with a finite square, got {self.sigma!r}")
 
 
 class Outcome(Enum):

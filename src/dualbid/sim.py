@@ -588,6 +588,7 @@ class OrtbStrategy(_WindowedStrategy):
         # Won costs and lost bids of every epoch so far, in replay order.
         self._won_costs = _GrowingArray()
         self._lost_bids = _GrowingArray()
+        self._refitted = False
 
     def epoch_bids(self) -> tuple[np.ndarray, np.ndarray]:
         return self._ad_idx, ortb_bid(self.state, self._cpi, self.target_roi)
@@ -599,7 +600,11 @@ class OrtbStrategy(_WindowedStrategy):
 
     def _update(self, actual_roi: float) -> None:
         won = self._won_costs.view
-        c = ortb_fit_c(won, self._lost_bids.view).c if won.size else self.state.c
+        c = self.state.c
+        if won.size:
+            # The first refit starts cold, each later one from the c before it.
+            c = ortb_fit_c(won, self._lost_bids.view, c if self._refitted else None).c
+            self._refitted = True
         lam = multiplicative_update(self.state.lam, self.target_roi, actual_roi).value
         self.state = OrtbState(c=c, lam=lam)
 

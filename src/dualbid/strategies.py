@@ -4,7 +4,9 @@ Both baselines, like the dual-based bidder, steer a single parameter toward a
 target ROI with a multiplicative feedback rule between windows. LIN bids a
 flat per-ad level scaled off an operator-set base; ORTB models the win curve
 as w(bp; c) = bp / (c + bp) and bids the closed-form maximizer of its shaded
-surplus, with c refitted from observed auctions.
+surplus, with c refitted from observed auctions: a censored maximum-likelihood
+fit whose score root is found by safeguarded Newton steps, each refit of a
+replay starting from the c before it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ __all__ = [
 
 #: Clamp range shared by all feedback-updated parameters.
 PARAM_BOUNDS = (1e-6, 1e6)
+
+#: Lower end of the range `ortb_fit_c` searches for the win-curve scale.
+_C_MIN = 1e-12
+#: `ortb_fit_c` stops once a Newton step moves c by at most this share of c.
+_C_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,9 @@ def _ortb_observations(won_costs, lost_bids) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("won costs and lost bids must be finite")
     if won_min <= 0.0:
         raise ValueError("won auctions must have strictly positive paid costs")
+    # `ortb_fit_c` searches c up to at least 4 * max(won) + 1, a finite double.
+    if 4.0 * won_max + 1.0 == math.inf:
+        raise ValueError(f"won costs must be at most 4.49e307, got {won_max!r}")
     return won, (lost[lost > 0.0] if lost_min <= 0.0 else lost)
 
 
@@ -144,62 +154,99 @@ def ortb_log_likelihood(c: float, won_costs, lost_bids) -> float:
 
 
 def _ortb_score(
-    c: float, won: np.ndarray, lost: np.ndarray, n: int,
-    won_buf: np.ndarray, lost_buf: np.ndarray, known: dict[float, float],
-) -> float:
-    # n - 2 sum c/(c+won) - sum c/(c+lost): strictly decreasing in c. The
-    # ratios are formed in place in the fit's scratch buffers. `known` holds
-    # the values at the bracket ends, which brentq asks for again.
-    value = known.get(c)
-    if value is not None:
-        return value
+    c: float, won: np.ndarray, lost: np.ndarray, n: int, won_buf: np.ndarray, lost_buf: np.ndarray,
+) -> tuple[float, float]:
+    # The score n - 2 sum a - sum b, with a = c/(c+won) and b = c/(c+lost),
+    # and its slope -(2 sum a(1-a) + sum b(1-b))/c. The ratios are formed in
+    # place in the fit's scratch buffers; a sum and a dot product of each give both.
     np.add(c, won, out=won_buf)
     np.divide(c, won_buf, out=won_buf)
-    value = n - 2.0 * float(np.sum(won_buf))
+    sum_a = float(np.sum(won_buf))
+    value = n - 2.0 * sum_a
+    curvature = 2.0 * (sum_a - float(np.dot(won_buf, won_buf)))
     if lost.size:
         np.add(c, lost, out=lost_buf)
         np.divide(c, lost_buf, out=lost_buf)
-        value -= float(np.sum(lost_buf))
-    return value
+        sum_b = float(np.sum(lost_buf))
+        value -= sum_b
+        curvature += sum_b - float(np.dot(lost_buf, lost_buf))
+    return value, -curvature / c
 
 
-def ortb_fit_c(won_costs: np.ndarray, lost_bids: np.ndarray) -> OrtbFit:
+def _ortb_cold_start(
+    won: np.ndarray, lost: np.ndarray, n: int, won_buf: np.ndarray, lost_buf: np.ndarray,
+) -> float:
+    # The score's tangent at c -> 0 is n - c (2 sum 1/won + sum 1/lost); its
+    # root lies left of the score's. A cost near the smallest double makes
+    # 1/won infinite, and the start then 0.
+    with np.errstate(over="ignore"):
+        slope = 2.0 * float(np.sum(np.divide(1.0, won, out=won_buf)))
+        if lost.size:
+            slope += float(np.sum(np.divide(1.0, lost, out=lost_buf)))
+    return n / slope
+
+
+def ortb_fit_c(won_costs: np.ndarray, lost_bids: np.ndarray, start: float | None = None) -> OrtbFit:
     """Censored MLE of the win-curve scale c from won costs and lost bids.
 
     The curve w(bp; c) = bp/(c + bp) implies the competing-bid density
     c/(c + x)^2, so won auctions contribute its log density at the paid cost
     and lost ones the log survival at our bid. Lost bids at or below 0 are
-    vacuous and dropped; non-finite inputs raise `ValueError`. The score
-    equation in c is strictly monotone, giving a unique root found by
-    bracketed root-finding on [1e-12, hi]. When the root lies outside the
-    bracket, the nearer end is returned with `converged=False`.
+    vacuous and dropped; non-finite inputs raise `ValueError`.
+
+    The score equation in c is convex and strictly decreasing, so it has one
+    root, and Newton's method from the root's left climbs to it without
+    passing it. The fit runs Newton from `start` (the replay passes the
+    previous refit's c), or else from the zero of the score's tangent at
+    c -> 0, which lies left of the root. Every evaluation shrinks a bracket
+    around the root; a step that leaves it bisects the bracket in log c
+    instead, and the fit ends when a step moves c by at most 1e-12 of
+    itself. The search is confined to [1e-12, hi], where hi is
+    4 * max(won) + 1 raised by factors of 10 to at least 1e15. When the root
+    lies outside, the nearer end is returned with `converged=False`; those
+    ends are evaluated only when an iterate reaches them. A won cost above
+    about 4.49e307, where hi overflows, raises `ValueError`.
 
     The fit allocates one scratch array for the score, evaluates it once per
     distinct c, and leaves the log-likelihood to `ortb_log_likelihood`.
     `landscape.split_observations` turns an observation log into the two
     arrays.
     """
-    # Imported here: scipy.optimize takes about 0.3 s to load, and only this
-    # fit needs it.
-    from scipy.optimize import brentq
-
     won, lost = _ortb_observations(won_costs, lost_bids)
     scratch = np.empty(max(won.size, lost.size))
-    known: dict[float, float] = {}
-    # The arrays reach the score through `args`, not a closure: brentq wraps
-    # its callable in a self-referencing function, and a closure would keep
-    # every refit's arrays alive until the cyclic garbage collector runs.
-    args = (won, lost, won.size + lost.size, scratch[: won.size], scratch[: lost.size], known)
+    args = (won, lost, won.size + lost.size, scratch[: won.size], scratch[: lost.size])
 
-    hi = 4.0 * float(np.max(won)) + 1.0
-    while (f_hi := _ortb_score(hi, *args)) > 0.0 and hi < 1e15:
-        hi *= 10.0
-    if f_hi > 0.0:
-        return OrtbFit(hi, converged=False)
-    lo = 1e-12
-    f_lo = _ortb_score(lo, *args)
-    if f_lo < 0.0:
-        return OrtbFit(lo, converged=False)
-    known[lo], known[hi] = f_lo, f_hi
-    c_hat = float(brentq(_ortb_score, lo, hi, args=args, xtol=1e-12, rtol=1e-12))
-    return OrtbFit(c_hat, converged=True)
+    c_max = 4.0 * float(np.max(won)) + 1.0
+    while c_max < 1e15:
+        c_max *= 10.0
+    if start is None:
+        start = _ortb_cold_start(*args)
+    c = min(max(start, _C_MIN), c_max)
+    # The score is n > 0 as c -> 0 and -won.size < 0 as c -> inf. A bracket
+    # end at 0 or inf means that the search end beside it is not evaluated yet.
+    lo, hi = 0.0, math.inf
+    while True:
+        value, slope = _ortb_score(c, *args)
+        if value > 0.0:
+            if c == c_max:
+                return OrtbFit(c, converged=False)
+            lo = c
+        elif value < 0.0:
+            if c == _C_MIN:
+                return OrtbFit(c, converged=False)
+            hi = c
+        else:
+            return OrtbFit(c, converged=True)
+        step = -value / slope if slope < 0.0 else math.copysign(math.inf, value)
+        if abs(step) <= _C_RTOL * c:
+            return OrtbFit(c + step, converged=True)
+        if lo < c + step < hi:
+            target = c + step
+        else:
+            # Bisect in log c: the bracket can span dozens of orders of magnitude.
+            target = math.sqrt(max(lo, _C_MIN) * min(hi, c_max))
+        target = min(max(target, _C_MIN), c_max)
+        if not lo < target < hi:
+            # The bracket is down to adjacent doubles.
+            return OrtbFit(c, converged=True)
+        c = target

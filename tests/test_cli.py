@@ -371,7 +371,6 @@ def test_target_roi_flag_passes_over_fixed_alpha(small_instance, tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # Only the ORTB fit needs scipy.optimize, so it is imported there.
     code = "import sys, dualbid.cli; sys.exit('scipy.optimize' in sys.modules)"
     src = Path(cli.__file__).resolve().parents[1]
     result = subprocess.run(
@@ -669,3 +668,50 @@ class TestFit:
         path = tmp_path / "bad.csv"
         path.write_text("outcome\nWON\n")
         assert run(["fit", "--observations", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def test_ortb_commands_leave_scipy_optimize_unloaded(tmp_path):
+    # ORTB's curve fit finds its root without scipy.optimize, so neither the
+    # replay's refits nor `fit --family ortb` load it.
+    (tmp_path / "obs.csv").write_text(
+        "outcome,bid_price,paid_cost\nWON,2.0,0.5\nWON,2.0,1.5\nLOST,1.0,\n"
+    )
+    code = f"""
+import sys
+from dualbid import cli
+work = {str(tmp_path)!r}
+instance = work + "/gen/instance.json"
+replay = ["--instance", instance, "--epochs", "3", "--params", '{{"update_window": 60}}']
+commands = [
+    ["gen", "--n-impressions", "60", "--out-dir", work + "/gen"],
+    ["compare", "--strategies", "db_single,ortb", *replay, "--out-dir", work + "/compare"],
+    ["simulate", "--strategy", "ortb", *replay, "--out-dir", work + "/simulate"],
+    ["fit", "--observations", work + "/obs.csv", "--family", "ortb", "--out-dir", work + "/fit"],
+]
+for argv in commands:
+    assert cli.main(argv) == 0, argv
+assert "scipy.optimize" not in sys.modules
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
+    assert fit["converged"]
+    assert (tmp_path / "compare" / "epochs_ortb.csv").exists()
+
+
+def test_sigma_whose_square_overflows_exits_2(small_instance, tmp_path, capsys):
+    # sigma^2 / 2 enters the landscape mean, so an overflowing square made the
+    # solve write a NaN dual value.
+    payload = json.loads(small_instance.read_text())
+    for imp in payload["impressions"][::2]:
+        imp["sigma"] = 1e155
+    bad = tmp_path / "instance.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    assert run(["solve", "--instance", str(bad), "--out-dir", str(out), "--epochs-sgd", "3"]) == 2
+    assert "sigma" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()

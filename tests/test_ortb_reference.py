@@ -1,22 +1,34 @@
 """ORTB's curve fit and replay refits against reference copies of the allocating code.
 
-The reference score forms `c / (c + x)` as fresh temporaries on every
-evaluation, the reference fit evaluates the bracket end again before handing
-it to brentq, and the reference refit concatenates per-epoch observation
-lists on every window. `ortb_fit_c` works in one scratch buffer and
-`OrtbStrategy` refits from views of append-only arrays; both must reproduce
-the reference bit for bit.
+The reference score and slope form `c / (c + x)` as fresh temporaries on
+every evaluation; `ortb_fit_c` forms them in one scratch buffer, and must
+give the same bits. Each fitted c carries a root certificate: the score
+changes sign across c * (1 -+ 1e-12), a tighter bound than the xtol = rtol =
+1e-12 of the brentq reference it is also checked against. The reference
+refit concatenates per-epoch observation lists on every window;
+`OrtbStrategy` refits from views of append-only arrays, and both must reach
+the same c bit for bit.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from dualbid import sim, strategies
+from dualbid.landscape import split_observations
 from dualbid.sim import MockConfig, OrtbStrategy, gen_mock_instance, run_monte_carlo
 from dualbid.strategies import OrtbFit, OrtbState, multiplicative_update, ortb_fit_c
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def bits(x):
+    return np.float64(x).tobytes()
 
 
 def reference_score(c, won, lost, n):
@@ -28,6 +40,16 @@ def reference_score(c, won, lost, n):
     )
 
 
+def reference_slope(c, won, lost):
+    # -(2 sum a(1-a) + sum b(1-b)) / c, with each sum a(1-a) as sum a - a.a.
+    a = c / (c + won)
+    curvature = 2.0 * (float(np.sum(a)) - float(np.dot(a, a)))
+    if lost.size:
+        b = c / (c + lost)
+        curvature += float(np.sum(b)) - float(np.dot(b, b))
+    return -curvature / c
+
+
 def reference_log_likelihood(c, won, lost):
     ll = won.size * math.log(c) - 2.0 * float(np.sum(np.log(c + won)))
     if lost.size:
@@ -35,8 +57,8 @@ def reference_log_likelihood(c, won, lost):
     return ll
 
 
-def reference_fit(won_costs, lost_bids):
-    """The allocating fit: returns (c, converged, log-likelihood at c)."""
+def brentq_fit(won_costs, lost_bids):
+    """The brentq fit on the cold bracket: returns (c, converged)."""
     won = np.asarray(won_costs, dtype=float)
     lost = np.asarray(lost_bids, dtype=float)
     lost = lost[lost > 0.0]
@@ -46,9 +68,17 @@ def reference_fit(won_costs, lost_bids):
     while reference_score(hi, *args) > 0.0 and hi < 1e15:
         hi *= 10.0
     if reference_score(hi, *args) > 0.0:
-        return hi, False, reference_log_likelihood(hi, won, lost)
-    c_hat = float(brentq(reference_score, lo, hi, args=args, xtol=1e-12, rtol=1e-12))
-    return c_hat, True, reference_log_likelihood(c_hat, won, lost)
+        return hi, False
+    return float(brentq(reference_score, lo, hi, args=args, xtol=1e-12, rtol=1e-12)), True
+
+
+def assert_root_certificate(c, won_costs, lost_bids):
+    won = np.asarray(won_costs, dtype=float)
+    lost = np.asarray(lost_bids, dtype=float)
+    lost = lost[lost > 0.0]
+    n = won.size + lost.size
+    assert reference_score(c * (1.0 - 1e-12), won, lost, n) > 0.0
+    assert reference_score(c * (1.0 + 1e-12), won, lost, n) < 0.0
 
 
 class ReferenceOrtb(OrtbStrategy):
@@ -68,8 +98,9 @@ class ReferenceOrtb(OrtbStrategy):
         won, lost = np.concatenate(self._won_lists), np.concatenate(self._lost_lists)
         c = self.state.c
         if won.size:
-            c, converged, _ = reference_fit(won, lost)
-            self.fits.append((c, converged))
+            fit = ortb_fit_c(won, lost, c if self.fits else None)
+            self.fits.append((fit.c, fit.converged, won, lost))
+            c = fit.c
         lam = multiplicative_update(self.state.lam, self.target_roi, actual_roi).value
         self.state = OrtbState(c=c, lam=lam)
 
@@ -90,9 +121,23 @@ class RecordingOrtb(OrtbStrategy):
     def _update(self, actual_roi):
         won = self._won_costs.view
         if won.size:
-            fit = ortb_fit_c(won, self._lost_bids.view)
+            start = self.state.c if self._refitted else None
+            fit = ortb_fit_c(won, self._lost_bids.view, start)
             self.fits.append((fit.c, fit.converged))
         super()._update(actual_roi)
+
+
+class CountingScore:
+    """Stands in for `strategies._ortb_score` and records each c it is asked for."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        self._score = strategies._ortb_score
+        monkeypatch.setattr(strategies, "_ortb_score", self)
+
+    def __call__(self, c, *args):
+        self.calls.append(c)
+        return self._score(c, *args)
 
 
 def win_curve_prices(rng, c, n):
@@ -116,32 +161,74 @@ def pools():
 
 
 POOLS = list(pools())
+IDS = [p[0] for p in POOLS]
 
 
-@pytest.mark.parametrize("label, won, lost", POOLS, ids=[p[0] for p in POOLS])
+@pytest.mark.parametrize("label, won, lost", POOLS, ids=IDS)
 def test_fit_matches_reference(label, won, lost):
-    c, converged, ll = reference_fit(won, lost)
     fit = ortb_fit_c(won, lost)
-    assert fit == OrtbFit(c, converged)
-    assert np.float64(fit.c).tobytes() == np.float64(c).tobytes()
-    assert strategies.ortb_log_likelihood(fit.c, won, lost) == ll
+    assert fit.converged
+    assert_root_certificate(fit.c, won, lost)
+    c, converged = brentq_fit(won, lost)
+    assert converged
+    assert fit.c == pytest.approx(c, rel=1e-11, abs=0.0)
+    positive = lost[lost > 0.0]
+    assert strategies.ortb_log_likelihood(fit.c, won, lost) == reference_log_likelihood(
+        fit.c, won, positive
+    )
 
 
-@pytest.mark.parametrize("label, won, lost", POOLS, ids=[p[0] for p in POOLS])
+@pytest.mark.parametrize("label, won, lost", POOLS, ids=IDS)
+def test_score_matches_reference(label, won, lost):
+    positive = lost[lost > 0.0]
+    n = won.size + positive.size
+    scratch = np.empty(max(won.size, positive.size))
+    buffers = (scratch[: won.size], scratch[: positive.size])
+    for c in (1e-12, 1e-3, 0.7, 2.5, 1e15):
+        value, slope = strategies._ortb_score(c, won, positive, n, *buffers)
+        assert bits(value) == bits(reference_score(c, won, positive, n))
+        assert bits(slope) == bits(reference_slope(c, won, positive))
+        # The slope is the score's derivative, -(2 sum a(1-a) + sum b(1-b)) / c.
+        a, b = c / (c + won), c / (c + positive)
+        exact = -(2.0 * float(np.sum(a * (1.0 - a))) + float(np.sum(b * (1.0 - b)))) / c
+        assert slope == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("label, won, lost", POOLS, ids=IDS)
+@pytest.mark.parametrize("start", [None, 1e-12, 1e-6, 0.99, 1.01, 40.0, 1e15, 1e17])
+def test_any_start_reaches_the_certified_root(label, won, lost, start, monkeypatch):
+    # A start is relative to the root (0.99, 1.01) or absolute, and those
+    # outside [1e-12, hi] are clamped into it.
+    root = ortb_fit_c(won, lost).c
+    if start in (0.99, 1.01):
+        start *= root
+    counter = CountingScore(monkeypatch)
+    fit = ortb_fit_c(won, lost, start)
+    assert fit.converged
+    assert_root_certificate(fit.c, won, lost)
+    assert fit.c == pytest.approx(root, rel=1e-12, abs=0.0)
+    assert 0 < len(counter.calls) <= 20
+
+
+@pytest.mark.parametrize("label, won, lost", POOLS, ids=IDS)
 def test_fit_evaluates_each_c_once(label, won, lost, monkeypatch):
-    score = strategies._ortb_score
-    computed = []
+    root = ortb_fit_c(won, lost).c
+    counter = CountingScore(monkeypatch)
+    for start in (None, 1.05 * root):
+        counter.calls.clear()
+        ortb_fit_c(won, lost, start)
+        assert counter.calls
+        assert len(set(counter.calls)) == len(counter.calls)
 
-    def counting_score(c, *args):
-        known = args[-1]
-        if c not in known:
-            computed.append(c)
-        return score(c, *args)
 
-    monkeypatch.setattr(strategies, "_ortb_score", counting_score)
-    ortb_fit_c(won, lost)
-    assert computed
-    assert len(set(computed)) == len(computed)
+@pytest.mark.parametrize(
+    "won, lost, start, expected",
+    [([1e-300], [0.5], 3.0, OrtbFit(1e-12, False)), ([1.0], [1e300] * 5, 1e-12, OrtbFit(5e15, False))],
+    ids=["below", "above"],
+)
+def test_unconverged_ends_from_a_warm_start(won, lost, start, expected):
+    # `test_strategies` checks both ends from the cold start.
+    assert ortb_fit_c(np.array(won), np.array(lost), start) == expected
 
 
 def test_replay_refits_match_concatenating_reference():
@@ -156,12 +243,49 @@ def test_replay_refits_match_concatenating_reference():
 
     assert recording.regrowths >= 6  # at least three times per buffer
     assert len(recording.fits) == len(reference.fits) == 20
-    assert [np.float64(c).tobytes() for c, _ in recording.fits] == [
-        np.float64(c).tobytes() for c, _ in reference.fits
-    ]
-    assert [conv for _, conv in recording.fits] == [conv for _, conv in reference.fits]
+    assert [bits(c) for c, _ in recording.fits] == [bits(c) for c, *_ in reference.fits]
+    assert [conv for _, conv in recording.fits] == [conv for _, conv, *_ in reference.fits]
     assert actual.per_strategy_metrics == expected.per_strategy_metrics
     assert actual.per_constraint == expected.per_constraint
+    for c, converged, won, lost in reference.fits:
+        assert converged
+        assert_root_certificate(c, won, lost)
+        assert c == pytest.approx(brentq_fit(won, lost)[0], rel=1e-11, abs=0.0)
+
+
+def test_refits_evaluate_the_score_few_times(monkeypatch):
+    # Each refit after the first starts from the c before it. N=2000, 60
+    # epochs and the default window give one refit per epoch.
+    instance = gen_mock_instance(MockConfig(n_impressions=2000, seed=5))
+    starts = []
+
+    def recording_fit(won, lost, start):
+        starts.append(start)
+        return ortb_fit_c(won, lost, start)
+
+    monkeypatch.setattr(sim, "ortb_fit_c", recording_fit)
+    counter = CountingScore(monkeypatch)
+    run_monte_carlo(instance, OrtbStrategy(), epochs=60, seed=5)
+    assert len(starts) == 60
+    assert starts[0] is None and None not in starts[1:]
+    assert len(counter.calls) <= 5 * len(starts)
+
+
+def test_cold_fits_of_the_benchmark_pools_evaluate_the_score_few_times(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    counter = CountingScore(monkeypatch)
+    for seed in range(5):
+        for k, (share, per_row) in enumerate(workloads.FIT_POOLS):
+            rng = np.random.default_rng([seed, k])
+            _, _, observations = workloads.observation_pool(rng, workloads.FIT_ROWS, share, per_row)
+            won, lost = split_observations(observations)
+            counter.calls.clear()
+            fit = ortb_fit_c(won, lost)
+            assert fit.converged
+            assert 0 < len(counter.calls) <= 10, (seed, k)
 
 
 def test_growing_array_keeps_order_across_regrowths():

@@ -442,7 +442,10 @@ class TestStrategies:
         assert params[3] == params[4] == params[5]
 
     def test_ortb_refit_matches_fit_over_observation_log(self):
-        """Each refit's c equals, bit for bit, a fit over the replay's rebuilt auction log."""
+        """Each refit's c equals, bit for bit, a fit over the replay's rebuilt auction log.
+
+        Both fits start from the c before the refit, and the first from the tangent at c -> 0.
+        """
 
         class CheckedOrtb(sim.OrtbStrategy):
             def reset(self, model):
@@ -454,6 +457,7 @@ class TestStrategies:
                 super().end_epoch(feedback)
 
             def _update(self, actual_roi):
+                start = self.state.c if self._refitted else None
                 super()._update(actual_roi)
                 log = [
                     BidObservation(Outcome.WON, float(b), float(p))
@@ -463,7 +467,7 @@ class TestStrategies:
                     for b, p, w in zip(f.bids, f.paid, f.won)
                     if b > 0.0
                 ]
-                assert self.state.c == ortb_fit_c(*split_observations(log)).c
+                assert self.state.c == ortb_fit_c(*split_observations(log), start).c
                 self.refits += 1
 
         instance = gen_mock_instance(MockConfig(n_impressions=100, seed=2))

@@ -161,6 +161,17 @@ class TestOrtbFitC:
         fit = ortb_fit_c(np.array([1e-300]), np.array([0.5]))
         assert fit == OrtbFit(1e-12, converged=False)
 
+    def test_root_above_the_upper_bracket(self):
+        # Lost bids far above the won cost keep the score positive up to the
+        # bracket end, 4 * 1.0 + 1 raised by factors of 10 to at least 1e15.
+        fit = ortb_fit_c(np.array([1.0]), np.full(5, 1e300))
+        assert fit == OrtbFit(5e15, converged=False)
+
+    def test_won_cost_that_overflows_the_search_range_raises(self):
+        # 4 * 1e308 + 1 overflows, so the range searched for c has no finite end.
+        with pytest.raises(ValueError, match="won costs must be at most 4.49e307"):
+            ortb_fit_c(np.array([1e308, 1.0]), np.array([0.5]))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_won_cost_raises(self, bad):
         with pytest.raises(ValueError, match="finite"):
