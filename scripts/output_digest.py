@@ -30,7 +30,12 @@ a three-row log whose likelihood grows without bound as sigma -> 0, so the
 fit ends unconverged at its stall exit and a change to that path shows in the
 digest too. Two more `fit --family ortb` runs end at the ends of the range the
 win-curve scale is searched in: one log's root lies below 1e-12 and the
-other's above 1e15, so both unconverged results show in the digest.
+other's above 1e15, so both unconverged results show in the digest. Last,
+`fit` of both families reads the first pool in a form other than the one the
+package writes: columns reordered with an extra one, outcomes in lower case
+and padded, a blank line, CRLF line ends and three more LOST rows at bid 0.
+It holds the same auctions, so its `fit.json` digests match the first pool's,
+and a change in what `fit` reads shows in the digest.
 """
 
 from __future__ import annotations
@@ -82,6 +87,18 @@ def write_log(path: Path, observations) -> None:
         for o in observations:
             cost = "" if o.paid_cost is None else repr(o.paid_cost)
             writer.writerow([o.outcome.value, repr(o.bid_price), cost])
+
+
+def write_noncanonical_log(path: Path, observations) -> None:
+    """The observations in the non-canonical form that the module docstring describes."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\r\n")
+        writer.writerow(["paid_cost", "note", "outcome", "bid_price"])
+        writer.writerow([])
+        for i, o in enumerate(observations):
+            cost = "" if o.paid_cost is None else repr(o.paid_cost)
+            writer.writerow([cost, f"row {i}", f" {o.outcome.value.lower()}\t", repr(o.bid_price)])
+        writer.writerows([["", "bid 0", "lost", "0.0"]] * 3)
 
 
 def instance_payload(instance, seed: int) -> dict:
@@ -167,6 +184,9 @@ def commands(work: Path, n_pools: int) -> list[tuple[str, list[str]]]:
     for end in ORTB_END_LOGS:
         log = str(work / f"ortb_{end}.csv")
         out.append((f"fit_ortb_{end}", ["fit", "--observations", log, "--family", "ortb"]))
+    for family in ("lognormal", "ortb"):
+        log = str(work / "noncanonical.csv")
+        out.append((f"fit_{family}_noncanonical", ["fit", "--observations", log, "--family", family]))
     return out
 
 
@@ -193,6 +213,8 @@ def main(argv: list[str] | None = None) -> int:
             rng = np.random.default_rng([FIT_SEED, k])
             _, _, observations = observation_pool(rng, FIT_ROWS, share, per_row)
             write_log(work / f"observations_{k}.csv", observations)
+            if k == 0:
+                write_noncanonical_log(work / "noncanonical.csv", observations)
         (work / "stall.csv").write_text(STALL_LOG)
         for end, log in ORTB_END_LOGS.items():
             (work / f"ortb_{end}.csv").write_text(log)

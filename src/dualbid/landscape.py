@@ -11,12 +11,22 @@ the competing bid exactly (it equals the paid cost), a lost one only that it
 exceeded our own bid. A single (mu, sigma) is fitted per observation pool,
 by Newton steps in Olsen's (mu / sigma, 1 / sigma), where that likelihood is
 concave; per-impression priors are supplied externally (e.g. by the simulator).
+Only informative rows count in its mean log-likelihood: a loss at a bid of 0
+says nothing, as every competing bid is at least 0.
+
+An observation log is a CSV with the columns outcome, bid_price and
+paid_cost, found by name in any order; other columns are ignored and the
+outcome is read case-insensitively. `read_observations_csv` parses it
+straight into the columns of an `ObservationLog`, which `split_observations`
+turns into the won costs and lost bids both fits take. `BidObservation` is
+the one-row record that `write_observations_csv` writes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -32,6 +42,7 @@ __all__ = [
     "LandscapePrior",
     "NoWinObservationsError",
     "OBSERVATION_CSV_HEADER",
+    "ObservationLog",
     "Outcome",
     "censored_log_likelihood",
     "expected_cost",
@@ -248,24 +259,55 @@ def fit_to_json(fit: CensoredFit) -> dict:
     }
 
 
+@dataclass(frozen=True, eq=False)
+class ObservationLog:
+    """An auction log as columns, one entry per row in log order.
+
+    `won` marks the won auctions, `bid_price` holds every bid and `paid_cost`
+    the won auctions' costs, NaN where the auction was lost. `len()` is the
+    row count. `read_observations_csv` returns one; `from_records` builds one
+    from `BidObservation`s, whose checks it assumes passed.
+    """
+
+    won: np.ndarray
+    bid_price: np.ndarray
+    paid_cost: np.ndarray
+
+    def __len__(self) -> int:
+        return self.won.size
+
+    @classmethod
+    def from_records(cls, observations: Sequence[BidObservation]) -> ObservationLog:
+        return cls(
+            np.array([o.outcome is Outcome.WON for o in observations], dtype=bool),
+            np.array([o.bid_price for o in observations], dtype=float),
+            np.array(
+                [math.nan if o.paid_cost is None else o.paid_cost for o in observations],
+                dtype=float,
+            ),
+        )
+
+
 def split_observations(
-    observations: Sequence[BidObservation],
+    observations: ObservationLog | Sequence[BidObservation],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Won costs and lost bids of a log, each in log order, for the censored fits.
 
-    Raises `EmptyObservationsError` on an empty log, `NoWinObservationsError`
-    when nothing was won, and `ValueError` when a won cost is not positive.
+    An `ObservationLog` is split by its `won` column; a sequence of
+    `BidObservation`s is laid out as one first. Raises
+    `EmptyObservationsError` on an empty log, `NoWinObservationsError` when
+    nothing was won, and `ValueError` when a won cost is not positive.
     """
-    if not observations:
+    if not isinstance(observations, ObservationLog):
+        observations = ObservationLog.from_records(observations)
+    if not len(observations):
         raise EmptyObservationsError("observations must be nonempty")
-    won = [o.paid_cost for o in observations if o.outcome is Outcome.WON]
-    lost = [o.bid_price for o in observations if o.outcome is Outcome.LOST]
-    if not won:
+    won = observations.paid_cost[observations.won]
+    if not won.size:
         raise NoWinObservationsError("at least one won auction is required")
-    won_a = np.asarray(won, dtype=float)
-    if np.any(won_a <= 0.0):
+    if np.any(won <= 0.0):
         raise ValueError("won auctions must have strictly positive paid costs")
-    return won_a, np.asarray(lost, dtype=float)
+    return won, observations.bid_price[~observations.won]
 
 
 def _mean_ll_derivatives(
@@ -306,7 +348,7 @@ def _mean_ll_derivatives(
 
 
 def fit_censored(
-    observations: Sequence[BidObservation],
+    observations: ObservationLog | Sequence[BidObservation],
     init: LandscapePrior | None = None,
     grad_tol: float = 1e-8,
     max_iter: int = 10000,
@@ -325,7 +367,9 @@ def fit_censored(
     The fit stops with ``converged=True`` once `grad_norm`, the norm of the
     mean log-likelihood's gradient in (mu, ln sigma), is at or below
     `grad_tol`. (The gradient in (delta, gamma) vanishes as sigma -> 0, where
-    the likelihood can grow without bound.) A line-search candidate that
+    the likelihood can grow without bound.) The mean is over the won rows
+    and the lost rows with a positive bid: a loss at a bid of 0 is vacuous
+    and does not dilute it. A line-search candidate that
     meets this rule is taken even if its likelihood shows no rise: near the
     optimum the likelihood changes by less than its own rounding error while
     the gradient is still resolved. By concavity that point is the maximum.
@@ -346,7 +390,7 @@ def fit_censored(
     won_y = won_log - centre
     won_sums = (won.size, float(np.sum(won_y)), float(np.sum(won_y * won_y)))
     lost_y = np.log(lost[lost > 0.0]) - centre
-    n = won.size + lost.size
+    n = won.size + lost_y.size
 
     def evaluate(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
         f, g, h = _mean_ll_derivatives(won_sums, lost_y, theta[0], theta[1], n)
@@ -404,27 +448,78 @@ def fit_censored(
 OBSERVATION_CSV_HEADER = ["outcome", "bid_price", "paid_cost"]
 
 
-def read_observations_csv(path: str | Path) -> list[BidObservation]:
-    """Read an auction log with columns outcome (WON|LOST), bid_price, paid_cost."""
-    observations: list[BidObservation] = []
+#: The reader's per-row flags: the outcome is WON, and the row records a cost.
+_OUTCOME_FLAGS = {"LOST": 0, "WON": 1}
+_PAID = 2
+
+
+def read_observations_csv(path: str | Path) -> ObservationLog:
+    """Read an auction log into columns, checking every row as a `BidObservation`.
+
+    The header names the columns outcome (WON or LOST, in any case, blanks
+    around it ignored), bid_price and paid_cost (empty for a lost auction).
+    They are found by name in any order, other columns are ignored, and of
+    repeated names the last counts. Blank lines are skipped and numbers are
+    read by Python's `float`. The rows stream into typed buffers and are
+    checked as arrays; the first row in file order that is short, does not
+    parse or breaks a `BidObservation` check raises that row's `ValueError`.
+    """
+    flags, bids, costs = bytearray(), array("d"), array("d")
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(OBSERVATION_CSV_HEADER) - set(reader.fieldnames or [])
+        reader = csv.reader(handle)
+        index = {name: i for i, name in enumerate(next(reader, []))}
+        missing = set(OBSERVATION_CSV_HEADER) - index.keys()
         if missing:
             raise ValueError(f"observation CSV missing columns: {sorted(missing)}")
+        columns = [index[name] for name in OBSERVATION_CSV_HEADER]
+        i_outcome, i_bid, i_cost = columns
         for row in reader:
-            for column in ("outcome", "bid_price"):
-                if row[column] is None:
-                    raise ValueError(f"observation CSV line {reader.line_num} has no {column}")
-            paid = row.get("paid_cost", "")
-            observations.append(
-                BidObservation(
-                    outcome=Outcome(row["outcome"].strip().upper()),
-                    bid_price=float(row["bid_price"]),
-                    paid_cost=float(paid) if paid not in ("", None) else None,
-                )
-            )
-    return observations
+            if not row:
+                continue
+            try:
+                flag = _OUTCOME_FLAGS[row[i_outcome].strip().upper()]
+                bid = float(row[i_bid])
+                paid = row[i_cost] if i_cost < len(row) else ""
+                cost = float(paid) if paid else math.nan
+            except (LookupError, ValueError):
+                break  # the rows before it may hold an earlier error
+            flags.append(flag | _PAID if paid else flag)
+            bids.append(bid)
+            costs.append(cost)
+        else:
+            row = None
+    won = _check_rows(flags, bids, costs)
+    if row is not None:
+        _parse_row(row, reader.line_num, columns)
+    return ObservationLog(won, np.frombuffer(bids, dtype=float), np.frombuffer(costs, dtype=float))
+
+
+def _parse_row(row: list[str], line: int, columns: list[int]) -> BidObservation:
+    """One row of the log as a record, raising the first error in its fields."""
+    i_outcome, i_bid, i_cost = columns
+    for name, i in (("outcome", i_outcome), ("bid_price", i_bid)):
+        if i >= len(row):
+            raise ValueError(f"observation CSV line {line} has no {name}")
+    paid = row[i_cost] if i_cost < len(row) else ""
+    return BidObservation(
+        Outcome(row[i_outcome].strip().upper()), float(row[i_bid]), float(paid) if paid else None
+    )
+
+
+def _check_rows(flags: bytearray, bids: array, costs: array) -> np.ndarray:
+    """`BidObservation`'s checks over the parsed rows, and their won column.
+
+    The first row that fails a check raises, through `BidObservation`.
+    """
+    flag = np.frombuffer(flags, dtype=np.uint8)
+    bid, cost = np.frombuffer(bids, dtype=float), np.frombuffer(costs, dtype=float)
+    won, paid = (flag & 1) == 1, (flag & _PAID) == _PAID
+    ok = np.isfinite(bid) & (bid >= 0.0) & np.where(won, paid & (0.0 <= cost) & (cost <= bid), ~paid)
+    if not ok.all():
+        r = int(np.argmin(ok))
+        outcome = Outcome.WON if won[r] else Outcome.LOST
+        BidObservation(outcome, bids[r], costs[r] if paid[r] else None)
+    return won
 
 
 def write_observations_csv(path: str | Path, observations: Sequence[BidObservation]) -> None:

@@ -480,6 +480,26 @@ def test_missing_impression_id_defaults_to_the_row_index(small_instance, tmp_pat
     assert ids[:4] == ["first", str(2**40), "2", "3"]
 
 
+#: Observation logs that `fit` must reject with exit 2, by name.
+BAD_LOGS = {
+    "short_row": "outcome,bid_price,paid_cost\nLOST,0.5,\nWON\n",
+    "no_outcome": "bid_price,paid_cost,outcome\n1.0\n",
+    "unknown_outcome": "outcome,bid_price,paid_cost\nLOST,0.5,\nTIE,1.0,\n",
+    "bad_number": "outcome,bid_price,paid_cost\nWON,1.0,0.5\nLOST,1.O,\n",
+    "negative_bid": "outcome,bid_price,paid_cost\nLOST,-0.5,\n",
+    "nan_bid": "outcome,bid_price,paid_cost\nLOST,nan,\n",
+    "inf_bid": "outcome,bid_price,paid_cost\nWON,inf,1.0\n",
+    "won_without_cost": "outcome,bid_price,paid_cost\nWON,1.0,\n",
+    "cost_above_bid": "outcome,bid_price,paid_cost\nWON,1.0,1.5\n",
+    "nan_cost": "outcome,bid_price,paid_cost\nWON,1.0,nan\n",
+    "lost_with_cost": "outcome,bid_price,paid_cost\nLOST,1.0,0.5\n",
+    "header_only": "outcome,bid_price,paid_cost\n",
+    "all_lost": "outcome,bid_price,paid_cost\nLOST,1.0,\nLOST,2.0,\n",
+    "zero_cost": "outcome,bid_price,paid_cost\nWON,1.0,0.5\nWON,1.0,0\n",
+    "negative_bid_first": "outcome,bid_price,paid_cost\nWON,1.0,0.5\nLOST,-2.0,\nWON,x,0.5\n",
+}
+
+
 @pytest.mark.parametrize(
     "command, flags, message",
     [
@@ -489,18 +509,33 @@ def test_missing_impression_id_defaults_to_the_row_index(small_instance, tmp_pat
         ("fit", ["--observations", "{short_row}"], "line 3 has no bid_price"),
         ("fit", ["--observations", "{no_outcome}"], "line 2 has no outcome"),
         ("fit", ["--observations", "{no_outcome}", "--family", "ortb"], "line 2 has no outcome"),
+        ("fit", ["--observations", "{unknown_outcome}"], "'TIE' is not a valid Outcome"),
+        ("fit", ["--observations", "{bad_number}"], "could not convert string to float: '1.O'"),
+        ("fit", ["--observations", "{negative_bid}"], "bid_price must be >= 0, got -0.5"),
+        ("fit", ["--observations", "{nan_bid}"], "bid_price must be >= 0, got nan"),
+        ("fit", ["--observations", "{inf_bid}"], "bid_price must be >= 0, got inf"),
+        ("fit", ["--observations", "{won_without_cost}"], "a won auction must record its paid cost"),
+        ("fit", ["--observations", "{cost_above_bid}"], "paid_cost 1.5 must lie in [0, bid_price=1.0]"),
+        ("fit", ["--observations", "{nan_cost}"], "paid_cost nan must lie in [0, bid_price=1.0]"),
+        ("fit", ["--observations", "{lost_with_cost}"], "a lost auction has no paid cost"),
+        ("fit", ["--observations", "{header_only}"], "observations must be nonempty"),
+        ("fit", ["--observations", "{all_lost}", "--family", "ortb"], "at least one won auction"),
+        ("fit", ["--observations", "{zero_cost}"], "strictly positive paid costs"),
+        ("fit", ["--observations", "{negative_bid_first}"], "bid_price must be >= 0, got -2.0"),
     ],
     ids=["solve-instance-directory", "simulate-instance-directory", "fit-observations-directory",
-         "fit-row-without-bid-price", "fit-row-without-outcome", "fit-ortb-row-without-outcome"],
+         "fit-row-without-bid-price", "fit-row-without-outcome", "fit-ortb-row-without-outcome",
+         "fit-unknown-outcome", "fit-unparsable-number", "fit-negative-bid", "fit-nan-bid",
+         "fit-inf-bid", "fit-won-without-cost", "fit-cost-above-bid", "fit-nan-cost",
+         "fit-lost-with-cost", "fit-header-only", "fit-ortb-all-lost", "fit-zero-won-cost",
+         "fit-negative-bid-before-bad-number"],
 )
 def test_unreadable_input_file_exits_2(command, flags, message, tmp_path, capsys):
-    short_row = tmp_path / "short.csv"
-    short_row.write_text("outcome,bid_price,paid_cost\nLOST,0.5,\nWON\n")
-    no_outcome = tmp_path / "no_outcome.csv"
-    no_outcome.write_text("bid_price,paid_cost,outcome\n1.0\n")
-    flags = [
-        flag.format(dir=tmp_path, short_row=short_row, no_outcome=no_outcome) for flag in flags
-    ]
+    logs = {}
+    for name, text in BAD_LOGS.items():
+        logs[name] = tmp_path / f"{name}.csv"
+        logs[name].write_text(text)
+    flags = [flag.format(dir=tmp_path, **logs) for flag in flags]
     assert run([command, "--out-dir", str(tmp_path / "o"), *flags]) == 2
     assert message in capsys.readouterr().err
 
@@ -635,6 +670,20 @@ class TestFit:
         for out in (a, b):
             assert run(["fit", "--observations", str(observations_csv), "--out-dir", str(out)]) == 0
         assert read_dir(a) == read_dir(b)
+
+    @pytest.mark.parametrize("family", ["lognormal", "ortb"])
+    def test_zero_bid_losses_leave_the_fit_unchanged(self, observations_csv, tmp_path, family):
+        # Losing at a bid of 0 says nothing about the competing bid, so such
+        # rows must not move any reported figure, `grad_norm` included.
+        padded = tmp_path / "padded.csv"
+        padded.write_text(observations_csv.read_text() + "LOST,0.0,\r\n" * 3000, newline="")
+        fits = []
+        for path in (observations_csv, padded):
+            out = tmp_path / path.stem
+            argv = ["fit", "--observations", str(path), "--out-dir", str(out), "--family", family]
+            assert run(argv) == 0
+            fits.append((out / "fit.json").read_bytes())
+        assert fits[0] == fits[1]
 
     def test_ortb_root_below_the_bracket_is_reported_unconverged(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"

@@ -123,7 +123,12 @@ def test_observations_of_numpy_scalars_read_back(tmp_path):
     ]
     path = tmp_path / "observations.csv"
     write_observations_csv(path, observations)
-    assert read_observations_csv(path) == observations
+    log = read_observations_csv(path)
+    columns = (log.won.tolist(), log.bid_price.tolist(), log.paid_cost.tolist())
+    assert [
+        BidObservation(Outcome.WON, bid, cost) if won else BidObservation(Outcome.LOST, bid)
+        for won, bid, cost in zip(*columns)
+    ] == observations
 
 
 def test_constraints_of_numpy_scalars_are_written_as_plain_numbers(tmp_path):

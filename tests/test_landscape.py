@@ -30,6 +30,15 @@ from dualbid.landscape import (
 STANDARD = LandscapePrior(0.0, 1.0)
 
 
+def records(log):
+    """The rows of an `ObservationLog` as `BidObservation`s."""
+    columns = (log.won.tolist(), log.bid_price.tolist(), log.paid_cost.tolist())
+    return [
+        BidObservation(Outcome.WON, bid, cost) if won else BidObservation(Outcome.LOST, bid)
+        for won, bid, cost in zip(*columns)
+    ]
+
+
 def quad_cdf(prior, bp):
     value, _ = quad(lambda x: pdf(prior, x), 0.0, bp, epsabs=1e-13, epsrel=1e-11, limit=200)
     return value
@@ -358,7 +367,7 @@ class TestObservations:
         observations = _sample_observations(rng, 50, mu=0.0, sigma=0.5, bid=1.0)
         path = tmp_path / "observations.csv"
         write_observations_csv(path, observations)
-        assert read_observations_csv(path) == observations
+        assert records(read_observations_csv(path)) == observations
 
     def test_csv_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
