@@ -1,12 +1,13 @@
 """Print the SHA-256 of every primary output of a fixed set of dualbid commands.
 
-Runs `gen` and `solve` (both objectives), `compare`, `simulate` (ortb and
-fixed_alpha), a wide `solve`, a `solve` of an instance with string impression
-ids and one of an instance with no ads, a `solve` and a fixed_alpha
-`simulate` of an instance with overflowing landscape means, and `fit` (both
-families) in process into a temporary directory, and prints one line per
-output file: digest, then `<command label>/<file name>`. Two source trees
-whose digests match wrote byte-identical outputs. Each command's
+Runs `gen` and `solve` (both objectives), `compare`, `simulate` (each
+strategy of `compare`, and fixed_alpha), a wide `solve`, a `solve` of an
+instance with string impression ids and one of an instance with no ads, a
+`solve` and a fixed_alpha `simulate` of an instance with overflowing
+landscape means, and `fit` (both families) in process into a temporary
+directory, and prints one line per output file: digest, then
+`<command label>/<file name>`. Two source trees whose digests match wrote
+byte-identical outputs. Each command's
 `manifest.json` is digested too, after its timing fields (`wall_time_s`,
 `stages_s`) are dropped and the temporary directory's path in it is replaced
 by `<work>`, so a digest diff also shows a change in the recorded flags,
@@ -160,7 +161,11 @@ def commands(work: Path, n_pools: int) -> list[tuple[str, list[str]]]:
             (f"gen_performance_{seed}", [*gen, "--objective", "performance"]),
             (f"solve_performance_{seed}", ["solve", "--instance", performance]),
             (f"compare_{seed}", ["compare", "--strategies", STRATEGIES, *replay]),
-            (f"simulate_ortb_{seed}", ["simulate", "--strategy", "ortb", *replay]),
+            # `simulate` of each feedback strategy, so their consumption rows show too.
+            *(
+                (f"simulate_{name}_{seed}", ["simulate", "--strategy", name, *replay])
+                for name in STRATEGIES.split(",")
+            ),
             (
                 f"simulate_fixed_alpha_{seed}",
                 ["simulate", "--strategy", "fixed_alpha", *replay,

@@ -5,8 +5,11 @@ dual-based strategy analytically (win probabilities and expected costs in
 closed form), which isolates solver correctness from sampling noise.
 Monte-Carlo mode samples the highest competing bid per impression, applies
 the second-price rule (win iff bid exceeds it, pay it), and lets feedback
-strategies adjust their parameters between epochs; running several strategies
-on a common seed reuses identical draws, so comparisons are paired.
+strategies adjust their parameters between epochs. One replay loop serves
+one strategy or several: a comparison advances all of them in lockstep on
+one shared stream of draws (common random numbers), so comparisons are
+paired, and each strategy's metrics equal those of a run of it alone with
+the same seed.
 
 Only the auction outcome is sampled: won impressions are credited their
 expected performance, which keeps windowed ROI estimates usable at desk
@@ -719,6 +722,102 @@ def make_strategy(name: str, params: dict | None = None) -> Strategy:
 # ---------------------------------------------------------------------------
 
 
+def _replay(
+    instance: DspInstance, strategies: Sequence[Strategy], epochs: int, seed: int,
+    account: bool,
+) -> tuple[list[list[EpochMetrics]], list[list[ConstraintRow]]]:
+    """Replay `strategies` in lockstep on one auction stream.
+
+    One model serves every strategy, and each epoch draws the highest
+    competing bids once. The strategies' clipped bids stack into an (S, N)
+    array, so the auction and the per-strategy sums run once per epoch over
+    all of them. Each strategy still bids, updates and is scored on its own.
+    Returns each strategy's epoch metrics and, with `account`, its realized
+    consumption per constraint row (empty lists without it).
+
+    A strategy's chosen-ad coefficient rows are gathered again only when its
+    ad indices differ in value from those of its last gather, so a strategy
+    may return a new array or mutate the same one in place.
+    """
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if not instance.ads:
+        raise ValueError("a replay needs an instance with at least one ad")
+    n, n_strategies, n_rows = len(instance.impressions), len(strategies), instance.n_constraints
+    model = DspChoiceModel(instance)
+    phi_v, psi_v = model.objective_coeffs
+    phi_w, psi_w = model.constraint_coeffs
+    ppi, mus, sigmas = model.ppi, model.mu, model.sigma
+    rows = np.arange(n)
+
+    for strategy in strategies:
+        strategy.reset(model)
+    rng = np.random.default_rng(seed)
+    metrics: list[list[EpochMetrics]] = [[] for _ in strategies]
+    # Each strategy's chosen-ad rows, gathered for the ad indices `gathered_for`.
+    gathered_for: list[np.ndarray | None] = [None] * n_strategies
+    has_ad = np.zeros((n_strategies, n), dtype=bool)
+    rev_won, rev_paid, perf_won = (np.zeros((n_strategies, n)) for _ in range(3))
+    if account:
+        use_won, use_paid = (np.zeros((n_strategies, n, n_rows)) for _ in range(2))
+        consumption_total = np.zeros((n_strategies, n_rows))
+    for epoch in range(epochs):
+        x = np.exp(mus + sigmas * rng.standard_normal(n))
+        # A new bid array every epoch: feedback rows stay valid after it.
+        bids = np.empty((n_strategies, n))
+        for s, strategy in enumerate(strategies):
+            ad_idx, bids[s] = strategy.epoch_bids()
+            if gathered_for[s] is None or not np.array_equal(ad_idx, gathered_for[s]):
+                gathered_for[s] = np.array(ad_idx, copy=True)
+                has_ad[s] = ad_idx >= 0
+                sel = np.where(has_ad[s], ad_idx, 0)
+                rev_won[s], rev_paid[s] = phi_v[rows, sel], psi_v[rows, sel]
+                perf_won[s] = ppi[rows, sel]
+                if account:
+                    use_won[s], use_paid[s] = phi_w[rows, sel, :], psi_w[rows, sel, :]
+        np.minimum(np.maximum(bids, 0.0, out=bids), instance.bid_cap, out=bids)
+        won = has_ad & (bids > x)  # draws are >= 0, so only a positive bid wins
+        paid = np.where(won, x, 0.0)
+        # Row sums of the stacked arrays round as each row's own `np.sum` does.
+        revenues = (np.where(won, rev_won, 0.0) + rev_paid * paid).sum(axis=1).tolist()
+        costs = paid.sum(axis=1).tolist()
+        performances = np.where(won, perf_won, 0.0).sum(axis=1).tolist()
+        wins_per_strategy = won.sum(axis=1).tolist()
+        for s, strategy in enumerate(strategies):
+            if account:
+                consumption_total[s] += (
+                    np.where(won[s, :, None], use_won[s], 0.0) + use_paid[s] * paid[s, :, None]
+                ).sum(axis=0)
+            revenue, cost, wins = revenues[s], costs[s], wins_per_strategy[s]
+            degenerate = cost <= 0.0
+            metrics[s].append(
+                EpochMetrics(
+                    epoch=epoch,
+                    revenue=revenue,
+                    cost=cost,
+                    performance=performances[s],
+                    wins=wins,
+                    actual_roi=revenue / cost if not degenerate else 0.0,
+                    revenue_per_win=revenue / wins if wins else 0.0,
+                    param=strategy.param,
+                    degenerate=degenerate,
+                )
+            )
+            strategy.end_epoch(
+                EpochFeedback(bids=bids[s], won=won[s], paid=paid[s], revenue=revenue, cost=cost)
+            )
+
+    # Realized consumption is reported as the per-epoch mean over the run.
+    per_constraint: list[list[ConstraintRow]] = [[] for _ in strategies]
+    if account:
+        for s in range(n_strategies):
+            per_constraint[s] = [
+                ConstraintRow(k=k, limit=float(limit), consumption=float(total / epochs))
+                for k, (limit, total) in enumerate(zip(model.budgets, consumption_total[s]))
+            ]
+    return metrics, per_constraint
+
+
 def run_monte_carlo(
     instance: DspInstance, strategy: Strategy, epochs: int, seed: int
 ) -> SimReport:
@@ -727,101 +826,40 @@ def run_monte_carlo(
     Each epoch draws the highest competing bid per impression from its prior;
     the strategy wins where its bid is strictly higher and pays the draw.
     The strategy's update hook runs between epochs. Draws depend only on
-    (seed, epoch), so distinct strategies replayed with one seed face
-    identical auctions.
-
-    The chosen ads' coefficient rows are gathered again only when the
-    strategy's ad indices differ in value from those of the last gather, so
-    a strategy may return a new array or mutate the same one in place.
+    (seed, epoch), so `compare_strategies` with the same seed puts this
+    strategy on the same auctions. The report carries the realized
+    consumption of every constraint row as a per-epoch mean.
     """
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if not instance.ads:
-        raise ValueError("a replay needs an instance with at least one ad")
-    n = len(instance.impressions)
-    model = DspChoiceModel(instance)
-    phi_v, psi_v = model.objective_coeffs
-    phi_w, psi_w = model.constraint_coeffs
-    ppi, mus, sigmas = model.ppi, model.mu, model.sigma
-    rows = np.arange(n)
-
-    strategy.reset(model)
-    rng = np.random.default_rng(seed)
-    metrics: list[EpochMetrics] = []
-    consumption_total = np.zeros(instance.n_constraints)
-    gathered_for = None
-    for epoch in range(epochs):
-        x = np.exp(mus + sigmas * rng.standard_normal(n))
-        ad_idx, bids = strategy.epoch_bids()
-        if gathered_for is None or not np.array_equal(ad_idx, gathered_for):
-            gathered_for = np.array(ad_idx, copy=True)
-            has_ad = ad_idx >= 0
-            sel = np.where(has_ad, ad_idx, 0)
-            rev_won, rev_paid = phi_v[rows, sel], psi_v[rows, sel]
-            perf_won = ppi[rows, sel]
-            use_won, use_paid = phi_w[rows, sel, :], psi_w[rows, sel, :]
-        bids = np.minimum(np.maximum(bids, 0.0), instance.bid_cap)
-        active = has_ad & (bids > 0.0)
-        won = active & (bids > x)
-        paid = np.where(won, x, 0.0)
-        revenue_vec = np.where(won, rev_won, 0.0) + rev_paid * paid
-        perf_vec = np.where(won, perf_won, 0.0)
-        consumption_total += (
-            np.where(won[:, None], use_won, 0.0) + use_paid * paid[:, None]
-        ).sum(axis=0)
-
-        revenue = float(np.sum(revenue_vec))
-        cost = float(np.sum(paid))
-        wins = int(np.sum(won))
-        degenerate = cost <= 0.0
-        metrics.append(
-            EpochMetrics(
-                epoch=epoch,
-                revenue=revenue,
-                cost=cost,
-                performance=float(np.sum(perf_vec)),
-                wins=wins,
-                actual_roi=revenue / cost if not degenerate else 0.0,
-                revenue_per_win=revenue / wins if wins else 0.0,
-                param=strategy.param,
-                degenerate=degenerate,
-            )
-        )
-        strategy.end_epoch(EpochFeedback(bids=bids, won=won, paid=paid, revenue=revenue, cost=cost))
-
-    # Realized consumption is reported as the per-epoch mean over the run.
-    per_constraint = [
-        ConstraintRow(
-            k=k, limit=float(model.budgets[k]), consumption=float(consumption_total[k] / epochs)
-        )
-        for k in range(instance.n_constraints)
-    ]
+    metrics, per_constraint = _replay(instance, [strategy], epochs, seed, account=True)
     return SimReport(
         primal_value=None,
         dual_value=None,
-        per_constraint=per_constraint,
-        per_strategy_metrics={strategy.name: metrics},
+        per_constraint=per_constraint[0],
+        per_strategy_metrics={strategy.name: metrics[0]},
     )
 
 
 def compare_strategies(
     instance: DspInstance, strategies: Sequence[Strategy], epochs: int, seed: int
 ) -> SimReport:
-    """Run several strategies over identical auction streams (common seed)."""
+    """Replay several strategies in lockstep on one shared auction stream.
+
+    Common random numbers come from one stream, drawn once per epoch for all
+    strategies, so every strategy faces the auctions that `run_monte_carlo`
+    with the same seed would give it alone, and its metrics are those of
+    that run. No consumption is accounted, so `per_constraint` is empty.
+    """
     if len(strategies) < 2:
         raise ValueError("strategy comparison needs at least two strategies")
     names = [s.name for s in strategies]
     if len(set(names)) != len(names):
         raise ValueError(f"strategy names must be unique, got {names}")
-    merged: dict[str, list[EpochMetrics]] = {}
-    for strategy in strategies:
-        report = run_monte_carlo(instance, strategy, epochs, seed)
-        merged.update(report.per_strategy_metrics)
+    metrics, _ = _replay(instance, strategies, epochs, seed, account=False)
     return SimReport(
         primal_value=None,
         dual_value=None,
         per_constraint=[],
-        per_strategy_metrics=merged,
+        per_strategy_metrics=dict(zip(names, metrics)),
     )
 
 

@@ -291,6 +291,30 @@ def test_manifest_records_every_flag_and_output(command, small_instance, tmp_pat
     assert manifest["outputs"] == written and manifest["complete"]
 
 
+def test_one_parser_serves_every_command_without_leaking_flags(small_instance, tmp_path, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    instance = ["--instance", str(small_instance)]
+    runs = [
+        (["gen", "--n-impressions", "5", "--seed", "9", "--bid-cap", "3"],
+         {"n_impressions": 5, "objective": None, "seed": 9, "bid_cap": 3.0}),
+        (["solve", *instance, "--epochs-sgd", "2"],
+         {"step0": 0.1, "epochs_sgd": 2, "seed": 0, "bid_cap": None}),
+        (["compare", *instance, "--strategies", "lin,ortb", "--epochs", "2", "--seed", "4",
+          "--target-roi", "2", "--params", '{"update_window": 80}'],
+         {"strategies": "lin,ortb", "epochs": 2, "seed": 4, "target_roi": 2.0,
+          "params": '{"update_window": 80}'}),
+        (["simulate", *instance, "--strategy", "lin", "--epochs", "2"],
+         {"strategy": "lin", "epochs": 2, "seed": 0, "target_roi": None, "params": None}),
+    ]
+    for i, (argv, flags) in enumerate(runs):
+        out = tmp_path / str(i)
+        assert run([*argv, "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["flags"] == flags, argv[0]
+    assert len(builds) <= 1
+
+
 @pytest.mark.parametrize("under_file", [False, True], ids=["existing-file", "path-under-a-file"])
 def test_out_dir_that_is_or_lies_under_a_file_exits_2(under_file, tmp_path, capsys):
     a_file = tmp_path / "a_file"

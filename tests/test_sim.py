@@ -316,7 +316,8 @@ def reference_run_monte_carlo(instance, strategy, epochs, seed):
 class ShiftingAds(sim.Strategy):
     """Random ads (some -1) whose choice changes twice: by a new array, then in place."""
 
-    name = "shifting"
+    def __init__(self, name="shifting"):
+        self.name = name
 
     def reset(self, model):
         rng = np.random.default_rng(8)
@@ -363,6 +364,154 @@ class TestCompareStrategies:
 BASELINES = ("db_single", "db_multi", "ortb", "lin")
 # LIN updates every `cadence` windows; one window keeps its updates in view.
 SHORT_CADENCE = {"lin": {"cadence": 1}}
+
+
+class KeptBids(sim.Strategy):
+    """Fixed random ads and bids that keeps every epoch's feedback with a copy of its arrays.
+
+    `ads` and `bids` give the (low, high) ranges the ad indices and bids are
+    drawn from; the strategy bids nothing in the epochs in `silent`.
+    """
+
+    def __init__(self, name, ads=(0, 2), bids=(0.0, 0.2), silent=(), seed=0):
+        self.name, self._ads, self._bids, self._silent = name, ads, bids, silent
+        self._seed = seed
+
+    def reset(self, model):
+        rng = np.random.default_rng(self._seed)
+        self.ad_idx = rng.integers(*self._ads, model.n_items)
+        self.bids = rng.uniform(*self._bids, model.n_items)
+        self.kept, self.epoch = [], 0
+
+    def epoch_bids(self):
+        return self.ad_idx, np.zeros_like(self.bids) if self.epoch in self._silent else self.bids
+
+    def end_epoch(self, feedback):
+        arrays = (feedback.bids, feedback.won, feedback.paid)
+        self.kept.append((arrays, tuple(a.copy() for a in arrays)))
+        self.epoch += 1
+
+
+def _baselines(window):
+    return [
+        lambda name=name: make_strategy(
+            name, {"update_window": window, **SHORT_CADENCE.get(name, {})}
+        )
+        for name in BASELINES
+    ]
+
+
+#: Each case: the mock config, and factories of fresh, uniquely named strategies.
+LOCKSTEP_CASES = {
+    "baselines_and_fixed_alpha": (
+        MockConfig(n_impressions=120, seed=2),
+        [*_baselines(150), lambda: FixedAlphaStrategy([0.0, 0.66, 0.36, 0.0])],
+    ),
+    "ads_change_by_new_array_then_in_place": (
+        MockConfig(n_impressions=90, seed=4),
+        [lambda: ShiftingAds("shift_a"), lambda: ShiftingAds("shift_b"),
+         lambda: KeptBids("kept", ads=(-1, 2))],
+    ),
+    "every_ad_at_minus_one": (
+        MockConfig(n_impressions=50, seed=1),
+        [lambda: KeptBids("nobody", ads=(-1, 0)), *_baselines(50)[:1]],
+    ),
+    "negative_bids_and_bids_above_the_cap": (
+        MockConfig(n_impressions=100, seed=3, bid_cap=0.05),
+        [lambda: KeptBids("wild", bids=(-0.1, 0.2), seed=1),
+         lambda: KeptBids("wild_multi", ads=(-1, 2), bids=(-1.0, 1.0), seed=2), *_baselines(100)],
+    ),
+    "epochs_with_no_wins": (
+        MockConfig(n_impressions=60, seed=5),
+        [lambda: KeptBids("quiet", silent={0, 2, 3}),
+         lambda: FixedAlphaStrategy([1e9, 1e9, 1.0, 0.0], name="suppressed"), *_baselines(60)],
+    ),
+    "no_impressions": (
+        MockConfig(n_impressions=0),
+        [*_baselines(1), lambda: FixedAlphaStrategy([0.0, 0.66, 0.36, 0.0]),
+         lambda: KeptBids("kept")],
+    ),
+}
+
+
+class TestLockstepReplay:
+    """`compare_strategies` runs one replay loop for all strategies; each must
+    read as if it ran alone, bit for bit."""
+
+    EPOCHS, SEED = 6, 7
+
+    @pytest.mark.parametrize("case", LOCKSTEP_CASES)
+    def test_compare_equals_a_run_per_strategy(self, case):
+        config, factories = LOCKSTEP_CASES[case]
+        instance = gen_mock_instance(config)
+        strategies = [make() for make in factories]
+        report = compare_strategies(instance, strategies, epochs=self.EPOCHS, seed=self.SEED)
+        assert list(report.per_strategy_metrics) == [s.name for s in strategies]
+        assert report.per_constraint == []
+        for make in factories:
+            alone = run_monte_carlo(instance, make(), epochs=self.EPOCHS, seed=self.SEED)
+            for name, metrics in alone.per_strategy_metrics.items():
+                assert repr(report.per_strategy_metrics[name]) == repr(metrics), name
+
+    @pytest.mark.parametrize("case", LOCKSTEP_CASES)
+    def test_run_monte_carlo_equals_the_reference(self, case):
+        config, factories = LOCKSTEP_CASES[case]
+        instance = gen_mock_instance(config)
+        for make in factories:
+            strategy = make()
+            expected = reference_run_monte_carlo(instance, make(), self.EPOCHS, self.SEED)
+            report = run_monte_carlo(instance, strategy, epochs=self.EPOCHS, seed=self.SEED)
+            assert repr(report.per_strategy_metrics[strategy.name]) == repr(expected[0])
+            assert repr(report.per_constraint) == repr(expected[1])
+
+    def test_the_cases_cover_their_edges(self):
+        instance = gen_mock_instance(LOCKSTEP_CASES["epochs_with_no_wins"][0])
+        quiet = KeptBids("quiet", silent={0, 2, 3})
+        report = run_monte_carlo(instance, quiet, self.EPOCHS, self.SEED)
+        wins = [m.wins for m in report.per_strategy_metrics["quiet"]]
+        assert wins[0] == wins[2] == wins[3] == 0 and min(wins[1], wins[4], wins[5]) > 0
+        config = LOCKSTEP_CASES["negative_bids_and_bids_above_the_cap"][0]
+        wild = KeptBids("wild", bids=(-0.1, 0.2), seed=1)
+        run_monte_carlo(gen_mock_instance(config), wild, 2, self.SEED)
+        assert np.any(wild.bids < 0.0) and np.any(wild.bids > config.bid_cap)
+        bids = wild.kept[0][1][0]
+        assert np.any(bids == 0.0) and np.any(bids == config.bid_cap)
+
+    def test_kept_feedback_is_never_overwritten(self):
+        instance = gen_mock_instance(MockConfig(n_impressions=40, seed=1))
+        kept = [KeptBids("a", ads=(-1, 2)), KeptBids("b", seed=3)]
+        compare_strategies(instance, [*kept, make_strategy("ortb")], epochs=5, seed=2)
+        kept_arrays = [a for strategy in kept for arrays, _ in strategy.kept for a in arrays]
+        kept_copies = [c for strategy in kept for _, copies in strategy.kept for c in copies]
+        assert all(map(np.array_equal, kept_arrays, kept_copies))
+        # No two feedback arrays, of one epoch or of two, share memory.
+        for i, a in enumerate(kept_arrays):
+            assert not any(np.shares_memory(a, b) for b in kept_arrays[i + 1:])
+
+    def test_compare_builds_one_model_and_draws_each_epoch_once(self, monkeypatch):
+        builds, draws = [], []
+        build = DspChoiceModel.__init__
+        default_rng = np.random.default_rng
+
+        def counting_build(self, instance):
+            builds.append(instance)
+            build(self, instance)
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def standard_normal(self, size):
+                draws.append(size)
+                return self._rng.standard_normal(size)
+
+        instance = gen_mock_instance(MockConfig(n_impressions=20))
+        monkeypatch.setattr(DspChoiceModel, "__init__", counting_build)
+        monkeypatch.setattr(sim.np.random, "default_rng", CountingGenerator)
+        strategies = [make_strategy(name) for name in BASELINES]
+        compare_strategies(instance, [*strategies, FixedAlphaStrategy(np.ones(4))], epochs=3, seed=0)
+        assert len(builds) == 1
+        assert draws == [20] * 3
 
 
 class TestStrategies:

@@ -3,7 +3,7 @@
 `perfbench/tracing.py` wraps functions where their callers look them up, so a
 refactor that moves or renames one of those names breaks the benchmark's
 per-layer metrics without breaking any command. This runs a tiny
-gen → solve → compare → fit pipeline with the tracer installed.
+gen → solve → compare → simulate → fit pipeline with the tracer installed.
 """
 
 import importlib.util
@@ -44,6 +44,12 @@ def test_tracer_patch_points_record_spans(tmp_path):
         # A 60-impression window updates after every epoch, so ORTB refits.
         "compare": ["compare", "--instance", instance, "--strategies", ",".join(BASELINES),
                     "--epochs", "4", "--params", '{"update_window": 60}'],
+        # `compare` replays its strategies in one loop; `simulate` runs each alone.
+        **{
+            f"simulate_{name}": ["simulate", "--instance", instance, "--strategy", name,
+                                 "--epochs", "2", "--params", '{"update_window": 60}']
+            for name in BASELINES
+        },
         "fit_lognormal": ["fit", "--observations", str(tmp_path / "obs.csv")],
         "fit_ortb": ["fit", "--observations", str(tmp_path / "obs.csv"), "--family", "ortb"],
     }
@@ -68,9 +74,10 @@ def test_tracer_patch_points_record_spans(tmp_path):
         "strategies.ortb_bid",
         "strategies.multiplicative_update",
         "sim.compare_strategies",
-        *(f"sim.run_monte_carlo.{name}" for name in BASELINES),
     }
     assert expected <= set(spans["compare"])
+    for name in BASELINES:
+        assert f"sim.run_monte_carlo.{name}" in spans[f"simulate_{name}"]
     fit_spans = {"landscape.read_observations_csv", "landscape.fit_censored"}
     assert fit_spans <= set(spans["fit_lognormal"])
     assert "strategies.ortb_fit_c" in spans["fit_ortb"]
