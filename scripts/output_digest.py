@@ -4,10 +4,10 @@ Runs `gen` and `solve` (both objectives), `compare`, `simulate` (each
 strategy of `compare`, and fixed_alpha), a wide `solve`, a `solve` of an
 instance with string impression ids and one of an instance with no ads, a
 `solve` and a fixed_alpha `simulate` of an instance with overflowing
-landscape means, and `fit` (both families) in process into a temporary
-directory, and prints one line per output file: digest, then
-`<command label>/<file name>`. Two source trees whose digests match wrote
-byte-identical outputs. Each command's
+landscape means, `gen --config` and `solve` of two P4U instances, and `fit`
+(both families) in process into a temporary directory, and prints one line
+per output file: digest, then `<command label>/<file name>`. Two source trees
+whose digests match wrote byte-identical outputs. Each command's
 `manifest.json` is digested too, after its timing fields (`wall_time_s`,
 `stages_s`) are dropped and the temporary directory's path in it is replaced
 by `<work>`, so a digest diff also shows a change in the recorded flags,
@@ -24,9 +24,13 @@ wide instance is the benchmark's `solve_wide` instance of seed 0
 those with its impression ids, or its ads and constraints, replaced. In the
 overflow instance, the same smaller one, every fifth impression has sigma =
 40, whose mean exp(mu + sigma^2 / 2) overflows a double, so the log-space
-branch of the win-probability and cost kernel shows in the digest. They are
-written here with the csv and json modules, not with the package under test,
-so both trees read the same bytes. One more `fit --family lognormal` runs on
+branch of the win-probability and cost kernel shows in the digest. These
+instances are written here with the csv and json modules, not with the
+package under test, so both trees read the same bytes. The P4U instances come
+from `gen --config`, revenue and performance objective, with both ads at a
+conversion rate of at most 0.2. Their ROI of at most 1.2 cannot reach the
+DSP-ROI floor of 2, so a solve's single price vector can break that row, and
+its `summary.json` shows how the edge is reported. One more `fit --family lognormal` runs on
 a three-row log whose likelihood grows without bound as sigma -> 0, so the
 fit ends unconverged at its stall exit and a change to that path shows in the
 digest too. Two more `fit --family ortb` runs end at the ends of the range the
@@ -68,6 +72,11 @@ WIDE_N, WIDE_SEED, WIDE_EPOCHS = 2000, 0, 40
 SMALL_N, SMALL_EPOCHS = 200, 20
 #: Prices of the wide instance's ten rows for the overflow instance's replay.
 WIDE_ALPHA = [0.05] * 10
+#: `gen --config` documents of P4U instances whose ROI floor no bid can meet.
+P4U_CONFIGS = {
+    kind: {"mode": "p4u", "ads": [0.1, 0.2], "objective_kind": kind}
+    for kind in ("revenue", "performance")
+}
 #: String impression ids, cycled; two need quoting in a CSV field.
 STRING_IDS = ("imp-a", "imp,b", 'imp "c"', " imp d")
 #: Two wins at one cost and a loss below it: the log-normal fit cannot converge.
@@ -177,6 +186,11 @@ def commands(work: Path, n_pools: int) -> list[tuple[str, list[str]]]:
     for name in ("string_ids", "no_ads", "overflow"):
         small = ["solve", "--instance", str(work / f"{name}.json"), "--epochs-sgd", str(SMALL_EPOCHS)]
         out.append((f"solve_{name}", small))
+    for kind in P4U_CONFIGS:
+        config = ["gen", "--config", str(work / f"p4u_{kind}.json")]
+        out.append((f"gen_p4u_{kind}", config))
+        instance = str(work / f"gen_p4u_{kind}" / "instance.json")
+        out.append((f"solve_p4u_{kind}", ["solve", "--instance", instance]))
     overflow = ["--instance", str(work / "overflow.json"), "--epochs", str(REPLAY_EPOCHS)]
     alpha = json.dumps({"alpha": WIDE_ALPHA})
     out.append(("simulate_fixed_alpha_overflow",
@@ -224,6 +238,8 @@ def main(argv: list[str] | None = None) -> int:
         for end, log in ORTB_END_LOGS.items():
             (work / f"ortb_{end}.csv").write_text(log)
         write_instances(work, wide_instance)
+        for kind, config in P4U_CONFIGS.items():
+            (work / f"p4u_{kind}.json").write_text(json.dumps(config))
         for label, cmd in commands(work, len(FIT_POOLS)):
             out_dir = work / label
             quiet = io.StringIO()

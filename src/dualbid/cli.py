@@ -163,10 +163,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     stages.end("model_build")
     state = sgd_solve(model, step0=args.step0, epochs=args.epochs_sgd, shuffle_seed=args.seed)
     stages.end("sgd")
-    report = sim.run_expectation(model, state.alpha)
-    stages.end("evaluate")
     decisions = model.decide_rows(state.alpha)
     stages.end("decisions")
+    report = sim.run_expectation(model, state.alpha, decisions)
+    stages.end("evaluate")
+    worst, violation = report.worst_row()
+    feasible = violation <= sim.FEASIBILITY_TOL
 
     _write_json(manifest.output("alpha.json"), dual_state_to_json(state))
     sim.write_constraints_csv(manifest.output("constraints.csv"), report.per_constraint)
@@ -175,6 +177,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "primal_value": report.primal_value,
         "dual_value": report.dual_value,
         "duality_gap_rel": report.duality_gap_rel,
+        "max_violation_rel": violation,
+        "feasible": feasible,
         "alpha": [float(a) for a in state.alpha],
         "sgd": {"step0": args.step0, "epochs": args.epochs_sgd, "iterations": state.iteration},
         "constraints": [
@@ -186,6 +190,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     stages.end("write")
     manifest.payload["stages_s"] = stages.seconds
     manifest.finish()
+    if not feasible:
+        kind = instance.constraints[worst.k].kind.value
+        print(
+            f"warning: infeasible: constraint row {worst.k} ({kind}) exceeds its limit "
+            f"by {violation:.4g} relative to max(1, |limit|)",
+            file=sys.stderr,
+        )
     gap = report.duality_gap_rel
     print(
         f"primal {report.primal_value:.6f}  dual {report.dual_value:.6f}"

@@ -20,11 +20,21 @@ outcome is read case-insensitively. `read_observations_csv` parses it
 straight into the columns of an `ObservationLog`, which `split_observations`
 turns into the won costs and lost bids both fits take. `BidObservation` is
 the one-row record that `write_observations_csv` writes.
+
+`scipy.special`, whose import takes about 0.3 s, loads at the first call that
+prices a bid (`win_prob_cost` and its views) or fits a log
+(`censored_log_likelihood`, `fit_censored`), not at import. So `gen`, the
+replay of the feedback baselines (`db_single`, `db_multi`, `ortb`, `lin`) and
+`fit --family ortb` run without it. On a 2-vCPU host (medians of 7 fresh
+processes) `import dualbid.cli` took 0.21-0.31 s instead of 0.50-0.58 s, and
+`gen --n-impressions 2000` 0.30-0.31 s instead of 0.57-0.59 s. `solve` and
+`fit --family lognormal` still pay for the import, at their first kernel call.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -33,7 +43,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, ndtr
 
 __all__ = [
     "BidObservation",
@@ -59,6 +68,14 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+@functools.cache
+def _special() -> tuple[np.ufunc, np.ufunc, np.ufunc]:
+    """scipy.special's `erfcx`, `log_ndtr` and `ndtr`, imported at the first call."""
+    from scipy.special import erfcx, log_ndtr, ndtr
+
+    return erfcx, log_ndtr, ndtr
 
 
 class EmptyObservationsError(ValueError):
@@ -155,6 +172,7 @@ def win_prob_cost(bp: np.ndarray, mu, sigma, mean, over, out: np.ndarray) -> np.
     neither wins nor pays (scipy's ufuncs mishandle `where=`). Where `over`
     marks an overflowed mean, the cost is exp(mu + sigma^2/2 + log Phi(z - sigma)).
     """
+    _, log_ndtr, ndtr = _special()
     prob, cost = out
     prob.fill(-np.inf)
     np.log(bp, out=prob, where=bp > 0.0)
@@ -232,6 +250,7 @@ def censored_log_likelihood(
         )
     l = l[l > 0.0]
     if l.size:
+        _, log_ndtr, _ = _special()
         zl = (np.log(l) - mu) / sigma
         ll += float(np.sum(log_ndtr(-zl)))
     return ll
@@ -330,6 +349,7 @@ def _mean_ll_derivatives(
     large z, so h - z ~ 1/z keeps h' within 1e-6 up to z = 1e5. Where gamma is
     not positive or a term overflows, the values come back non-finite.
     """
+    erfcx, log_ndtr, _ = _special()
     count, sum_y, sum_y2 = won
     sum_z, sum_zy = gamma * sum_y - count * delta, gamma * sum_y2 - delta * sum_y
     z = gamma * lost_y - delta

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsp import Ad, DspChoiceModel, DspInstance, Impression
+from .dsp import Ad, DspChoiceModel, DspInstance, Impression, RowDecisions
 from .dsp import bid_decision  # noqa: F401 - perfbench/tracing.py wraps sim.bid_decision
 from .landscape import LandscapePrior
 from .strategies import OrtbState, lin_bid, multiplicative_update, ortb_bid, ortb_fit_c
@@ -48,6 +48,7 @@ from .utility import (
 __all__ = [
     "CONSTRAINT_CSV_HEADER",
     "EPOCH_CSV_HEADER",
+    "FEASIBILITY_TOL",
     "ConstraintRow",
     "DualBidStrategy",
     "EpochMetrics",
@@ -344,6 +345,10 @@ def instance_target_roi(instance: DspInstance) -> float | None:
 # ---------------------------------------------------------------------------
 
 
+#: The largest relative row violation (`SimReport.worst_row`) a feasible decision may show.
+FEASIBILITY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class ConstraintRow:
     """Accounting line for one constraint; surplus is derived, never stored."""
@@ -356,6 +361,11 @@ class ConstraintRow:
     @property
     def surplus(self) -> float:
         return self.limit - self.consumption
+
+    @property
+    def violation_rel(self) -> float:
+        """Consumption beyond the limit relative to max(1, |limit|); negative with slack."""
+        return (self.consumption - self.limit) / max(1.0, abs(self.limit))
 
 
 @dataclass(frozen=True)
@@ -384,16 +394,31 @@ class SimReport:
             return None
         return abs(self.primal_value - self.dual_value) / abs(self.dual_value)
 
+    def worst_row(self) -> tuple[ConstraintRow | None, float]:
+        """The row with the largest `violation_rel`, and that violation floored at 0.
+
+        The row is None, and the violation 0, when there are no rows.
+        """
+        worst = max(self.per_constraint, key=lambda row: row.violation_rel, default=None)
+        return worst, 0.0 if worst is None else max(0.0, worst.violation_rel)
+
 
 def _running_total(values: np.ndarray) -> np.ndarray:
     """Sum over axis 0 from 0.0 in row order (`np.sum` adds pairwise and rounds differently)."""
     return np.cumsum(np.concatenate([np.zeros((1, *values.shape[1:])), values]), axis=0)[-1]
 
 
-def run_expectation(model: DspChoiceModel, alpha: np.ndarray) -> SimReport:
-    """Primal value, every row's consumption and the dual value from one decision pass."""
+def run_expectation(
+    model: DspChoiceModel, alpha: np.ndarray, decisions: RowDecisions | None = None
+) -> SimReport:
+    """Primal value, every row's consumption and the dual value from one decision pass.
+
+    `decisions` is `model.decide_rows(alpha)` when the caller already holds it.
+    """
     alpha = np.asarray(alpha, dtype=float)
-    ad, _, score, prob, cost = model.decide_rows(alpha)
+    if decisions is None:
+        decisions = model.decide_rows(alpha)
+    ad, _, score, prob, cost = decisions
     rows = np.flatnonzero(ad >= 0)
     ad, prob, cost = ad[rows], prob[rows], cost[rows]
     (phi_v, psi_v), (phi_w, psi_w) = model.objective_coeffs, model.constraint_coeffs

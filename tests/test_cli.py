@@ -197,7 +197,42 @@ class TestSolve:
         assert summary["alpha"] and all(a == 0.0 for a in summary["alpha"])
         assert summary["dual_value"] == 0.0
         assert summary["duality_gap_rel"] is None
+        assert summary["max_violation_rel"] == 0.0 and summary["feasible"] is True
         assert json.loads((out / "alpha.json").read_text())["alpha"] == summary["alpha"]
+
+    @pytest.mark.parametrize(
+        "config, row",
+        [
+            ({"seed": 0}, None),
+            ({"seed": 1}, (1, "budget")),
+            ({"seed": 3}, (2, "dsp_roi")),
+            ({"mode": "p4u", "ads": [0.1, 0.2], "objective_kind": "performance"}, (2, "dsp_roi")),
+        ],
+        ids=["feasible", "budget", "dsp_roi", "p4u_performance"],
+    )
+    def test_broken_row_is_reported(self, tmp_path, capsys, config, row):
+        # One price vector can leave a row over its limit; `solve` still exits
+        # 0, but says so in summary.json and names the worst row on stderr.
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        gen, out = tmp_path / "gen", tmp_path / "solve"
+        assert run(["gen", "--out-dir", str(gen), "--config", str(tmp_path / "config.json")]) == 0
+        capsys.readouterr()
+        assert run(["solve", "--instance", str(gen / "instance.json"), "--out-dir", str(out)]) == 0
+        err = capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        jsonschema.validate(summary, SCHEMA)
+        excess = [
+            (c["consumption"] - c["limit"]) / max(1.0, abs(c["limit"])) for c in summary["constraints"]
+        ]
+        assert summary["max_violation_rel"] == max(0.0, *excess)
+        assert summary["feasible"] is (row is None)
+        if row is None:
+            assert summary["max_violation_rel"] <= sim.FEASIBILITY_TOL
+            assert "warning" not in err
+        else:
+            k, kind = row
+            assert excess[k] == summary["max_violation_rel"] > 1e-3
+            assert f"warning: infeasible: constraint row {k} ({kind})" in err
 
     def test_truncated_instance_exits_2_with_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -774,6 +809,45 @@ assert "scipy.optimize" not in sys.modules
     fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
     assert fit["converged"]
     assert (tmp_path / "compare" / "epochs_ortb.csv").exists()
+
+
+def test_scipy_special_loads_only_to_price_bids_or_fit_a_log(tmp_path):
+    # `landscape` imports scipy.special at its first kernel or fit call, so
+    # commands that never evaluate the normal CDF start without it.
+    (tmp_path / "obs.csv").write_text(
+        "outcome,bid_price,paid_cost\nWON,2.0,0.5\nWON,2.0,1.5\nLOST,1.0,\n"
+    )
+    code = f"""
+import sys
+from dualbid import cli
+assert "scipy.special" not in sys.modules, "import"
+work = {str(tmp_path)!r}
+instance = work + "/gen/instance.json"
+replay = ["--instance", instance, "--epochs", "3", "--params", '{{"update_window": 60}}']
+observations = ["--observations", work + "/obs.csv"]
+without = [
+    ["gen", "--n-impressions", "60", "--out-dir", work + "/gen"],
+    ["compare", "--strategies", "db_single,db_multi,ortb,lin", *replay, "--out-dir", work + "/compare"],
+    ["simulate", "--strategy", "ortb", *replay, "--out-dir", work + "/simulate"],
+    ["fit", *observations, "--family", "ortb", "--out-dir", work + "/fit_ortb"],
+]
+for argv in without:
+    assert cli.main(argv) == 0, argv
+    assert "scipy.special" not in sys.modules, argv
+solve = ["solve", "--instance", instance, "--epochs-sgd", "3", "--out-dir", work + "/solve"]
+assert cli.main(solve) == 0
+assert "scipy.special" in sys.modules
+fit = ["fit", *observations, "--family", "lognormal", "--out-dir", work + "/fit_lognormal"]
+assert cli.main(fit) == 0
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads((tmp_path / "solve" / "summary.json").read_text())["dual_value"] > 0.0
+    assert json.loads((tmp_path / "fit_lognormal" / "fit.json").read_text())["converged"]
 
 
 def test_sigma_whose_square_overflows_exits_2(small_instance, tmp_path, capsys):

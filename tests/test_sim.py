@@ -181,6 +181,30 @@ class TestRunExpectation:
             dual = run_expectation(model, alpha).dual_value
             assert np.float64(dual).tobytes() == np.float64(dual_objective(model, alpha)).tobytes()
 
+    def test_given_decisions_give_the_same_report(self):
+        instance = gen_mock_instance(MockConfig(n_impressions=60, seed=2))
+        model = DspChoiceModel(instance)
+        alpha = np.array([0.3, 0.0, 1.2, 0.1])
+        given = run_expectation(model, alpha, model.decide_rows(alpha))
+        assert given == run_expectation(model, alpha)
+
+    def test_worst_row_is_the_largest_relative_excess(self):
+        rows = [
+            sim.ConstraintRow(k=0, limit=20.0, consumption=20.5),  # 0.5 / 20
+            sim.ConstraintRow(k=1, limit=0.0, consumption=0.03),  # 0.03 / max(1, 0)
+            sim.ConstraintRow(k=2, limit=-4.0, consumption=-4.2),  # slack
+        ]
+        assert [row.violation_rel for row in rows] == pytest.approx([0.025, 0.03, -0.05])
+        worst, violation = sim.SimReport(1.0, 1.0, rows).worst_row()
+        assert worst is rows[1] and violation == 0.03
+
+    @pytest.mark.parametrize("consumption", [[], [1.0, 0.0]])
+    def test_no_excess_reads_zero(self, consumption):
+        rows = [sim.ConstraintRow(k=k, limit=2.0 - 2 * k, consumption=c) for k, c in enumerate(consumption)]
+        worst, violation = sim.SimReport(0.0, 0.0, rows).worst_row()
+        assert violation == 0.0 and violation <= sim.FEASIBILITY_TOL
+        assert (worst is None) == (not rows)
+
 
 class TestRunMonteCarlo:
     def test_second_price_accounting(self):
