@@ -40,7 +40,10 @@ other's above 1e15, so both unconverged results show in the digest. Last,
 package writes: columns reordered with an extra one, outcomes in lower case
 and padded, a blank line, CRLF line ends and three more LOST rows at bid 0.
 It holds the same auctions, so its `fit.json` digests match the first pool's,
-and a change in what `fit` reads shows in the digest.
+and a change in what `fit` reads shows in the digest. The last two commands
+replay seed 0 for 240 epochs, `compare` of the four feedback strategies and
+`simulate --strategy ortb`: ORTB refits its win curve once per epoch, so an
+auction that a change to the refit flips late in a long replay shows there.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 1, 2)
 REPLAY_EPOCHS = 60
+#: Seed and epochs of the long replays.
+LONG_SEED, LONG_EPOCHS = 0, 240
 N_IMPRESSIONS = 2000
 STRATEGIES = "db_single,db_multi,ortb,lin"
 #: Prices of the two budget rows and the two ROI rows of a default instance.
@@ -206,6 +211,10 @@ def commands(work: Path, n_pools: int) -> list[tuple[str, list[str]]]:
     for family in ("lognormal", "ortb"):
         log = str(work / "noncanonical.csv")
         out.append((f"fit_{family}_noncanonical", ["fit", "--observations", log, "--family", family]))
+    long = ["--instance", str(work / f"gen_{LONG_SEED}" / "instance.json"),
+            "--epochs", str(LONG_EPOCHS), "--seed", str(LONG_SEED)]
+    out.append((f"compare_long_{LONG_SEED}", ["compare", "--strategies", STRATEGIES, *long]))
+    out.append((f"simulate_ortb_long_{LONG_SEED}", ["simulate", "--strategy", "ortb", *long]))
     return out
 
 

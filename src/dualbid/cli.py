@@ -4,12 +4,13 @@ strategy comparison, and landscape fitting.
 Every command writes its primary outputs plus a `manifest.json` into the
 output directory. The manifest records the command, the input paths, every
 other parsed option except `--out-dir` as a flag, the files written, the tool
-version, the Python, numpy and scipy versions, and wall time (`solve` also
-per stage); it is written incomplete first and finalized last, so an
-interrupted run is always detectable. Primary outputs are byte-identical
-across reruns with the same inputs and flags; the manifest (which carries
-timing) is the one exception. That identity holds per numpy and BLAS build,
-so comparing the outputs of two hosts needs the recorded versions.
+version, the Python, numpy and scipy versions, and wall time (`solve`,
+`simulate` and `compare` also per stage); it is written incomplete first and
+finalized last, so an interrupted run is always detectable. Primary outputs
+are byte-identical across reruns with the same inputs and flags; the
+manifest (which carries timing) is the one exception. That identity holds
+per numpy and BLAS build, so comparing the outputs of two hosts needs the
+recorded versions.
 
 Exit codes: 0 success, 2 malformed input or flags, 3 numeric failure
 (solver divergence).
@@ -214,10 +215,13 @@ def _load_strategy(name: str, params_json: str | None, target_roi: float | None)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    stages = _Stages()
     instance = sim.load_instance(args.instance)
     strategy = _load_strategy(args.strategy, args.params, args.target_roi)
     manifest = _Manifest(args, "instance")
+    stages.end("load")
     report = sim.run_monte_carlo(instance, strategy, epochs=args.epochs, seed=args.seed)
+    stages.end("replay")
     metrics = report.per_strategy_metrics[strategy.name]
     sim.write_epoch_metrics_csv(manifest.output(f"epochs_{strategy.name}.csv"), metrics)
     sim.write_constraints_csv(manifest.output("constraints.csv"), report.per_constraint)
@@ -226,23 +230,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "epochs": args.epochs,
     }
     _write_json(manifest.output("summary.json"), summary)
+    stages.end("write")
+    manifest.payload["stages_s"] = stages.seconds
     manifest.finish()
     print(f"{strategy.name}: revenue {summary['strategies'][strategy.name]['revenue']:.4f}")
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    stages = _Stages()
     instance = sim.load_instance(args.instance)
     names = [n.strip() for n in args.strategies.split(",") if n.strip()]
     strategies = [_load_strategy(n, args.params, args.target_roi) for n in names]
     manifest = _Manifest(args, "instance")
+    stages.end("load")
     report = sim.compare_strategies(instance, strategies, epochs=args.epochs, seed=args.seed)
+    stages.end("replay")
     totals = {}
     for name, metrics in report.per_strategy_metrics.items():
         sim.write_epoch_metrics_csv(manifest.output(f"epochs_{name}.csv"), metrics)
         totals[name] = _strategy_totals(metrics)
     summary = _summary_base("compare", args.seed) | {"strategies": totals, "epochs": args.epochs}
     _write_json(manifest.output("summary.json"), summary)
+    stages.end("write")
+    manifest.payload["stages_s"] = stages.seconds
     manifest.finish()
     for name, stats in totals.items():
         print(f"{name}: revenue {stats['revenue']:.4f}  roi {stats['actual_roi']:.3f}")

@@ -34,7 +34,14 @@ import numpy as np
 from .dsp import Ad, DspChoiceModel, DspInstance, Impression, RowDecisions
 from .dsp import bid_decision  # noqa: F401 - perfbench/tracing.py wraps sim.bid_decision
 from .landscape import LandscapePrior
-from .strategies import OrtbState, lin_bid, multiplicative_update, ortb_bid, ortb_fit_c
+from .strategies import (
+    OrtbState,
+    _OrtbMoments,
+    lin_bid,
+    multiplicative_update,
+    ortb_bid,
+    ortb_fit_c,
+)
 from .utility import (
     AdEconomics,
     ConstraintKind,
@@ -570,37 +577,18 @@ class DualBidStrategy(_WindowedStrategy):
         return self.alpha
 
 
-class _GrowingArray:
-    """A float array appended to in place; its capacity doubles when it runs out."""
-
-    def __init__(self) -> None:
-        self._data = np.empty(0)
-        self._size = 0
-
-    def extend(self, values: np.ndarray) -> None:
-        end = self._size + values.size
-        if end > self._data.size:
-            grown = np.empty(max(end, 2 * self._data.size))
-            grown[: self._size] = self._data[: self._size]
-            self._data = grown
-        self._data[self._size : end] = values
-        self._size = end
-
-    @property
-    def view(self) -> np.ndarray:
-        """The values appended so far, in order, as a view of the storage."""
-        return self._data[: self._size]
-
-
 class OrtbStrategy(_WindowedStrategy):
     """Win-curve baseline: bids the shaded-surplus maximizer of w(bp) = bp/(c+bp).
 
     The curve scale c is refitted at window boundaries from all won/lost
     observations accumulated so far (an expanding fit window keeps it from
     whipsawing the shadow price); the shadow price follows the multiplicative
-    ROI rule. Each epoch's won costs and lost bids are appended to two
-    growing arrays, and a refit reads views of them, so a window copies only
-    its own epochs' observations.
+    ROI rule. The first refit is a cold `ortb_fit_c` over the log. Each later
+    one starts from the c before it and reads power sums of the log
+    (`strategies._OrtbMoments`), to which a window adds only its own
+    observations, so a refit costs O(K) per score evaluation, not a pass over
+    the log. The refitted c is the full-log fit's to within a few rounding
+    units.
     """
 
     def __init__(
@@ -613,26 +601,25 @@ class OrtbStrategy(_WindowedStrategy):
 
     def _restart(self) -> None:
         self.state = OrtbState(c=self._c0, lam=self._lambda0)
-        # Won costs and lost bids of every epoch so far, in replay order.
-        self._won_costs = _GrowingArray()
-        self._lost_bids = _GrowingArray()
-        self._refitted = False
+        # Won costs and lost bids of every epoch so far, in replay order, with
+        # power sums of them once the first refit has anchored them.
+        self._log = _OrtbMoments()
 
     def epoch_bids(self) -> tuple[np.ndarray, np.ndarray]:
         return self._ad_idx, ortb_bid(self.state, self._cpi, self.target_roi)
 
     def _observe(self, feedback: EpochFeedback) -> None:
         active = feedback.bids > 0.0
-        self._won_costs.extend(feedback.paid[active & feedback.won])
-        self._lost_bids.extend(feedback.bids[active & ~feedback.won])
+        self._log.add(feedback.paid[active & feedback.won], feedback.bids[active & ~feedback.won])
 
     def _update(self, actual_roi: float) -> None:
-        won = self._won_costs.view
         c = self.state.c
-        if won.size:
-            # The first refit starts cold, each later one from the c before it.
-            c = ortb_fit_c(won, self._lost_bids.view, c if self._refitted else None).c
-            self._refitted = True
+        # The first refit is cold and over the whole log; its c anchors the sums.
+        if self._log.anchor is not None:
+            c = self._log.fit(c).c
+        elif self._log.won.view.size:
+            c = ortb_fit_c(self._log.won.view, self._log.lost.view).c
+            self._log.anchor_at(c)
         lam = multiplicative_update(self.state.lam, self.target_roi, actual_roi).value
         self.state = OrtbState(c=c, lam=lam)
 
@@ -654,8 +641,8 @@ class LinStrategy(_WindowedStrategy):
     ):
         if cadence < 1:
             raise ValueError(f"cadence must be >= 1, got {cadence}")
-        if bid_base <= 0.0:
-            raise ValueError(f"bid_base must be positive, got {bid_base!r}")
+        if not (math.isfinite(bid_base) and bid_base > 0.0):
+            raise ValueError(f"bid_base must be positive and finite, got {bid_base!r}")
         super().__init__(name, target_roi, update_window * cadence)
         self.bid_base = bid_base
 

@@ -287,7 +287,20 @@ def test_manifest_records_versions(command, small_instance, tmp_path):
     assert manifest["versions"] == {
         "python": python, "numpy": numpy.__version__, "scipy": scipy.__version__,
     }
-    assert ("stages_s" in manifest) == (command == "solve")
+    assert ("stages_s" in manifest) == (command in ("solve", "simulate"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_replay_manifest_records_stage_times(command, small_instance, tmp_path):
+    argv = {
+        "simulate": ["simulate", "--strategy", "ortb"],
+        "compare": ["compare", "--strategies", "lin,ortb"],
+    }[command]
+    out = tmp_path / "o"
+    assert run([*argv, "--instance", str(small_instance), "--epochs", "2", "--out-dir", str(out)]) == 0
+    stages = json.loads((out / "manifest.json").read_text())["stages_s"]
+    assert list(stages) == ["load", "replay", "write"]
+    assert all(isinstance(t, float) and t >= 0.0 for t in stages.values())
 
 
 def _option_names(command: str) -> set[str]:

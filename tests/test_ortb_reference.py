@@ -5,9 +5,11 @@ every evaluation; `ortb_fit_c` forms them in one scratch buffer, and must
 give the same bits. Each fitted c carries a root certificate: the score
 changes sign across c * (1 -+ 1e-12), a tighter bound than the xtol = rtol =
 1e-12 of the brentq reference it is also checked against. The reference
-refit concatenates per-epoch observation lists on every window;
-`OrtbStrategy` refits from views of append-only arrays, and both must reach
-the same c bit for bit.
+refit concatenates per-epoch observation lists on every window and fits
+them with `ortb_fit_c`; `OrtbStrategy` refits from power sums of its log
+about an anchor (`strategies._OrtbMoments`). Each of its refits carries the
+certificate on the whole log, lies within `refit_rtol` of the full-log fit,
+and the replay's metrics equal the reference's exactly: no auction flips.
 """
 
 import importlib.util
@@ -17,12 +19,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from dualbid import sim, strategies
+from dualbid import cli, sim, strategies
+from dualbid.dsp import DspChoiceModel
 from dualbid.landscape import split_observations
-from dualbid.sim import MockConfig, OrtbStrategy, gen_mock_instance, run_monte_carlo
-from dualbid.strategies import OrtbFit, OrtbState, multiplicative_update, ortb_fit_c
+from dualbid.sim import EpochFeedback, MockConfig, OrtbStrategy, gen_mock_instance, run_monte_carlo
+from dualbid.strategies import (
+    _ANCHOR_RADIUS,
+    _SERIES_ORDER,
+    OrtbFit,
+    OrtbState,
+    _OrtbMoments,
+    multiplicative_update,
+    ortb_fit_c,
+)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -81,6 +93,27 @@ def assert_root_certificate(c, won_costs, lost_bids):
     assert reference_score(c * (1.0 + 1e-12), won, lost, n) < 0.0
 
 
+#: Relative truncation error of the power series within the anchor radius.
+SERIES_RTOL = _ANCHOR_RADIUS ** (_SERIES_ORDER + 1) / (1.0 - _ANCHOR_RADIUS)
+
+
+def refit_rtol(c, won_costs, lost_bids):
+    """How far, relative to c, a refit from power sums may lie from the full-log fit.
+
+    The sums' score n - c P(a - c) differs from the exact score by at most
+    SERIES_RTOL of c P, which is at most 2n, and each score rounds by about
+    log2(n) units of 2^-53 of n. Both fits end at a root of their own score,
+    so they differ by that error over the slope: relative to c, by
+    kappa (SERIES_RTOL + 2 (1 + log2 n) 2^-53), with kappa = 2n / |c S'(c)|.
+    """
+    won = np.asarray(won_costs, dtype=float)
+    lost = np.asarray(lost_bids, dtype=float)
+    lost = lost[lost > 0.0]
+    n = won.size + lost.size
+    kappa = 2.0 * n / abs(c * reference_slope(c, won, lost))
+    return kappa * (SERIES_RTOL + 2.0 * (1.0 + math.log2(n)) * 2.0**-53)
+
+
 class ReferenceOrtb(OrtbStrategy):
     """ORTB with the concatenating refit over per-epoch observation lists."""
 
@@ -106,25 +139,24 @@ class ReferenceOrtb(OrtbStrategy):
 
 
 class RecordingOrtb(OrtbStrategy):
-    """ORTB that records each refit's result and each regrowth of its buffers."""
+    """ORTB that records each refit's start, c and log, and each regrowth of its buffers."""
 
     def _restart(self):
         super()._restart()
         self.fits, self.regrowths = [], 0
 
     def _observe(self, feedback):
-        storage = (self._won_costs._data, self._lost_bids._data)
+        storage = (self._log.won._data, self._log.lost._data)
         super()._observe(feedback)
-        self.regrowths += storage[0] is not self._won_costs._data
-        self.regrowths += storage[1] is not self._lost_bids._data
+        self.regrowths += storage[0] is not self._log.won._data
+        self.regrowths += storage[1] is not self._log.lost._data
 
     def _update(self, actual_roi):
-        won = self._won_costs.view
-        if won.size:
-            start = self.state.c if self._refitted else None
-            fit = ortb_fit_c(won, self._lost_bids.view, start)
-            self.fits.append((fit.c, fit.converged))
+        start = self.state.c if self._log.anchor is not None else None
         super()._update(actual_roi)
+        won, lost = self._log.won.view, self._log.lost.view
+        if won.size:
+            self.fits.append((start, self.state.c, won.copy(), lost.copy()))
 
 
 class CountingScore:
@@ -243,10 +275,14 @@ def test_replay_refits_match_concatenating_reference():
 
     assert recording.regrowths >= 6  # at least three times per buffer
     assert len(recording.fits) == len(reference.fits) == 20
-    assert [bits(c) for c, _ in recording.fits] == [bits(c) for c, *_ in reference.fits]
-    assert [conv for _, conv in recording.fits] == [conv for _, conv, *_ in reference.fits]
     assert actual.per_strategy_metrics == expected.per_strategy_metrics
     assert actual.per_constraint == expected.per_constraint
+    assert recording.fits[0][0] is None and None not in [f[0] for f in recording.fits[1:]]
+    for start, c, won, lost in recording.fits:
+        assert_root_certificate(c, won, lost)
+        full_log = ortb_fit_c(won, lost, start)
+        assert full_log.converged
+        assert c == pytest.approx(full_log.c, rel=refit_rtol(c, won, lost), abs=0.0)
     for c, converged, won, lost in reference.fits:
         assert converged
         assert_root_certificate(c, won, lost)
@@ -254,21 +290,41 @@ def test_replay_refits_match_concatenating_reference():
 
 
 def test_refits_evaluate_the_score_few_times(monkeypatch):
-    # Each refit after the first starts from the c before it. N=2000, 60
-    # epochs and the default window give one refit per epoch.
+    # N=2000, 60 epochs and the default window give one refit per epoch. The
+    # first is a cold `ortb_fit_c`; each later one reads the power sums from
+    # the c before it, and re-anchors only while c drifts out of the radius.
     instance = gen_mock_instance(MockConfig(n_impressions=2000, seed=5))
-    starts = []
+    cold_starts, warm_starts, anchors = [], [], []
 
-    def recording_fit(won, lost, start):
-        starts.append(start)
+    def recording_fit(won, lost, start=None):
+        cold_starts.append(start)
         return ortb_fit_c(won, lost, start)
 
+    def recording_refit(self, start):
+        warm_starts.append(start)
+        return refit(self, start)
+
+    def recording_anchor(self, a):
+        anchors.append(a)
+        anchor_at(self, a)
+
+    def recording_score(self, c):
+        moment_scores.append(c)
+        return score(self, c)
+
+    moment_scores = []
+    refit, anchor_at, score = _OrtbMoments.fit, _OrtbMoments.anchor_at, _OrtbMoments.score
     monkeypatch.setattr(sim, "ortb_fit_c", recording_fit)
+    monkeypatch.setattr(_OrtbMoments, "fit", recording_refit)
+    monkeypatch.setattr(_OrtbMoments, "anchor_at", recording_anchor)
+    monkeypatch.setattr(_OrtbMoments, "score", recording_score)
     counter = CountingScore(monkeypatch)
     run_monte_carlo(instance, OrtbStrategy(), epochs=60, seed=5)
-    assert len(starts) == 60
-    assert starts[0] is None and None not in starts[1:]
-    assert len(counter.calls) <= 5 * len(starts)
+    assert cold_starts == [None]
+    assert len(warm_starts) == 59 and None not in warm_starts
+    assert len(counter.calls) + len(moment_scores) <= 5 * 60
+    # The anchor the cold fit sets, and at most four re-anchors as c drifts.
+    assert 1 <= len(anchors) <= 5
 
 
 def test_cold_fits_of_the_benchmark_pools_evaluate_the_score_few_times(monkeypatch):
@@ -289,8 +345,153 @@ def test_cold_fits_of_the_benchmark_pools_evaluate_the_score_few_times(monkeypat
 
 
 def test_growing_array_keeps_order_across_regrowths():
-    buffer = sim._GrowingArray()
+    buffer = strategies._GrowingArray()
     chunks = [np.arange(k, dtype=float) + 10 * k for k in (0, 3, 1, 7, 0, 20, 2)]
     for chunk in chunks:
         buffer.extend(chunk)
     assert buffer.view.tobytes() == np.concatenate(chunks).tobytes()
+
+
+#: A bound on the relative truncation error of the moments' slope within the
+#: anchor radius: with rho = (a - c) / (a + x) and |rho| <= r, each
+#: observation's slope term errs by at most 2 r^(K+1) + (K+1)(1+r) r^K of
+#: 1/(c+x).
+SLOPE_RTOL = 2.0 * _ANCHOR_RADIUS ** (_SERIES_ORDER + 1) + (
+    (_SERIES_ORDER + 1) * (1.0 + _ANCHOR_RADIUS) * _ANCHOR_RADIUS**_SERIES_ORDER
+)
+
+prices = st.floats(1e-6, 1e3)
+
+
+def test_series_constants_truncate_below_rounding():
+    assert SERIES_RTOL < 2.0**-53
+
+
+def anchored(won, lost, a):
+    moments = _OrtbMoments()
+    moments.add(np.array(won, dtype=float), np.array(lost, dtype=float))
+    moments.anchor_at(a)
+    return moments
+
+
+def exact_score(c, won, lost):
+    n = won.size + lost.size
+    return strategies._ortb_score(c, won, lost, n, np.empty(won.size), np.empty(lost.size))
+
+
+@given(
+    won=st.lists(prices, min_size=1, max_size=60),
+    lost=st.lists(prices, max_size=60),
+    a=st.floats(1e-4, 1e2),
+    u=st.floats(-0.99, 0.99),
+)
+@settings(max_examples=300, deadline=None)
+def test_moment_score_matches_exact_score_within_the_radius(won, lost, a, u):
+    # At r = |u| * _ANCHOR_RADIUS, the score n - c P errs by at most
+    # SERIES_RTOL of c P <= 2n and the slope by SLOPE_RTOL of P, plus
+    # rounding of about log2(n) units of 2^-53 per sum.
+    won, lost = np.array(won), np.array(lost, dtype=float)
+    c = a + u * _ANCHOR_RADIUS * (a + min(won.min(), lost.min(initial=math.inf)))
+    assume(c > 0.0)
+    moments = anchored(won, lost, a)
+    value, slope = moments.score(c)
+    assert moments.anchor == a
+    exact_value, exact_slope = exact_score(c, won, lost)
+    n = won.size + lost.size
+    rounding = (1.0 + math.log2(n)) * 2.0**-53
+    p = 2.0 * float(np.sum(1.0 / (c + won))) + float(np.sum(1.0 / (c + lost)))
+    assert abs(value - exact_value) <= 2.0 * n * (SERIES_RTOL + 2.0 * rounding)
+    assert abs(slope - exact_slope) <= p * (SLOPE_RTOL + 4.0 * rounding)
+
+
+@given(
+    windows=st.lists(
+        st.tuples(st.lists(prices, max_size=40), st.lists(prices, max_size=40)),
+        min_size=1, max_size=6,
+    ),
+    a=st.floats(1e-4, 1e2),
+)
+@settings(max_examples=100, deadline=None)
+def test_windows_added_one_by_one_match_one_anchor_over_the_log(windows, a):
+    one_by_one = _OrtbMoments()
+    one_by_one.add(*map(np.array, windows[0]))
+    one_by_one.anchor_at(a)
+    for won, lost in windows[1:]:
+        one_by_one.add(np.array(won), np.array(lost))
+        one_by_one._sum_new()
+    won = np.concatenate([np.array(w, dtype=float) for w, _ in windows])
+    lost = np.concatenate([np.array(l, dtype=float) for _, l in windows])
+    at_once = anchored(won, lost, a)
+    assert one_by_one.won.view.tobytes() == won.tobytes()
+    assert one_by_one.lost.view.tobytes() == lost.tobytes()
+    # The same positive terms, summed in another order: each sum of n of
+    # them rounds by at most (n - 1) units of 2^-53.
+    n = won.size + lost.size
+    np.testing.assert_allclose(one_by_one._sums, at_once._sums, rtol=2.0 * n * 2.0**-53, atol=0.0)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.2, 1e3, 1e-3])
+def test_an_iterate_past_the_radius_reanchors(ratio):
+    rng = np.random.default_rng(8)
+    won, lost = win_curve_prices(rng, 0.2, 500), rng.uniform(0.05, 1.0, 300)
+    moments = anchored(won, lost, 0.2)
+    # r = |c - a| / (a + min x) > _ANCHOR_RADIUS at each ratio.
+    c = 0.2 * ratio
+    value, slope = moments.score(c)
+    assert moments.anchor == c
+    exact_value, exact_slope = exact_score(c, won, lost)
+    assert value == pytest.approx(exact_value, rel=1e-12, abs=1e-12 * won.size)
+    assert slope == pytest.approx(exact_slope, rel=1e-12)
+
+
+def test_refits_certified_when_c_moves_by_orders_of_magnitude():
+    # Each window holds ten times the observations of all before it, at a
+    # price scale far from theirs, so each refit moves c far from the c it
+    # starts at, and its Newton iterates re-anchor the sums.
+    instance = gen_mock_instance(MockConfig(n_impressions=10, seed=0))
+    ortb = OrtbStrategy(update_window=1)
+    ortb.reset(DspChoiceModel(instance))
+    rng = np.random.default_rng(4)
+    cs, won_log, lost_log = [], [], []
+    for size, scale in [(10, 1e-3), (100, 1e3), (1000, 1e-2), (10_000, 1e2), (100_000, 1e-4)]:
+        competing = win_curve_prices(rng, scale, size)
+        bids = win_curve_prices(rng, scale, size)
+        won = bids > competing
+        paid = np.where(won, competing, 0.0)
+        ortb.end_epoch(EpochFeedback(bids, won, paid, revenue=2.0 * paid.sum(), cost=paid.sum()))
+        won_log.append(paid[won])
+        lost_log.append(bids[~won])
+        cs.append(ortb.state.c)
+        assert_root_certificate(ortb.state.c, np.concatenate(won_log), np.concatenate(lost_log))
+    moves = np.abs(np.diff(np.log10(cs)))
+    assert np.all(moves > 1.0), cs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_replay_outputs_equal_the_full_log_reference(seed, tmp_path, monkeypatch):
+    """`compare` and `simulate --strategy ortb` write the bytes the full-log refit writes.
+
+    The reference replays refit with `ortb_fit_c` over the whole log
+    (`ReferenceOrtb`), so this shows that no auction of these replays flips
+    under the refit from power sums.
+    """
+    gen = tmp_path / "gen"
+    assert cli.main(["gen", "--out-dir", str(gen), "--n-impressions", "2000", "--seed", str(seed)]) == 0
+    replay = ["--instance", str(gen / "instance.json"), "--seed", str(seed)]
+    commands = {
+        "compare": ["compare", *replay, "--strategies", "db_single,db_multi,ortb,lin"],
+        "simulate": ["simulate", *replay, "--strategy", "ortb"],
+    }
+
+    def outputs(out_dir):
+        return {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != "manifest.json"}
+
+    for epochs in ("60", "120"):
+        for name, argv in commands.items():
+            with monkeypatch.context() as patch:
+                patch.setattr(sim, "OrtbStrategy", ReferenceOrtb)
+                expected_dir = tmp_path / f"reference_{name}_{epochs}"
+                assert cli.main([*argv, "--epochs", epochs, "--out-dir", str(expected_dir)]) == 0
+            actual_dir = tmp_path / f"{name}_{epochs}"
+            assert cli.main([*argv, "--epochs", epochs, "--out-dir", str(actual_dir)]) == 0
+            assert outputs(actual_dir) == outputs(expected_dir), (name, epochs)

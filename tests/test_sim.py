@@ -23,6 +23,7 @@ from dualbid.sim import (
     run_monte_carlo,
 )
 from dualbid.strategies import ortb_fit_c
+from test_ortb_reference import assert_root_certificate, refit_rtol
 from dualbid.utility import ConstraintKind, ObjectiveKind, PaymentMode
 
 
@@ -615,9 +616,11 @@ class TestStrategies:
         assert params[3] == params[4] == params[5]
 
     def test_ortb_refit_matches_fit_over_observation_log(self):
-        """Each refit's c equals, bit for bit, a fit over the replay's rebuilt auction log.
+        """Each refit's c is the root of the score over the replay's rebuilt auction log.
 
-        Both fits start from the c before the refit, and the first from the tangent at c -> 0.
+        It carries the root certificate, and lies within `refit_rtol` of a fit
+        over that log from the c before the refit; the first refit starts from
+        the tangent at c -> 0, as the fit does.
         """
 
         class CheckedOrtb(sim.OrtbStrategy):
@@ -630,7 +633,7 @@ class TestStrategies:
                 super().end_epoch(feedback)
 
             def _update(self, actual_roi):
-                start = self.state.c if self._refitted else None
+                start = self.state.c if self._log.anchor is not None else None
                 super()._update(actual_roi)
                 log = [
                     BidObservation(Outcome.WON, float(b), float(p))
@@ -640,7 +643,14 @@ class TestStrategies:
                     for b, p, w in zip(f.bids, f.paid, f.won)
                     if b > 0.0
                 ]
-                assert self.state.c == ortb_fit_c(*split_observations(log), start).c
+                won, lost = split_observations(log)
+                c = self.state.c
+                assert_root_certificate(c, won, lost)
+                assert c == pytest.approx(
+                    ortb_fit_c(won, lost, start).c, rel=refit_rtol(c, won, lost), abs=0.0
+                )
+                if start is None:
+                    assert c == ortb_fit_c(won, lost).c
                 self.refits += 1
 
         instance = gen_mock_instance(MockConfig(n_impressions=100, seed=2))

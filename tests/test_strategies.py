@@ -12,7 +12,7 @@ from dualbid.landscape import (
     Outcome,
     split_observations,
 )
-from dualbid.sim import make_strategy
+from dualbid.sim import LinStrategy, OrtbStrategy, make_strategy
 from dualbid.strategies import (
     OrtbFit,
     OrtbState,
@@ -114,6 +114,35 @@ class TestOrtbBid:
             OrtbState(0.0, 1.0)
         with pytest.raises(ValueError):
             OrtbState(1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: OrtbState(c=math.nan, lam=1.0),
+        lambda: OrtbState(c=math.inf, lam=1.0),
+        lambda: OrtbState(c=1.0, lam=math.nan),
+        lambda: OrtbState(c=1.0, lam=math.inf),
+        lambda: OrtbStrategy(c0=math.nan),
+        lambda: OrtbStrategy(lambda0=math.inf),
+        lambda: LinStrategy(bid_base=math.nan),
+        lambda: LinStrategy(bid_base=math.inf),
+        lambda: lin_bid(1.0, 2.0, math.nan),
+        lambda: lin_bid(math.nan, 2.0, 2.0),
+        lambda: lin_bid(math.inf, 2.0, 2.0),
+        lambda: ortb_bid(OrtbState(1.0, 1.0), 1.0, math.nan),
+        lambda: ortb_bid(OrtbState(1.0, 1.0), 1.0, math.inf),
+    ],
+    ids=[
+        "state-c-nan", "state-c-inf", "state-lambda-nan", "state-lambda-inf", "ortb-c0-nan",
+        "ortb-lambda0-inf", "lin-base-nan", "lin-base-inf", "lin-bid-target-nan",
+        "lin-bid-base-nan", "lin-bid-base-inf", "ortb-bid-target-nan", "ortb-bid-target-inf",
+    ],
+)
+def test_non_finite_parameters_are_rejected(build):
+    # `make_strategy` rejects these for CLI input; the Python API must too.
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        build()
 
 
 def sample_win_curve_prices(rng, c, n):
