@@ -1,7 +1,8 @@
 """Print the SHA-256 of every primary output of a fixed set of dualbid commands.
 
 Runs `gen` and `solve` (both objectives), `compare`, `simulate` (each
-strategy of `compare`, and fixed_alpha), a wide `solve`, a `solve` of an
+strategy of `compare`, and fixed_alpha), a 40-epoch `solve` of the revenue
+instances of seeds 0 and 1, a wide `solve`, a `solve` of an
 instance with string impression ids and one of an instance with no ads, a
 `solve` and a fixed_alpha `simulate` of an instance with overflowing
 landscape means, `gen --config` and `solve` of two P4U instances, and `fit`
@@ -16,6 +17,11 @@ versions, so compare its digests on one host.
 
     python scripts/output_digest.py                   # the src/ beside this script
     python scripts/output_digest.py --src other/src   # another checkout's package
+
+The 40-epoch solves and the default ones of seeds 0 and 1 are knife-edge
+instances: a single price vector sits on the kink of the dual, so a change
+in the last bits of the composite moves whole ads and the primal value with
+them, and the digest shows it.
 
 The observation logs for `fit` are the benchmark's `fit_logs` pools of seed 0,
 drawn by `perfbench/workloads.py:observation_pool` of this checkout, and the
@@ -71,6 +77,8 @@ STRATEGIES = "db_single,db_multi,ortb,lin"
 FIXED_ALPHA = [0.0, 0.66, 0.36, 0.0]
 #: Seed of the benchmark's `fit_logs` pools that `fit` runs on.
 FIT_SEED = 0
+#: Seeds whose revenue instance is also solved with `KNIFE_EPOCHS` SGD epochs.
+KNIFE_SEEDS, KNIFE_EPOCHS = (0, 1), 40
 #: Size, seed and epochs of the benchmark's `solve_wide` instance solved here.
 WIDE_N, WIDE_SEED, WIDE_EPOCHS = 2000, 0, 40
 #: Size of the string-id and no-ads instances, and the epochs they are solved with.
@@ -186,6 +194,10 @@ def commands(work: Path, n_pools: int) -> list[tuple[str, list[str]]]:
                  "--params", json.dumps({"alpha": FIXED_ALPHA})],
             ),
         ]
+    for seed in KNIFE_SEEDS:
+        knife = ["solve", "--instance", str(work / f"gen_{seed}" / "instance.json"),
+                 "--epochs-sgd", str(KNIFE_EPOCHS)]
+        out.append((f"solve_{seed}_epochs_{KNIFE_EPOCHS}", knife))
     wide = ["solve", "--instance", str(work / "wide.json"), "--epochs-sgd", str(WIDE_EPOCHS)]
     out.append(("solve_wide", wide))
     for name in ("string_ids", "no_ads", "overflow"):

@@ -198,10 +198,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             f"by {violation:.4g} relative to max(1, |limit|)",
             file=sys.stderr,
         )
-    gap = report.duality_gap_rel
     print(
         f"primal {report.primal_value:.6f}  dual {report.dual_value:.6f}"
-        + (f"  gap {gap:.4%}" if gap is not None else "")
+        f"  gap {report.duality_gap_rel:.4%}"
     )
     return EXIT_OK
 

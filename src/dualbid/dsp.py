@@ -7,26 +7,26 @@ and both the solver and the bidder reduce to coefficient arithmetic plus the
 log-normal kernel `landscape.win_prob_cost`; no numeric search over bid
 prices happens in the hot path.
 
-`DspChoiceModel` builds the coefficient tensors with the array form of the
-`utility` encoders: one call per ad and objective or constraint, over the
-ad's PPI column, so a build makes M * (K + 1) encoder calls at any N. It
-stores phi and psi stacked on an axis of their own, gains as (N, 2, M) and
-consumptions as (N, 2, M, K), so one matrix-vector call prices both halves
-of a composite with the bits of two separate products.
+`DspChoiceModel` prices every decision from one per-ad rate card of slopes
+and intercepts in PPI: a composite is the card priced once, then
+`ppi * slope + intercept` per row, and `totals` accounts any set of
+decisions or auction outcomes with one product with the card.
 
-One array kernel applies that rule to any set of impressions: the composite
-of the selected rows, every ad's best response, then each row's first
-top-scoring ad. `DspChoiceModel.decide_rows` runs it over all rows for the
-evaluator and the replay, and `write_decisions_csv` writes `decisions.csv`
-straight from its arrays; `bid_decision` is its one-row view. The SGD step
-runs the kernel over each mini-batch (`batch_consumption`), and `beta_sum`
-and `item_best` read the per-ad scores it computes on the way.
+One array kernel applies the decision rule to any set of impressions: the
+composite of the selected rows, every ad's best response, then each row's
+first top-scoring ad. `DspChoiceModel.decide_rows` runs it over all rows for
+the evaluator and the replay, and `write_decisions_csv` writes
+`decisions.csv` straight from its arrays; `bid_decision` is its one-row
+view. The SGD step runs the kernel over each mini-batch and accounts the
+batch with `totals` (`batch_consumption`), and `beta_sum` and `item_best`
+read the per-ad scores it computes on the way.
 
 A 64-row batch at M = 2 gives each array pass 128 cells, which cost about as
-much as the numpy call itself, so the kernel makes few calls, about 40 per
-SGD step: bid, win probability, cost and score fill one stacked buffer in
-place, and one `take` picks each row's top ad from all four. Each element
-goes through the same floating-point operations, so outputs keep their bits.
+much as the numpy call itself, so the kernel makes few calls: bid, win
+probability, cost and score fill one stacked buffer in place, and one `take`
+picks each row's top ad from all four. Each element goes through the same
+floating-point operations whichever rows are selected, so outputs keep their
+bits.
 """
 
 from __future__ import annotations
@@ -198,41 +198,45 @@ def _first_max(responses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 class DspChoiceModel(mmkp.ChoiceModel):
-    """Choice-model view of a `DspInstance` with precomputed coefficient tensors.
+    """Choice-model view of a `DspInstance`, priced from one per-ad rate card.
 
-    The gain coefficients are stored stacked as `_v`, shaped (N, 2, M), and
-    the consumption coefficients as `_w`, shaped (N, 2, M, K); index 0 of the
-    second axis holds phi and index 1 psi. `objective_coeffs` and
-    `constraint_coeffs` are views of these. They are built here, the one
-    place that runs the encoders: one array encoder call per ad and
-    objective or constraint, each over the ad's PPI column. `decide_rows`
-    decides all rows at once and `batch_consumption` a mini-batch of them,
-    through the same kernel.
+    Every encoded coefficient is proportional to the impression's PPI or free
+    of it, so the (phi, psi) pair of any (impression, ad, column) is
+    `ppi * slope + intercept`. The card holds those slopes and intercepts,
+    shaped (2, 2, M, K + 1): half (phi, psi), then (slope, intercept), ad, and
+    column, where column 0 is the objective and column 1 + k constraint row
+    k. Built from 2 * M * (K + 1) scalar encoder calls at any N, it is the
+    only copy of the coefficients beside the (N, M) PPIs.
     """
 
     def __init__(self, instance: DspInstance):
         self.instance = instance
         n, m, k = len(instance.impressions), instance.n_ads, instance.n_constraints
         self._ppi = np.array([imp.ppi for imp in instance.impressions], dtype=float).reshape(n, m)
-        # phi and psi are stacked on a new axis ahead of the ads, not along
-        # it: `_w[i] @ alpha` then runs one matrix-vector product per (M, K)
-        # block, which gives the bits of separate phi and psi products.
-        self._v = np.zeros((n, 2, m))
-        self._w = np.zeros((n, 2, m, k))
+        # A coefficient is c * ppi or a constant, so its value at PPI 0 is the
+        # intercept and its value at PPI 1 less that is the slope, exactly.
+        self._card = np.empty((2, 2, m, k + 1))
         for j, ad in enumerate(instance.ads):
-            ppi = self._ppi[:, j]
-            gain = encode_objective(instance.objective, ad.economics, ppi)
-            self._v[:, 0, j] = gain.phi
-            self._v[:, 1, j] = gain.psi
-            for c, spec in enumerate(instance.constraints):
-                w, _ = encode_constraint(spec, ad.id, ad.economics, ppi)
-                self._w[:, 0, j, c] = w.phi
-                self._w[:, 1, j, c] = w.psi
+            intercept, at_one = (self._encode(ad, ppi) for ppi in (0.0, 1.0))
+            self._card[:, 0, j], self._card[:, 1, j] = at_one - intercept, intercept
+        # Affine in PPI >= 0, a coefficient is finite on every row iff it is
+        # finite at the ad's largest PPI (and at 0, which the encoders check).
+        top = self._ppi.max(axis=0, initial=0.0)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(top * self._card[:, 0] + self._card[:, 1]).all()
+        if not finite:
+            raise ValueError("coefficients must be finite at every impression's PPI")
         self._budgets = np.array([constraint_limit(s) for s in instance.constraints])
         self._cap = float(instance.bid_cap)
         self._prior, self._over = landscape.prior_arrays([imp.prior for imp in instance.impressions])
         for shared in (self._ppi, self._prior):
             shared.flags.writeable = False
+
+    def _encode(self, ad: Ad, ppi: float) -> np.ndarray:
+        """(phi, psi) of the objective and each constraint row for `ad` at one PPI, shaped (2, K + 1)."""
+        coeffs = [encode_objective(self.instance.objective, ad.economics, ppi)]
+        coeffs += [encode_constraint(s, ad.id, ad.economics, ppi)[0] for s in self.instance.constraints]
+        return np.array([[c.phi for c in coeffs], [c.psi for c in coeffs]])
 
     @property
     def n_items(self) -> int:
@@ -257,32 +261,32 @@ class DspChoiceModel(mmkp.ChoiceModel):
         """Landscape prior `sigma` per impression, shaped (N,); read-only."""
         return self._prior[1, :, 0]
 
-    @property
-    def objective_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gain coefficient arrays (phi_V, psi_V), each shaped (N, M); views of `_v`."""
-        return self._v[:, 0], self._v[:, 1]
+    def coeffs(self, rows, ad, column: int | slice) -> np.ndarray:
+        """Unpriced (phi, psi) of card `column` for impressions `rows` on ads `ad`, stacked first.
 
-    @property
-    def constraint_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Consumption coefficient arrays (phi_W, psi_W), each shaped (N, M, K); views of `_w`."""
-        return self._w[:, 0], self._w[:, 1]
+        `rows` and `ad` are two indices, or two index arrays with an integer
+        `column`.
+        """
+        card = self._card[:, :, ad, column]
+        return self._ppi[rows, ad] * card[:, 0] + card[:, 1]
 
-    def composite(
-        self, rows: int | slice | np.ndarray, alpha: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def composite(self, rows: int | slice | np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """Per-ad (phi_F, psi_F) at prices `alpha` for an impression index, slice or index array.
 
-        Each row comes out bit for bit the same whichever way it is selected,
-        and the same as separate `phi_V - phi_W @ alpha` and
-        `psi_V - psi_W @ alpha` products.
+        Stacked first, so `phi, psi = composite(...)` unpacks it. The card is
+        priced once, `card @ [1, -alpha]`, and each row is `ppi * slope +
+        intercept` of it, bit for bit the same whichever way it is selected.
         """
-        c = self._v[rows] - self._w[rows] @ np.asarray(alpha, dtype=float)
-        return c[..., 0, :], c[..., 1, :]
+        prices = np.concatenate(([1.0], -np.asarray(alpha, dtype=float)))
+        ppi = self._ppi[rows]
+        # (half, slope or intercept, then a unit axis per row axis, ad)
+        priced = self._card.reshape(-1, prices.size) @ prices
+        priced = priced.reshape(2, 2, *[1] * (ppi.ndim - 1), ppi.shape[-1])
+        return ppi * priced[:, 0] + priced[:, 1]
 
-    def _respond(self, rows: int | slice | np.ndarray, alpha: np.ndarray, w=None) -> np.ndarray:
-        """Stacked bid, win probability, cost and score per ad; `w` is `_w[rows]` if gathered."""
-        w = self._w[rows] if w is None else w
-        c = (self._v[rows] - w @ np.asarray(alpha, dtype=float)).swapaxes(0, -2)  # phi, psi
+    def _respond(self, rows: int | slice | np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """Stacked bid, win probability, cost and score per ad."""
+        c = self.composite(rows, alpha)
         over = None if self._over is None else self._over[rows]
         out = np.zeros((4, *c.shape[1:]))
         _best_bids(*c, self._cap, out[0])
@@ -300,18 +304,29 @@ class DspChoiceModel(mmkp.ChoiceModel):
         bp, _, _, score = self._respond(i, alpha)
         return bp, score
 
+    def totals(
+        self, rows: np.ndarray, ad: np.ndarray, prob: np.ndarray, cost: np.ndarray
+    ) -> np.ndarray:
+        """Objective and constraint totals, shape (K + 1,), of impressions `rows` on ads `ad`.
+
+        `prob` and `cost` weight each pair's phi and psi: the win
+        probabilities and expected costs of a decision, or the win indicators
+        and paid prices of an auction. Per-ad sums of `prob * ppi`, `prob`,
+        `cost * ppi` and `cost`, in row order, meet the card in one product.
+        """
+        ppi, m = self._ppi[rows, ad], self.instance.n_ads
+        sums = [np.bincount(ad, w, minlength=m) for w in (prob * ppi, prob, cost * ppi, cost)]
+        return np.concatenate(sums) @ self._card.reshape(4 * m, self.n_constraints + 1)
+
     def batch_consumption(self, rows: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """Summed consumption of the chosen ad of each impression in `rows` that bids.
 
         The rule is `decide_rows`': a row bids iff its top score is >= 0 and
         its bid is positive.
         """
-        w = self._w[rows]
-        ad, picked, bids = _first_max(self._respond(rows, alpha, w))
-        # `compress` keeps rows contiguous; strided vectors change the products' bits.
+        ad, picked, bids = _first_max(self._respond(rows, alpha))
         prob, cost = picked[1:3].compress(bids, axis=1)
-        w = w[bids, :, ad[bids]]  # (bidding rows, 2, K)
-        return prob @ w[:, 0] + cost @ w[:, 1]
+        return self.totals(rows[bids], ad[bids], prob, cost)[1:]
 
     def beta_sum(self, alpha: np.ndarray) -> float:
         score = self._respond(slice(None), alpha)[3]
@@ -319,15 +334,17 @@ class DspChoiceModel(mmkp.ChoiceModel):
             return 0.0
         return float(np.maximum(score.max(axis=1), 0.0).sum())
 
-    def gain(self, i: int, j: int, sub_choice: float) -> float:
+    def _value(self, i: int, j: int, sub_choice: float, column: int | slice):
         prior = self.instance.impressions[i].prior
         prob, cost = landscape.win_prob(prior, sub_choice), landscape.expected_cost(prior, sub_choice)
-        return float(self._v[i, 0, j] * prob + self._v[i, 1, j] * cost)
+        phi, psi = self.coeffs(i, j, column)
+        return phi * prob + psi * cost
+
+    def gain(self, i: int, j: int, sub_choice: float) -> float:
+        return float(self._value(i, j, sub_choice, 0))
 
     def consumption(self, i: int, j: int, sub_choice: float) -> np.ndarray:
-        prior = self.instance.impressions[i].prior
-        prob, cost = landscape.win_prob(prior, sub_choice), landscape.expected_cost(prior, sub_choice)
-        return self._w[i, 0, j] * prob + self._w[i, 1, j] * cost
+        return self._value(i, j, sub_choice, slice(1, None))
 
 
 def bid_decision(

@@ -15,7 +15,10 @@ Only the auction outcome is sampled: won impressions are credited their
 expected performance, which keeps windowed ROI estimates usable at desk
 scale. Realized consumption of a constraint row mirrors its encoding, with
 the win indicator in place of the win probability and the paid price in
-place of the expected cost.
+place of the expected cost. Both modes account through
+`DspChoiceModel.totals`, and the replay reads each chosen ad's revenue
+coefficients from `DspChoiceModel.coeffs`, so no coefficient array is
+indexed here.
 """
 
 from __future__ import annotations
@@ -397,9 +400,10 @@ class SimReport:
 
     @property
     def duality_gap_rel(self) -> float | None:
-        if self.primal_value is None or self.dual_value is None or self.dual_value == 0.0:
+        """|primal - dual| / max(1, |dual|): relative for large duals, absolute near 0."""
+        if self.primal_value is None or self.dual_value is None:
             return None
-        return abs(self.primal_value - self.dual_value) / abs(self.dual_value)
+        return abs(self.primal_value - self.dual_value) / max(1.0, abs(self.dual_value))
 
     def worst_row(self) -> tuple[ConstraintRow | None, float]:
         """The row with the largest `violation_rel`, and that violation floored at 0.
@@ -408,11 +412,6 @@ class SimReport:
         """
         worst = max(self.per_constraint, key=lambda row: row.violation_rel, default=None)
         return worst, 0.0 if worst is None else max(0.0, worst.violation_rel)
-
-
-def _running_total(values: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 from 0.0 in row order (`np.sum` adds pairwise and rounds differently)."""
-    return np.cumsum(np.concatenate([np.zeros((1, *values.shape[1:])), values]), axis=0)[-1]
 
 
 def run_expectation(
@@ -427,16 +426,13 @@ def run_expectation(
         decisions = model.decide_rows(alpha)
     ad, _, score, prob, cost = decisions
     rows = np.flatnonzero(ad >= 0)
-    ad, prob, cost = ad[rows], prob[rows], cost[rows]
-    (phi_v, psi_v), (phi_w, psi_w) = model.objective_coeffs, model.constraint_coeffs
-    gain = _running_total(phi_v[rows, ad] * prob + psi_v[rows, ad] * cost)
-    used = _running_total(phi_w[rows, ad] * prob[:, None] + psi_w[rows, ad] * cost[:, None])
+    gain, *used = model.totals(rows, ad[rows], prob[rows], cost[rows]).tolist()
     per_constraint = [
-        ConstraintRow(k=k, limit=float(limit), consumption=float(used[k]), alpha=float(alpha[k]))
+        ConstraintRow(k=k, limit=float(limit), consumption=used[k], alpha=float(alpha[k]))
         for k, limit in enumerate(model.budgets)
     ]
     dual = float(alpha @ model.budgets) + float(np.maximum(score, 0.0).sum())
-    return SimReport(float(gain), dual, per_constraint)
+    return SimReport(gain, dual, per_constraint)
 
 
 # ---------------------------------------------------------------------------
@@ -747,9 +743,11 @@ def _replay(
     Returns each strategy's epoch metrics and, with `account`, its realized
     consumption per constraint row (empty lists without it).
 
-    A strategy's chosen-ad coefficient rows are gathered again only when its
-    ad indices differ in value from those of its last gather, so a strategy
-    may return a new array or mutate the same one in place.
+    A strategy's chosen-ad objective coefficients are gathered again only
+    when its ad indices differ in value from those of its last gather, so a
+    strategy may return a new array or mutate the same one in place.
+    Realized consumption is `model.totals` of the won rows, with the win
+    indicator as the probability and the paid price as the cost.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -757,8 +755,6 @@ def _replay(
         raise ValueError("a replay needs an instance with at least one ad")
     n, n_strategies, n_rows = len(instance.impressions), len(strategies), instance.n_constraints
     model = DspChoiceModel(instance)
-    phi_v, psi_v = model.objective_coeffs
-    phi_w, psi_w = model.constraint_coeffs
     ppi, mus, sigmas = model.ppi, model.mu, model.sigma
     rows = np.arange(n)
 
@@ -770,9 +766,7 @@ def _replay(
     gathered_for: list[np.ndarray | None] = [None] * n_strategies
     has_ad = np.zeros((n_strategies, n), dtype=bool)
     rev_won, rev_paid, perf_won = (np.zeros((n_strategies, n)) for _ in range(3))
-    if account:
-        use_won, use_paid = (np.zeros((n_strategies, n, n_rows)) for _ in range(2))
-        consumption_total = np.zeros((n_strategies, n_rows))
+    consumption_total = np.zeros((n_strategies, n_rows))
     for epoch in range(epochs):
         x = np.exp(mus + sigmas * rng.standard_normal(n))
         # A new bid array every epoch: feedback rows stay valid after it.
@@ -783,10 +777,8 @@ def _replay(
                 gathered_for[s] = np.array(ad_idx, copy=True)
                 has_ad[s] = ad_idx >= 0
                 sel = np.where(has_ad[s], ad_idx, 0)
-                rev_won[s], rev_paid[s] = phi_v[rows, sel], psi_v[rows, sel]
+                rev_won[s], rev_paid[s] = model.coeffs(rows, sel, 0)
                 perf_won[s] = ppi[rows, sel]
-                if account:
-                    use_won[s], use_paid[s] = phi_w[rows, sel, :], psi_w[rows, sel, :]
         np.minimum(np.maximum(bids, 0.0, out=bids), instance.bid_cap, out=bids)
         won = has_ad & (bids > x)  # draws are >= 0, so only a positive bid wins
         paid = np.where(won, x, 0.0)
@@ -797,9 +789,9 @@ def _replay(
         wins_per_strategy = won.sum(axis=1).tolist()
         for s, strategy in enumerate(strategies):
             if account:
-                consumption_total[s] += (
-                    np.where(won[s, :, None], use_won[s], 0.0) + use_paid[s] * paid[s, :, None]
-                ).sum(axis=0)
+                hits = np.flatnonzero(won[s])
+                used = model.totals(hits, gathered_for[s][hits], np.ones(hits.size), paid[s, hits])
+                consumption_total[s] += used[1:]
             revenue, cost, wins = revenues[s], costs[s], wins_per_strategy[s]
             degenerate = cost <= 0.0
             metrics[s].append(

@@ -5,9 +5,9 @@ f(bp) = phi * Prob(bp) + psi * Cost(bp) = integral of (phi + psi x) p(x) dx
 over [0, bp]. Gains and resource consumptions are both members, so a priced
 composite of them stays in the family. The encoders below map declarative
 P4P/P4U objective and constraint specs to their (phi, psi) pair and, for
-constraints, the resource limit B. Their `ppi` may be one value or an array
-of them: the same operations then run elementwise, so each element gets the
-bits the scalar call would give it.
+constraints, the resource limit B. Each coefficient is either proportional
+to the PPI or free of it, which `dsp.DspChoiceModel` relies on when it reads
+an ad's coefficients at PPI 0 and 1 only.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from . import landscape
 from .landscape import LandscapePrior
@@ -66,17 +64,13 @@ class ConstraintKind(Enum):
 
 @dataclass(frozen=True)
 class UtilityCoeffs:
-    """Coefficients (phi, psi) of win probability and expected cost.
+    """Coefficients (phi, psi) of win probability and expected cost."""
 
-    The array encoders store an array in either field; finiteness is then
-    required of every element.
-    """
-
-    phi: float | np.ndarray
-    psi: float | np.ndarray
+    phi: float
+    psi: float
 
     def __post_init__(self) -> None:
-        if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.psi))):
+        if not (math.isfinite(self.phi) and math.isfinite(self.psi)):
             raise ValueError(f"coefficients must be finite, got ({self.phi!r}, {self.psi!r})")
 
 
@@ -164,17 +158,13 @@ def argmax_bid(coeffs: UtilityCoeffs, cap: float = DEFAULT_BID_CAP) -> OptimalBi
     return OptimalBid(cap, unbounded=True)
 
 
-def encode_objective(
-    spec: ObjectiveSpec, econ: AdEconomics, ppi: float | np.ndarray
-) -> UtilityCoeffs:
+def encode_objective(spec: ObjectiveSpec, econ: AdEconomics, ppi: float) -> UtilityCoeffs:
     """Per-(impression, ad) gain coefficients for an objective spec.
 
     P4P revenue is CPP * PPI * Prob, performance is PPI * Prob, and P4U
     revenue is (1 + CR) * Cost; performance is PPI * Prob in either mode.
-    Over an array of PPIs, a coefficient that does not depend on PPI stays
-    a scalar.
     """
-    if np.any(ppi < 0.0):
+    if ppi < 0.0:
         raise ValueError(f"ppi must be nonnegative, got {ppi!r}")
     if spec.kind is ObjectiveKind.PERFORMANCE:
         return UtilityCoeffs(ppi, 0.0)
@@ -189,16 +179,14 @@ def constraint_limit(spec: ConstraintSpec) -> float:
 
 
 def encode_constraint(
-    spec: ConstraintSpec, ad_id: str, econ: AdEconomics, ppi: float | np.ndarray
+    spec: ConstraintSpec, ad_id: str, econ: AdEconomics, ppi: float
 ) -> tuple[UtilityCoeffs, float]:
     """Per-(impression, ad) consumption coefficients and limit for a constraint.
 
     ROI lower bounds are rewritten as standard-form resource rows with limit
-    0 by clearing the denominator; out-of-scope ads consume nothing. Over an
-    array of PPIs, as in `encode_objective`, PPI-free coefficients stay
-    scalars.
+    0 by clearing the denominator; out-of-scope ads consume nothing.
     """
-    if np.any(ppi < 0.0):
+    if ppi < 0.0:
         raise ValueError(f"ppi must be nonnegative, got {ppi!r}")
     limit = constraint_limit(spec)
     if ad_id not in spec.scope:

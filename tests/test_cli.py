@@ -15,6 +15,7 @@ import scipy
 import jsonschema
 
 from dualbid import cli, sim
+from dualbid.dsp import DspChoiceModel
 from dualbid.landscape import LandscapePrior, write_observations_csv, BidObservation, Outcome
 from dualbid.mmkp import DivergenceError
 from dualbid.sim import CONSTRAINT_CSV_HEADER, EPOCH_CSV_HEADER
@@ -196,7 +197,7 @@ class TestSolve:
         jsonschema.validate(summary, SCHEMA)
         assert summary["alpha"] and all(a == 0.0 for a in summary["alpha"])
         assert summary["dual_value"] == 0.0
-        assert summary["duality_gap_rel"] is None
+        assert summary["duality_gap_rel"] == 0.0
         assert summary["max_violation_rel"] == 0.0 and summary["feasible"] is True
         assert json.loads((out / "alpha.json").read_text())["alpha"] == summary["alpha"]
 
@@ -537,6 +538,21 @@ def test_scope_that_is_not_a_list_of_ad_ids_exits_2(ad_ids, scope, small_instanc
     bad.write_text(json.dumps(payload))
     assert run(["solve", "--instance", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
     assert "constraint scope must be a list of ad ids" in capsys.readouterr().err
+
+
+def test_overflowing_coefficient_exits_2(small_instance, tmp_path, capsys):
+    # cpp * ppi = 1e400 overflows a double, although cpp and ppi are finite.
+    # The build meets the overflow in its own arithmetic; it must reject it.
+    payload = json.loads(small_instance.read_text())
+    payload["ads"][0]["cpp"] = 1e200
+    payload["impressions"][7]["ppi"][0] = 1e200
+    bad = tmp_path / "instance.json"
+    bad.write_text(json.dumps(payload))
+    with numpy.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            DspChoiceModel(sim.instance_from_json(payload))
+        assert run(["solve", "--instance", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "coefficients must be finite" in capsys.readouterr().err
 
 
 def test_missing_impression_id_defaults_to_the_row_index(small_instance, tmp_path):

@@ -460,21 +460,22 @@ def test_sgd_matches_base_class_step(seed):
     k=st.integers(0, 10),
     scale=st.sampled_from([0.0, 1e-3, 1.0, 1e6]),
 )
-def test_composite_equals_separate_products(seed, m, k, scale):
-    # Whether a row is selected by index, slice or index array, its
-    # composite has the bits of two separate matrix-vector products.
+def test_composite_is_the_priced_card(seed, m, k, scale):
+    # The card is priced once, `card @ [1, -alpha]`, and each row's composite
+    # is `ppi * slope + intercept` of it, bit for bit, whether the row is
+    # selected by index, slice or index array.
     rng = np.random.default_rng(seed)
     kinds = list(ConstraintKind)
     picked = [kinds[c] for c in rng.integers(0, len(kinds), size=k)]
     model = DspChoiceModel(mixed_instance(rng, PaymentMode.P4P, ObjectiveKind.REVENUE, 5, m, picked))
     alpha = scale * rng.uniform(0.0, 2.0, k)
-    (phi_v, psi_v), (phi_w, psi_w) = model.objective_coeffs, model.constraint_coeffs
+    prices = np.concatenate(([1.0], -alpha))
+    slope, intercept = (model._card.reshape(-1, k + 1) @ prices).reshape(2, 2, m).swapaxes(0, 1)
     phi_all, psi_all = model.composite(slice(None), alpha)
     order = rng.permutation(model.n_items)
     phi_some, psi_some = model.composite(order, alpha)
     for i in range(model.n_items):
-        phi_ref = phi_v[i] - np.ascontiguousarray(phi_w[i]) @ alpha
-        psi_ref = psi_v[i] - np.ascontiguousarray(psi_w[i]) @ alpha
+        phi_ref, psi_ref = model.ppi[i] * slope + intercept
         phi, psi = model.composite(i, alpha)
         at = int(np.flatnonzero(order == i)[0])
         for got in (phi, phi_all[i], phi_some[at]):
@@ -687,19 +688,36 @@ class TestDecideRows:
                 assert bits(decision.bid_price) == bits(rows.bp[i])
 
 
-def reference_tensors(instance):
-    """The model's four coefficient tensors by one scalar encoder call per element."""
-    n, m, k = len(instance.impressions), instance.n_ads, instance.n_constraints
-    phi_v, psi_v = np.zeros((n, m)), np.zeros((n, m))
-    phi_w, psi_w = np.zeros((n, m, k)), np.zeros((n, m, k))
+def card_tolerance(spec, econ, ppi):
+    """How far `ppi * slope + intercept` may lie from an encoder's own phi.
+
+    Only the P4P advertiser-ROI row, cpp * ppi * bound - ppi, rounds
+    differently: its slope is cpp * bound - 1, and the two forms agree within
+    6 ulp of the larger term (see `test_utility.TestCardPremise`). Every
+    other coefficient is c * ppi or a constant, which the card gives exactly,
+    zero signs included.
+    """
+    if spec is not None and (spec.kind, spec.mode) == (ConstraintKind.ADVERTISER_ROI, PaymentMode.P4P):
+        return 6 * np.spacing(max(econ.cpp * ppi * spec.bound, ppi))
+    return 0.0
+
+
+def assert_card_matches_encoders(instance):
+    """Each (impression, ad, column) of the card equals the scalar encoder call at its PPI."""
+    model = DspChoiceModel(instance)
+    specs = [None, *instance.constraints]
     for i, imp in enumerate(instance.impressions):
         for j, ad in enumerate(instance.ads):
-            gain = encode_objective(instance.objective, ad.economics, imp.ppi[j])
-            phi_v[i, j], psi_v[i, j] = gain.phi, gain.psi
-            for c, spec in enumerate(instance.constraints):
-                w, _ = encode_constraint(spec, ad.id, ad.economics, imp.ppi[j])
-                phi_w[i, j, c], psi_w[i, j, c] = w.phi, w.psi
-    return phi_v, psi_v, phi_w, psi_w
+            ppi = imp.ppi[j]
+            want = [encode_objective(instance.objective, ad.economics, ppi)]
+            want += [encode_constraint(s, ad.id, ad.economics, ppi)[0] for s in instance.constraints]
+            got = model.coeffs(i, j, slice(None))
+            assert got.shape == (2, len(specs))
+            for spec, (phi, psi), w in zip(specs, got.T.tolist(), want):
+                tol = card_tolerance(spec, ad.economics, ppi)
+                assert abs(phi - w.phi) <= tol if tol else bits(phi) == bits(w.phi)
+                assert bits(psi) == bits(w.psi)
+    return model
 
 
 def mixed_instance(rng, mode, objective, n, m, constraint_kinds):
@@ -726,15 +744,7 @@ def mixed_instance(rng, mode, objective, n, m, constraint_kinds):
 
 
 class TestArrayBuild:
-    """The build's array encoder calls give the scalar loop's tensors bit for bit."""
-
-    @staticmethod
-    def assert_matches_reference(instance):
-        model = DspChoiceModel(instance)
-        built = (*model.objective_coeffs, *model.constraint_coeffs)
-        for got, want in zip(built, reference_tensors(instance)):
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+    """The rate card against one scalar encoder call per (impression, ad, column)."""
 
     @pytest.mark.parametrize("mode", list(PaymentMode))
     @pytest.mark.parametrize("objective", list(ObjectiveKind))
@@ -744,16 +754,18 @@ class TestArrayBuild:
         for n, m in [(0, 2), (1, 1), (9, 1), (9, 3), (40, 4)]:
             for k in range(5):
                 picked = [kinds[c] for c in rng.integers(0, len(kinds), size=k)]
-                self.assert_matches_reference(mixed_instance(rng, mode, objective, n, m, picked))
+                assert_card_matches_encoders(mixed_instance(rng, mode, objective, n, m, picked))
 
     def test_encoder_calls_do_not_grow_with_n(self, monkeypatch):
         calls = []
         for name in ("encode_objective", "encode_constraint"):
             encode = getattr(dsp, name)
             monkeypatch.setattr(dsp, name, lambda *a, _f=encode: calls.append(1) or _f(*a))
-        instance = random_instance(np.random.default_rng(8), n=50, m=3)
-        DspChoiceModel(instance)
-        assert len(calls) == instance.n_ads * (instance.n_constraints + 1)
+        for n in (0, 1, 50):
+            calls.clear()
+            instance = random_instance(np.random.default_rng(8), n=n, m=3)
+            DspChoiceModel(instance)
+            assert len(calls) == 2 * instance.n_ads * (instance.n_constraints + 1), n
 
     def test_all_ppi_zero(self):
         instance = p4p_instance(
@@ -763,7 +775,20 @@ class TestArrayBuild:
             ],
             impressions=[Impression(i, STANDARD, (0.0, 0.0)) for i in range(4)],
         )
-        self.assert_matches_reference(instance)
+        assert_card_matches_encoders(instance)
+
+    def test_memory_grows_as_n_times_m(self):
+        # Per impression the model holds its M PPIs and its prior, not one
+        # coefficient per (ad, column): 8 ads and 10 rows would be 176 doubles.
+        def nbytes(n):
+            rng = np.random.default_rng(9)
+            kinds = [ConstraintKind.BUDGET] * 8 + [ConstraintKind.DSP_ROI, ConstraintKind.ADVERTISER_ROI]
+            instance = mixed_instance(rng, PaymentMode.P4P, ObjectiveKind.PERFORMANCE, n, 8, kinds)
+            model = DspChoiceModel(instance)
+            return sum(a.nbytes for a in vars(model).values() if isinstance(a, np.ndarray))
+
+        per_impression = (nbytes(400) - nbytes(100)) / 300
+        assert 0 < per_impression <= 8 * (8 + 4)
 
     def test_shared_arrays_are_read_only(self):
         rng = np.random.default_rng(5)
@@ -778,7 +803,7 @@ class TestArrayBuild:
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_p4p_ad_without_cpp_fails_at_build(self, n):
-        # Raised at any N, including N = 0, where no coefficient gets built.
+        # Raised at any N, including N = 0: the card is built per ad.
         ads = [Ad("a", AdEconomics(cpp=1.0)), Ad("b", AdEconomics(cr=0.1))]
         impressions = [Impression(i, STANDARD, (0.1, 0.1)) for i in range(n)]
         revenue = ObjectiveSpec(PaymentMode.P4P, ObjectiveKind.REVENUE)
@@ -791,7 +816,7 @@ class TestArrayBuild:
             DspChoiceModel(DspInstance(PaymentMode.P4P, performance, ads, [budget_b], impressions))
         # Out of the constraint's scope, the ad consumes nothing and needs no CPP.
         budget_a = ConstraintSpec(ConstraintKind.BUDGET, PaymentMode.P4P, 5.0, frozenset(["a"]))
-        self.assert_matches_reference(
+        assert_card_matches_encoders(
             DspInstance(PaymentMode.P4P, performance, ads, [budget_a], impressions)
         )
 

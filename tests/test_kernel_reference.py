@@ -3,10 +3,14 @@
 The reference keeps the case table, the win-probability and cost pass and the
 first-max pass as plain numpy expressions over the model's own composite:
 one mask or `np.where` per case, prior arrays gathered per row, compressed
-log-normal arrays, fancy-indexed picks. `decide_rows`, `batch_consumption`,
-`beta_sum`, `item_best`, `gain` and `consumption` must reproduce it bit for
-bit, zero signs and NaNs included, on composites drawn from signed zeros,
-infinities, NaN, subnormal and huge values and bids exactly at the cap.
+log-normal arrays, fancy-indexed picks. A batch's consumption, and one
+pair's gain and consumption, are written out from the rate card:
+`ppi * slope + intercept` per pair, and for a batch per-ad sums taken with
+`np.add.at`, times the card. `decide_rows`,
+`batch_consumption`, `beta_sum`, `item_best`, `gain` and `consumption` must
+reproduce it bit for bit, zero signs and NaNs included, on composites drawn
+from signed zeros, infinities, NaN, subnormal and huge values and bids
+exactly at the cap.
 """
 
 import math
@@ -82,11 +86,23 @@ def reference_responses(model, rows, alpha):
     return bp, prob, cost, phi * prob + psi * cost
 
 
+def card_coeffs(model, i, j):
+    """(phi, psi) of impression `i` on ad `j` for every card column, shaped (2, K + 1)."""
+    slope, intercept = model._card[:, 0, j], model._card[:, 1, j]
+    return model.ppi[i, j] * slope + intercept
+
+
 def reference_batch_consumption(model, rows, alpha):
+    """Per-ad sums of (prob * ppi, prob, cost * ppi, cost) in row order, times the card."""
     decided = reference_first_max(*reference_responses(model, rows, alpha))
     bids = decided.ad >= 0
-    w = np.stack(model.constraint_coeffs, axis=1)[rows[bids], :, decided.ad[bids]]
-    return decided.prob[bids] @ w[:, 0] + decided.cost[bids] @ w[:, 1]
+    ad, prob, cost = decided.ad[bids], decided.prob[bids], decided.cost[bids]
+    ppi = model.ppi[rows[bids], ad]
+    m, k = model.instance.n_ads, model.n_constraints
+    sums = np.zeros((4, m))
+    for sum_, weight in zip(sums, (prob * ppi, prob, cost * ppi, cost)):
+        np.add.at(sum_, ad, weight)
+    return (sums.reshape(-1) @ model._card.reshape(4 * m, k + 1))[1:]
 
 
 def reference_beta_sum(model, alpha):
@@ -113,17 +129,17 @@ def assert_kernel_matches_reference(model, alpha, batches):
     assert bits(model.beta_sum(alpha)) == bits(reference_beta_sum(model, alpha))
 
     mu, sigma, means = prior_arrays(model)
-    (phi_v, psi_v), (phi_w, psi_w) = model.objective_coeffs, model.constraint_coeffs
     for i in range(model.n_items):
         bp, _, _, score = reference_responses(model, i, alpha)
         got_bp, got_score = model.item_best(i, alpha)
         assert bits(got_bp) == bits(bp) and bits(got_score) == bits(score), i
         for j in range(model.instance.n_ads):
+            phi, psi = card_coeffs(model, i, j)
             for sub in (0.0, 0.01, float(bp[j]), model.instance.bid_cap):
                 prob, cost = reference_win_prob_cost(np.array([sub]), mu[i], sigma[i], means[i])
                 prob, cost = prob[0], cost[0]
-                gain = float(phi_v[i, j] * prob + psi_v[i, j] * cost)
-                used = phi_w[i, j] * prob + psi_w[i, j] * cost
+                gain = float(phi[0] * prob + psi[0] * cost)
+                used = phi[1:] * prob + psi[1:] * cost
                 assert bits(model.gain(i, j, sub)) == bits(gain), (i, j, sub)
                 assert bits(model.consumption(i, j, sub)) == bits(used), (i, j, sub)
     return int(np.sum(decided.ad >= 0))
@@ -168,6 +184,20 @@ SPECIAL = (
     0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300
 )
 coefficient = st.one_of(st.sampled_from(SPECIAL), st.floats(-4.0, 4.0))
+ppi_value = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, 1e-300, 1.0, 1e300)), st.floats(0.0, 4.0)
+)
+
+
+def set_composite(model, phi, psi):
+    """Make a one-impression model's composite at alpha = 0 read (phi, psi) per ad.
+
+    At PPI 1, slope v and intercept -0.0 give 1 * v + -0.0 = v, zero signs
+    included; a constraint column adds -0.0 times its finite entries.
+    """
+    model._ppi = np.ones((1, model.instance.n_ads))
+    model._card[:, 0, :, 0] = phi, psi
+    model._card[:, 1, :, 0] = -0.0
 
 
 @settings(max_examples=150, deadline=None)
@@ -181,18 +211,20 @@ coefficient = st.one_of(st.sampled_from(SPECIAL), st.floats(-4.0, 4.0))
     seed=st.integers(0, 2**32 - 1),
 )
 def test_special_composites(data, n, m, k, cap, wide_sigma, seed):
-    # The gain tensor is overwritten with the drawn composites and priced at
-    # alpha = 0, so `composite` returns them as drawn. `at_cap` cells hold
-    # (2 cap, -2), whose closed-form bid -phi/psi is the cap exactly;
-    # (-inf, inf) bids the cap with a NaN score, so its row must not bid.
+    # Each ad's objective column of the card and each cell's PPI are
+    # overwritten with drawn values and priced at alpha = 0, so a cell's
+    # composite is `ppi * slope + intercept` of them: products and sums of
+    # the special values. `at_cap` ads hold (2 cap, -2), whose closed-form
+    # bid -phi/psi is the cap exactly; (-inf, inf) bids the cap with a NaN
+    # score, so its row must not bid.
     rng = np.random.default_rng(seed)
     model = DspChoiceModel(dsp_instance(rng, n, m, k, cap, wide_sigma))
-    cell = st.one_of(
-        st.sampled_from(["at_cap", (-math.inf, math.inf)]), st.tuples(coefficient, coefficient)
-    )
-    cells = data.draw(st.lists(cell, min_size=n * m, max_size=n * m))
-    for value, (i, j) in zip(cells, np.ndindex(n, m)):
-        model._v[i, :, j] = (2.0 * cap, -2.0) if value == "at_cap" else value
+    fixed = {"at_cap": (0.0, 2.0 * cap, 0.0, -2.0), "nan_score": (0.0, -math.inf, 0.0, math.inf)}
+    card = st.one_of(st.sampled_from(sorted(fixed)), st.tuples(*[coefficient] * 4))
+    for j, value in enumerate(data.draw(st.lists(card, min_size=m, max_size=m))):
+        model._card[:, :, j, 0] = np.reshape(fixed.get(value, value), (2, 2))
+    ppi = data.draw(st.lists(ppi_value, min_size=n * m, max_size=n * m))
+    model._ppi = np.reshape(np.array(ppi, dtype=float), (n, m))
     alpha = np.zeros(model.n_constraints)
     with np.errstate(all="ignore"):
         assert_kernel_matches_reference(model, alpha, batches_of(n, rng))
@@ -249,7 +281,7 @@ class TestEdgeCases:
     def test_zero_bids_are_positive_zeros(self):
         # A NaN composite and one with phi <= 0 <= psi both bid +0.0.
         model = DspChoiceModel(dsp_instance(np.random.default_rng(8), 1, 3, 0))
-        model._v[0] = [[math.nan, -1.0, 0.0], [1.0, 0.0, -0.0]]
+        set_composite(model, [math.nan, -1.0, 0.0], [1.0, 0.0, -0.0])
         bp, score = model.item_best(0, np.zeros(0))
         assert bits(bp) == bits(np.zeros(3))
         assert model.decide_rows(np.zeros(0)).ad[0] == -1
@@ -258,7 +290,7 @@ class TestEdgeCases:
     def test_nan_score_at_a_positive_bid_gets_no_bid(self):
         # (-inf, inf) bids the cap and scores -inf * prob + inf * cost = NaN.
         model = DspChoiceModel(dsp_instance(np.random.default_rng(9), 1, 2, 1))
-        model._v[0] = [[-math.inf, 1.0], [math.inf, -2.0]]
+        set_composite(model, [-math.inf, 1.0], [math.inf, -2.0])
         with np.errstate(invalid="ignore"):
             bp, score = model.item_best(0, np.zeros(1))
             assert bp[0] == model.instance.bid_cap and math.isnan(score[0])

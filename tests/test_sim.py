@@ -249,7 +249,6 @@ class TestRunMonteCarlo:
         expectation = run_expectation(model, alpha)
         # ROI rows are differences of flows and can nearly cancel, so the
         # LLN-rate bound is taken against each row's gross flow magnitude.
-        phi_w, psi_w = model.constraint_coeffs
         gross = np.zeros(instance.n_constraints)
         decisions = model.decide_rows(alpha)
         for i, imp in enumerate(instance.impressions):
@@ -257,7 +256,8 @@ class TestRunMonteCarlo:
             if j >= 0:  # the rule never bids 0
                 p = win_prob(imp.prior, bp)
                 c = expected_cost(imp.prior, bp)
-                gross += np.abs(phi_w[i, j]) * p + np.abs(psi_w[i, j]) * c
+                phi_w, psi_w = model.coeffs(i, j, slice(1, None))
+                gross += np.abs(phi_w) * p + np.abs(psi_w) * c
         tol = 3.0 / np.sqrt(len(instance.impressions) * epochs)
         for row_mc, row_exp, scale in zip(mc.per_constraint, expectation.per_constraint, gross):
             assert abs(row_mc.consumption - row_exp.consumption) <= tol * max(scale, 1e-6)
@@ -297,11 +297,14 @@ class TestRunMonteCarlo:
 
 
 def reference_run_monte_carlo(instance, strategy, epochs, seed):
-    """`run_monte_carlo` written out with the chosen ads' rows gathered on every epoch."""
-    n = len(instance.impressions)
+    """`run_monte_carlo` written out on the rate card, with chosen ads read on every epoch.
+
+    Revenue coefficients are `ppi * slope + intercept` of the card's
+    objective column; consumption is the card times per-ad sums, in row
+    order, of the won rows' `ppi`, win count, `paid * ppi` and paid price.
+    """
+    n, m, k = len(instance.impressions), instance.n_ads, instance.n_constraints
     model = DspChoiceModel(instance)
-    phi_v, psi_v = model.objective_coeffs
-    phi_w, psi_w = model.constraint_coeffs
     rows = np.arange(n)
     strategy.reset(model)
     rng = np.random.default_rng(seed)
@@ -314,11 +317,17 @@ def reference_run_monte_carlo(instance, strategy, epochs, seed):
         won = (ad_idx >= 0) & (bids > 0.0) & (bids > x)
         paid = np.where(won, x, 0.0)
         sel = np.where(ad_idx >= 0, ad_idx, 0)
-        revenue_vec = np.where(won, phi_v[rows, sel], 0.0) + psi_v[rows, sel] * paid
-        perf_vec = np.where(won, model.ppi[rows, sel], 0.0)
-        consumption_total += (
-            np.where(won[:, None], phi_w[rows, sel, :], 0.0) + psi_w[rows, sel, :] * paid[:, None]
-        ).sum(axis=0)
+        ppi = model.ppi[rows, sel]
+        (phi_slope, phi_intercept), (psi_slope, psi_intercept) = model._card[:, :, sel, 0]
+        phi_v, psi_v = ppi * phi_slope + phi_intercept, ppi * psi_slope + psi_intercept
+        revenue_vec = np.where(won, phi_v, 0.0) + psi_v * paid
+        perf_vec = np.where(won, ppi, 0.0)
+        sums = np.zeros((4, m))
+        hits = np.flatnonzero(won)
+        weights = (ppi[hits], np.ones(hits.size), paid[hits] * ppi[hits], paid[hits])
+        for sum_, weight in zip(sums, weights):
+            np.add.at(sum_, sel[hits], weight)
+        consumption_total += (sums.reshape(-1) @ model._card.reshape(4 * m, k + 1))[1:]
         revenue, cost, wins = float(np.sum(revenue_vec)), float(np.sum(paid)), int(np.sum(won))
         metrics.append(
             sim.EpochMetrics(
