@@ -50,6 +50,14 @@ and a change in what `fit` reads shows in the digest. The last two commands
 replay seed 0 for 240 epochs, `compare` of the four feedback strategies and
 `simulate --strategy ortb`: ORTB refits its win curve once per epoch, so an
 auction that a change to the refit flips late in a long replay shows there.
+
+After the outputs, `solve` runs on a corpus of instance documents that each
+break the small instance's fourth impression in one way (`REJECTED`), and one
+line per document digests its exit code and first stderr line, labelled
+`reject_<name>/exit_and_stderr`. So a change in what the loader rejects, or in
+how it says so, shows in the digest too. A document that makes the package
+raise out of `cli.main` counts as the interpreter would report it: exit 1 and
+the first line of a traceback.
 """
 
 from __future__ import annotations
@@ -99,6 +107,22 @@ STALL_LOG = "outcome,bid_price,paid_cost\nWON,2.0,1.0\nWON,2.0,1.0\nLOST,0.5,\n"
 ORTB_END_LOGS = {
     "below": "outcome,bid_price,paid_cost\nWON,2.0,1e-300\nLOST,0.5,\n",
     "above": "outcome,bid_price,paid_cost\nWON,2.0,1.0\n" + "LOST,1e300,\n" * 5,
+}
+#: One-defect instance documents: each changes impression `REJECTED_ROW` of the
+#: small instance, setting a field, dropping it (`DROP`), or replacing the entry.
+DROP = object()
+REJECTED_ROW = 3
+REJECTED = {
+    "bool_ppi": (("ppi", 0), True),
+    "string_mu": (("mu",), "-3"),
+    "nan_mu": (("mu",), float("nan")),
+    "zero_sigma": (("sigma",), 0),
+    "huge_sigma": (("sigma",), 1e200),
+    "short_ppi": (("ppi", -1), DROP),
+    "non_object": ((), [0.5, 1.0]),
+    "float_id": (("id",), 1.5),
+    "missing_ppi": (("ppi",), DROP),
+    "huge_integer_mu": (("mu",), 10**400),
 }
 
 
@@ -159,6 +183,27 @@ def write_instances(work: Path, wide_instance) -> None:
     no_ppi = [imp | {"ppi": []} for imp in impressions]
     no_ads = small | {"ads": [], "constraints": [], "impressions": no_ppi}
     (work / "no_ads.json").write_text(json.dumps(no_ads))
+    for name, (path, value) in REJECTED.items():
+        document = json.loads(json.dumps(small))
+        target, key = document["impressions"], REJECTED_ROW
+        for part in path:
+            target, key = target[key], part
+        if value is DROP:
+            del target[key]
+        else:
+            target[key] = value
+        (work / f"reject_{name}.json").write_text(json.dumps(document))
+
+
+def exit_and_stderr(cli, argv: list[str]) -> tuple[int, str]:
+    """`cli.main`'s exit code and first stderr line, as a process would give them."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception:  # noqa: BLE001 - an uncaught error is what is digested
+            return 1, "Traceback (most recent call last):"
+    return code, next(iter(err.getvalue().splitlines()), "")
 
 
 def manifest_bytes(data: bytes, work: Path) -> bytes:
@@ -274,6 +319,11 @@ def main(argv: list[str] | None = None) -> int:
                 if path.name == "manifest.json":
                     data = manifest_bytes(data, work)
                 print(f"{hashlib.sha256(data).hexdigest()}  {label}/{path.name}")
+        for name in REJECTED:
+            argv = ["solve", "--instance", str(work / f"reject_{name}.json"), "--epochs-sgd", "1"]
+            code, line = exit_and_stderr(cli, [*argv, "--out-dir", str(work / f"reject_{name}")])
+            data = f"exit {code}\n{line.replace(str(work), '<work>')}".encode()
+            print(f"{hashlib.sha256(data).hexdigest()}  reject_{name}/exit_and_stderr")
     return 0
 
 

@@ -149,7 +149,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     path = manifest.output("instance.json")
     sim.save_instance(path, instance, seed=config.seed)
     manifest.finish()
-    print(f"wrote {path} ({len(instance.impressions)} impressions)")
+    print(f"wrote {path} ({len(instance.ids)} impressions)")
     return EXIT_OK
 
 

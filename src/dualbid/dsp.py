@@ -7,6 +7,11 @@ and both the solver and the bidder reduce to coefficient arithmetic plus the
 log-normal kernel `landscape.win_prob_cost`; no numeric search over bid
 prices happens in the hot path.
 
+A `DspInstance` holds its impressions as columns: ids, and read-only arrays
+of each prior's `mu` and `sigma`, shaped (N,), and of the PPIs, shaped
+(N, M), checked once as arrays. `DspChoiceModel` borrows them without a copy,
+and `DspInstance.impressions` builds `Impression` row views on request.
+
 `DspChoiceModel` prices every decision from one per-ad rate card of slopes
 and intercepts in PPI: a composite is the card priced once, then
 `ppi * slope + intercept` per row, and `totals` accounts any set of
@@ -33,10 +38,9 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,33 +80,29 @@ class Ad:
 
 @dataclass(frozen=True)
 class Impression:
-    """One bidding opportunity: its landscape prior and per-ad expected performance."""
+    """Row view of one impression: its id, landscape prior and per-ad expected performance."""
 
     id: int | str
     prior: LandscapePrior
     ppi: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        # One pass converts and checks each entry; NaN fails `0.0 <= p`.
-        ppi = []
-        for p in self.ppi:
-            if not isinstance(p, float) and (isinstance(p, bool) or not isinstance(p, numbers.Real)):
-                raise TypeError(f"ppi entries must be real numbers, got {p!r}")
-            if not 0.0 <= (p := float(p)) < math.inf:
-                raise ValueError(f"ppi entries must be finite and >= 0, got {self.ppi!r}")
-            ppi.append(p)
-        object.__setattr__(self, "ppi", tuple(ppi))
 
-
-@dataclass
+@dataclass(eq=False)
 class DspInstance:
-    """The full primal problem: ads, impressions, declarative specs, and a bid cap."""
+    """The full primal problem: ads, declarative specs, a bid cap, and the impression columns.
+
+    Impression i has id `ids[i]`, prior `mu[i]`, `sigma[i]` and PPI `ppi[i, j]` on ad j. An
+    array passed in as a column becomes read-only, so a `replace`d instance borrows it.
+    """
 
     mode: PaymentMode
     objective: ObjectiveSpec
     ads: list[Ad]
     constraints: list[ConstraintSpec]
-    impressions: list[Impression]
+    ids: Sequence[int | str]
+    mu: np.ndarray
+    sigma: np.ndarray
+    ppi: np.ndarray
     bid_cap: float = DEFAULT_BID_CAP
 
     def __post_init__(self) -> None:
@@ -116,14 +116,30 @@ class DspInstance:
         for spec in self.constraints:
             if spec.mode is not self.mode:
                 raise ValueError("constraint modes must match the instance mode")
-            unknown = spec.scope - set(ad_ids)
-            if unknown:
+            if unknown := spec.scope - set(ad_ids):
                 raise ValueError(f"constraint scope references unknown ads: {sorted(unknown)}")
-        for imp in self.impressions:
-            if len(imp.ppi) != len(self.ads):
-                raise ValueError(
-                    f"impression {imp.id!r} has {len(imp.ppi)} ppi entries for {len(self.ads)} ads"
-                )
+        self.ids = tuple(self.ids)
+        for name in ("mu", "sigma", "ppi"):
+            setattr(self, name, column := np.asarray(getattr(self, name), dtype=float))
+            column.flags.writeable = False
+        n, m = len(self.ids), self.n_ads
+        if (self.mu.shape, self.sigma.shape, self.ppi.shape) != ((n,), (n,), (n, m)):
+            raise ValueError(f"{n} impressions need {n} mu and sigma and {m} ppi entries each")
+        # The first row that breaks a check raises as `LandscapePrior` would, or for its
+        # PPIs (NaN fails `0 <= p`).
+        with np.errstate(over="ignore"):
+            ok = np.isfinite(self.mu) & (self.sigma > 0.0) & np.isfinite(self.sigma * self.sigma)
+        ok &= ((0.0 <= self.ppi) & (self.ppi < math.inf)).all(axis=1)
+        if not ok.all():
+            r = int(np.argmin(ok))
+            LandscapePrior(self.mu[r].item(), self.sigma[r].item())
+            raise ValueError(f"ppi entries must be finite and >= 0, got {tuple(self.ppi[r].tolist())!r}")
+
+    @property
+    def impressions(self) -> list[Impression]:
+        """The row views, built on each call."""
+        rows = zip(self.ids, self.mu.tolist(), self.sigma.tolist(), self.ppi.tolist())
+        return [Impression(i, LandscapePrior(mu, sigma), tuple(ppi)) for i, mu, sigma, ppi in rows]
 
     @property
     def n_ads(self) -> int:
@@ -144,12 +160,9 @@ class BidDecision:
     best_score: float
 
 
-def compose_coeffs(
-    instance: DspInstance, i: int, j: int, alpha: np.ndarray
-) -> UtilityCoeffs:
+def compose_coeffs(instance: DspInstance, i: int, j: int, alpha: np.ndarray) -> UtilityCoeffs:
     """Coefficients of the priced composite F_ij = V_ij - sum_k alpha_k W_ij^(k)."""
-    single = DspChoiceModel(replace(instance, impressions=[instance.impressions[i]]))
-    phi, psi = single.composite(0, alpha)
+    phi, psi = DspChoiceModel(instance).composite(i, alpha)
     return UtilityCoeffs(float(phi[j]), float(psi[j]))
 
 
@@ -211,8 +224,8 @@ class DspChoiceModel(mmkp.ChoiceModel):
 
     def __init__(self, instance: DspInstance):
         self.instance = instance
-        n, m, k = len(instance.impressions), instance.n_ads, instance.n_constraints
-        self._ppi = np.array([imp.ppi for imp in instance.impressions], dtype=float).reshape(n, m)
+        m, k = instance.n_ads, instance.n_constraints
+        self._ppi = instance.ppi
         # A coefficient is c * ppi or a constant, so its value at PPI 0 is the
         # intercept and its value at PPI 1 less that is the slope, exactly.
         self._card = np.empty((2, 2, m, k + 1))
@@ -228,9 +241,7 @@ class DspChoiceModel(mmkp.ChoiceModel):
             raise ValueError("coefficients must be finite at every impression's PPI")
         self._budgets = np.array([constraint_limit(s) for s in instance.constraints])
         self._cap = float(instance.bid_cap)
-        self._prior, self._over = landscape.prior_arrays([imp.prior for imp in instance.impressions])
-        for shared in (self._ppi, self._prior):
-            shared.flags.writeable = False
+        *self._prior, self._over = landscape.prior_arrays(instance.mu, instance.sigma)
 
     def _encode(self, ad: Ad, ppi: float) -> np.ndarray:
         """(phi, psi) of the objective and each constraint row for `ad` at one PPI, shaped (2, K + 1)."""
@@ -240,26 +251,11 @@ class DspChoiceModel(mmkp.ChoiceModel):
 
     @property
     def n_items(self) -> int:
-        return len(self.instance.impressions)
+        return len(self.instance.ids)
 
     @property
     def budgets(self) -> np.ndarray:
         return self._budgets
-
-    @property
-    def ppi(self) -> np.ndarray:
-        """Per-(impression, ad) expected performance, shaped (N, M); read-only."""
-        return self._ppi
-
-    @property
-    def mu(self) -> np.ndarray:
-        """Landscape prior `mu` per impression, shaped (N,); read-only."""
-        return self._prior[0, :, 0]
-
-    @property
-    def sigma(self) -> np.ndarray:
-        """Landscape prior `sigma` per impression, shaped (N,); read-only."""
-        return self._prior[1, :, 0]
 
     def coeffs(self, rows, ad, column: int | slice) -> np.ndarray:
         """Unpriced (phi, psi) of card `column` for impressions `rows` on ads `ad`, stacked first.
@@ -290,7 +286,7 @@ class DspChoiceModel(mmkp.ChoiceModel):
         over = None if self._over is None else self._over[rows]
         out = np.zeros((4, *c.shape[1:]))
         _best_bids(*c, self._cap, out[0])
-        landscape.win_prob_cost(out[0], *self._prior[:, rows], over, out[1:3])
+        landscape.win_prob_cost(out[0], *(a[rows] for a in self._prior), over, out[1:3])
         np.add(*(c * out[1:3]), out=out[3])
         return out
 
@@ -335,7 +331,7 @@ class DspChoiceModel(mmkp.ChoiceModel):
         return float(np.maximum(score.max(axis=1), 0.0).sum())
 
     def _value(self, i: int, j: int, sub_choice: float, column: int | slice):
-        prior = self.instance.impressions[i].prior
+        prior = LandscapePrior(self.instance.mu[i].item(), self.instance.sigma[i].item())
         prob, cost = landscape.win_prob(prior, sub_choice), landscape.expected_cost(prior, sub_choice)
         phi, psi = self.coeffs(i, j, column)
         return phi * prob + psi * cost
@@ -347,16 +343,16 @@ class DspChoiceModel(mmkp.ChoiceModel):
         return self._value(i, j, sub_choice, slice(1, None))
 
 
-def bid_decision(
-    instance: DspInstance, impression: Impression, alpha: np.ndarray
-) -> BidDecision:
+def bid_decision(instance: DspInstance, impression: Impression, alpha: np.ndarray) -> BidDecision:
     """Ad selection and bid price for one impression at prices `alpha`.
 
     A one-row view of `DspChoiceModel.decide_rows`; the impression need not
     belong to `instance`. The top score wins (lowest ad index on ties) and a
     bid is sent iff that score is nonnegative and the bid is positive.
     """
-    rows = DspChoiceModel(replace(instance, impressions=[impression])).decide_rows(alpha)
+    p = impression.prior
+    one = replace(instance, ids=[impression.id], mu=[p.mu], sigma=[p.sigma], ppi=[impression.ppi])
+    rows = DspChoiceModel(one).decide_rows(alpha)
     j = int(rows.ad[0])
     ad, bp = (None, None) if j < 0 else (instance.ads[j].id, float(rows.bp[0]))
     return BidDecision(impression.id, ad, bp, float(rows.score[0]))
@@ -372,8 +368,8 @@ def write_decisions_csv(path: str | Path, instance: DspInstance, rows: RowDecisi
         writer = csv.writer(handle)
         writer.writerow(DECISION_CSV_HEADER)
         writer.writerows(
-            (imp.id, None, None, score) if j < 0 else (imp.id, ad_ids[j], bp, score)
-            for imp, j, bp, score in zip(
-                instance.impressions, rows.ad.tolist(), rows.bp.tolist(), rows.score.tolist()
+            (i, None, None, score) if j < 0 else (i, ad_ids[j], bp, score)
+            for i, j, bp, score in zip(
+                instance.ids, rows.ad.tolist(), rows.bp.tolist(), rows.score.tolist()
             )
         )

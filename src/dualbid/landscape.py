@@ -149,18 +149,18 @@ def pdf(prior: LandscapePrior, x) -> float | np.ndarray:
     return _scalar_or_array(x, out)
 
 
-def prior_arrays(priors: Sequence[LandscapePrior]) -> tuple[np.ndarray, np.ndarray | None]:
-    """`mu`, `sigma` and mean of each prior stacked as (3, N, 1), and the overflow mask.
+def prior_arrays(mu: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of the (N,) `mu` and `sigma` as (N, 1) columns, their means, and the overflow mask.
 
-    The mean is `mean` per prior, not `np.exp` over the array (their last bits
-    can differ). Where it overflowed it is stored as 0 and marked in the mask,
-    shaped (N, 1), for `win_prob_cost`; the mask is None if nothing overflowed.
+    The mean is `mean`'s libm `exp` per prior, not `np.exp` over the array
+    (their last bits can differ). Where it overflowed it is stored as 0 and
+    marked in the mask, shaped (N, 1), for `win_prob_cost`; the mask is None
+    if nothing overflowed.
     """
-    columns = [[p.mu for p in priors], [p.sigma for p in priors], [mean(p) for p in priors]]
-    stacked = np.array(columns)[:, :, None]
-    over = np.isinf(stacked[2])
-    stacked[2][over] = 0.0
-    return stacked, over if over.any() else None
+    means = np.array([_exp(m + 0.5 * s * s) for m, s in zip(mu.tolist(), sigma.tolist())])[:, None]
+    over = np.isinf(means)
+    means[over] = 0.0
+    return mu[:, None], sigma[:, None], means, over if over.any() else None
 
 
 def win_prob_cost(bp: np.ndarray, mu, sigma, mean, over, out: np.ndarray) -> np.ndarray:
@@ -191,8 +191,8 @@ def win_prob_cost(bp: np.ndarray, mu, sigma, mean, over, out: np.ndarray) -> np.
 def _prob_cost(prior: LandscapePrior, bid_price, row: int) -> float | np.ndarray:
     """Row `row` of `win_prob_cost` for one prior, with the bids laid out as one model row."""
     bp = np.asarray(bid_price, dtype=float)
-    stacked, over = prior_arrays([prior])
-    out = win_prob_cost(bp.reshape(1, -1), *stacked, over, np.empty((2, 1, bp.size)))
+    *columns, over = prior_arrays(np.array([prior.mu]), np.array([prior.sigma]))
+    out = win_prob_cost(bp.reshape(1, -1), *columns, over, np.empty((2, 1, bp.size)))
     return _scalar_or_array(bid_price, out[row].reshape(bp.shape))
 
 
@@ -217,8 +217,12 @@ def mean(prior: LandscapePrior) -> float:
     Returns `math.inf` where that overflows a double (from sigma of about
     37.7 at mu = 0).
     """
+    return _exp(prior.mu + 0.5 * prior.sigma * prior.sigma)
+
+
+def _exp(x: float) -> float:
     try:
-        return math.exp(prior.mu + 0.5 * prior.sigma * prior.sigma)
+        return math.exp(x)
     except OverflowError:
         return math.inf
 

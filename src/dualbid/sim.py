@@ -1,5 +1,9 @@
 """Synthetic instance generation and auction simulation.
 
+`gen_mock_instance` draws an instance's impression columns whole, and
+`instance_from_json` reads them straight from an instance document, checking
+each entry's types as it reads it; `DspInstance` checks the values as arrays.
+
 Two execution modes cover different questions. Expectation mode evaluates the
 dual-based strategy analytically (win probabilities and expected costs in
 closed form), which isolates solver correctness from sampling noise.
@@ -27,6 +31,7 @@ import csv
 import json
 import math
 import numbers
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,9 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dsp import Ad, DspChoiceModel, DspInstance, Impression, RowDecisions
+from .dsp import Ad, DspChoiceModel, DspInstance, RowDecisions
 from .dsp import bid_decision  # noqa: F401 - perfbench/tracing.py wraps sim.bid_decision
-from .landscape import LandscapePrior
 from .strategies import (
     OrtbState,
     _OrtbMoments,
@@ -163,7 +167,10 @@ class MockConfig:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number other than a bool, and no integer beyond the largest float."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and not (
+        isinstance(value, int) and abs(value) > sys.float_info.max
+    )
 
 
 def _is_sequence_of_numbers(value) -> bool:
@@ -198,22 +205,11 @@ def gen_mock_instance(config: MockConfig) -> DspInstance:
         if config.constraints is not None
         else _default_constraints(ad_ids, config.mode)
     )
-    rng = np.random.default_rng(config.seed)
-    mus = rng.uniform(*config.mu_range, config.n_impressions)
-    sigmas = rng.uniform(*config.sigma_range, config.n_impressions)
-    ppi = rng.uniform(*config.ppi_range, (config.n_impressions, len(ads)))
-    impressions = [
-        Impression(i, LandscapePrior(float(mus[i]), float(sigmas[i])), tuple(ppi[i]))
-        for i in range(config.n_impressions)
-    ]
-    return DspInstance(
-        mode=config.mode,
-        objective=ObjectiveSpec(config.mode, config.objective_kind),
-        ads=ads,
-        constraints=constraints,
-        impressions=impressions,
-        bid_cap=config.bid_cap,
-    )
+    rng, n = np.random.default_rng(config.seed), config.n_impressions
+    mus, sigmas = rng.uniform(*config.mu_range, n), rng.uniform(*config.sigma_range, n)
+    ppi = rng.uniform(*config.ppi_range, (n, len(ads)))
+    objective = ObjectiveSpec(config.mode, config.objective_kind)
+    return DspInstance(config.mode, objective, ads, constraints, range(n), mus, sigmas, ppi, config.bid_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +218,10 @@ def gen_mock_instance(config: MockConfig) -> DspInstance:
 
 
 def instance_to_json(instance: DspInstance, seed: int | None = None) -> dict:
-    ads = []
-    for ad in instance.ads:
-        entry: dict = {"id": ad.id}
-        if ad.economics.cpp is not None:
-            entry["cpp"] = ad.economics.cpp
-        if ad.economics.cr is not None:
-            entry["cr"] = ad.economics.cr
-        ads.append(entry)
+    ads = [
+        {"id": ad.id} | {k: v for k, v in vars(ad.economics).items() if v is not None}
+        for ad in instance.ads
+    ]
     payload = {
         "mode": instance.mode.value,
         "objective": {"mode": instance.objective.mode.value, "kind": instance.objective.kind.value},
@@ -245,8 +237,10 @@ def instance_to_json(instance: DspInstance, seed: int | None = None) -> dict:
             for spec in instance.constraints
         ],
         "impressions": [
-            {"id": imp.id, "mu": imp.prior.mu, "sigma": imp.prior.sigma, "ppi": list(imp.ppi)}
-            for imp in instance.impressions
+            {"id": i, "mu": mu, "sigma": sigma, "ppi": ppi}
+            for i, mu, sigma, ppi in zip(
+                instance.ids, instance.mu.tolist(), instance.sigma.tolist(), instance.ppi.tolist()
+            )
         ],
     }
     if seed is not None:
@@ -273,26 +267,32 @@ def instance_from_json(payload: dict) -> DspInstance:
             )
             for entry in payload["constraints"]
         ]
-        impressions = [
-            Impression(
-                _impression_id(entry, i),
-                LandscapePrior(_real(entry["mu"], "mu"), _real(entry["sigma"], "sigma")),
-                entry["ppi"],
-            )
-            for i, entry in enumerate(payload["impressions"])
-        ]
-        return DspInstance(
-            mode=mode,
-            objective=objective,
-            ads=ads,
-            constraints=constraints,
-            impressions=impressions,
-            bid_cap=_real(payload.get("bid_cap", DEFAULT_BID_CAP), "bid_cap"),
-        )
+        impressions = _impression_columns(payload["impressions"], len(ads))
+        bid_cap = _real(payload.get("bid_cap", DEFAULT_BID_CAP), "bid_cap")
+        return DspInstance(mode, objective, ads, constraints, *impressions, bid_cap)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InstanceFormatError):
             raise
         raise InstanceFormatError(f"malformed instance document: {exc}") from exc
+
+
+def _impression_columns(entries, n_ads: int) -> tuple[list, list, list, np.ndarray]:
+    """Ids, `mu`, `sigma` and `ppi` of the impression entries, each type-checked as it is read.
+
+    A row of the wrong length raises here; `DspInstance` checks the values as arrays.
+    """
+    ids, mu, sigma, ppi = [], [], [], []
+    for i, entry in enumerate(entries):
+        ids.append(_impression_id(entry, i))
+        mu.append(_real(entry["mu"], "mu"))
+        sigma.append(_real(entry["sigma"], "sigma"))
+        ppi.append(row := list(entry["ppi"]))
+        for p in row:
+            if type(p) is not float and not _is_number(p):
+                raise TypeError(f"ppi entries must be real numbers, got {p!r}")
+        if len(row) != n_ads:
+            raise ValueError(f"impression {ids[-1]!r} has {len(row)} ppi entries for {n_ads} ads")
+    return ids, mu, sigma, np.array(ppi, dtype=float).reshape(len(ppi), n_ads)
 
 
 def _real(value, name: str) -> float:
@@ -508,11 +508,11 @@ class _WindowedStrategy(Strategy):
         # for every ad, so this is the landscape-free selection rule.
         inv = np.arange(instance.n_ads) if self._multi else np.zeros(1, dtype=int)
         cpp = np.array([instance.ads[j].economics.require_cpp() for j in inv], dtype=float)
-        cpi = cpp * model.ppi[:, inv]
+        cpi = cpp * instance.ppi[:, inv]
         pick = np.argmax(cpi, axis=1)
         self._ad_idx, self._cpi = inv[pick], cpi[np.arange(model.n_items), pick]
         self._cap = instance.bid_cap
-        self._epoch_size = max(len(instance.impressions), 1)
+        self._epoch_size = max(model.n_items, 1)
         self._window_revenue = 0.0
         self._window_cost = 0.0
         self._window_impressions = 0
@@ -753,9 +753,8 @@ def _replay(
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if not instance.ads:
         raise ValueError("a replay needs an instance with at least one ad")
-    n, n_strategies, n_rows = len(instance.impressions), len(strategies), instance.n_constraints
+    n, n_strategies, n_rows = len(instance.ids), len(strategies), instance.n_constraints
     model = DspChoiceModel(instance)
-    ppi, mus, sigmas = model.ppi, model.mu, model.sigma
     rows = np.arange(n)
 
     for strategy in strategies:
@@ -768,7 +767,7 @@ def _replay(
     rev_won, rev_paid, perf_won = (np.zeros((n_strategies, n)) for _ in range(3))
     consumption_total = np.zeros((n_strategies, n_rows))
     for epoch in range(epochs):
-        x = np.exp(mus + sigmas * rng.standard_normal(n))
+        x = np.exp(instance.mu + instance.sigma * rng.standard_normal(n))
         # A new bid array every epoch: feedback rows stay valid after it.
         bids = np.empty((n_strategies, n))
         for s, strategy in enumerate(strategies):
@@ -778,7 +777,7 @@ def _replay(
                 has_ad[s] = ad_idx >= 0
                 sel = np.where(has_ad[s], ad_idx, 0)
                 rev_won[s], rev_paid[s] = model.coeffs(rows, sel, 0)
-                perf_won[s] = ppi[rows, sel]
+                perf_won[s] = instance.ppi[rows, sel]
         np.minimum(np.maximum(bids, 0.0, out=bids), instance.bid_cap, out=bids)
         won = has_ad & (bids > x)  # draws are >= 0, so only a positive bid wins
         paid = np.where(won, x, 0.0)

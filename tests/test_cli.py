@@ -15,10 +15,11 @@ import scipy
 import jsonschema
 
 from dualbid import cli, sim
-from dualbid.dsp import DspChoiceModel
+from dualbid.dsp import DspChoiceModel, Impression
 from dualbid.landscape import LandscapePrior, write_observations_csv, BidObservation, Outcome
 from dualbid.mmkp import DivergenceError
 from dualbid.sim import CONSTRAINT_CSV_HEADER, EPOCH_CSV_HEADER
+from instance_rows import with_rows
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src/dualbid/schemas/summary.schema.json").read_text()
@@ -161,8 +162,9 @@ class TestSolve:
         # At sigma = 40 the landscape mean exp(mu + sigma^2/2) overflows a double.
         assert run(["gen", "--out-dir", str(tmp_path / "gen"), "--seed", "0"]) == 0
         instance = sim.load_instance(tmp_path / "gen" / "instance.json")
-        imp = instance.impressions[0]
-        instance.impressions[0] = dataclasses.replace(imp, prior=LandscapePrior(imp.prior.mu, 40.0))
+        imp, *rest = instance.impressions
+        wide = dataclasses.replace(imp, prior=LandscapePrior(imp.prior.mu, 40.0))
+        instance = with_rows(instance, [wide, *rest])
         sim.save_instance(tmp_path / "instance.json", instance, seed=0)
         out = tmp_path / "solve"
         assert run(["solve", "--instance", str(tmp_path / "instance.json"), "--out-dir", str(out)]) == 0
@@ -497,6 +499,51 @@ def test_non_numeric_instance_numbers_exit_2(path, value, small_instance, tmp_pa
     assert key in capsys.readouterr().err
 
 
+#: Where a JSON document may hold a number, as (command, path in the document, field
+#: the error names). Each site gets `HUGE`, which `float` cannot convert.
+HUGE_INTEGER_SITES = {
+    "instance-mu": ("solve", ("impressions", 0, "mu"), "mu"),
+    "instance-ppi": ("solve", ("impressions", 0, "ppi", 1), "ppi"),
+    "instance-bound": ("solve", ("constraints", 0, "bound"), "constraint bound"),
+    "instance-cpp": ("solve", ("ads", 0, "cpp"), "cpp"),
+    "instance-bid-cap": ("solve", ("bid_cap",), "bid_cap"),
+    "config-ads": ("gen", ("ads", 1), "ads"),
+    "config-mu-range": ("gen", ("mu_range", 1), "mu_range"),
+    "params-alpha0": ("compare", ("alpha0",), "alpha0"),
+    "params-alpha": ("simulate", ("alpha", 3), "alpha"),
+}
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("site", HUGE_INTEGER_SITES)
+def test_integer_beyond_the_largest_double_exits_2(site, small_instance, tmp_path, capsys):
+    command, path, field = HUGE_INTEGER_SITES[site]
+    document = {
+        "solve": json.loads(small_instance.read_text()),
+        "gen": {"n_impressions": 5, "ads": [1.0, 2.0], "mu_range": [-4.0, -2.0]},
+        "compare": {"alpha0": 1.0},
+        "simulate": {"alpha": [0.0, 0.0, 0.0, 0.0]},
+    }[command]
+    *parents, key = path
+    target = document
+    for part in parents:
+        target = target[part]
+    target[key] = HUGE
+    text = json.dumps(document)
+    assert "1" + "0" * 400 in text
+    (tmp_path / "doc.json").write_text(text)
+    instance = ["--instance", str(small_instance)]
+    argv = {
+        "solve": ["--instance", str(tmp_path / "doc.json")],
+        "gen": ["--config", str(tmp_path / "doc.json")],
+        "compare": [*instance, "--strategies", "db_single,db_multi", "--params", text],
+        "simulate": [*instance, "--strategy", "fixed_alpha", "--params", text],
+    }[command]
+    assert run([command, *argv, "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
 @pytest.mark.parametrize(
     "ad_id", [0, None, "", True, 1.5], ids=["zero", "null", "empty", "true", "float"]
 )
@@ -553,6 +600,27 @@ def test_overflowing_coefficient_exits_2(small_instance, tmp_path, capsys):
             DspChoiceModel(sim.instance_from_json(payload))
         assert run(["solve", "--instance", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
     assert "coefficients must be finite" in capsys.readouterr().err
+
+
+def test_gen_solve_and_compare_build_no_row_objects(tmp_path, monkeypatch):
+    # The instance travels as columns from the generator and the loader to the
+    # model and the replay: no `Impression` and no `LandscapePrior` is built.
+    built = []
+    for cls in (Impression, LandscapePrior):
+
+        def counting_init(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    instance = str(tmp_path / "gen" / "instance.json")
+    assert run(["gen", "--n-impressions", "50", "--out-dir", str(tmp_path / "gen")]) == 0
+    assert run(["solve", "--instance", instance, "--out-dir", str(tmp_path / "solve")]) == 0
+    compare = ["compare", "--instance", instance, "--strategies", "db_single,ortb,lin", "--epochs", "5"]
+    assert run([*compare, "--out-dir", str(tmp_path / "compare")]) == 0
+    assert built == []
+    sim.load_instance(instance).impressions  # the row views, on request
+    assert len(built) == 2 * 50
 
 
 def test_missing_impression_id_defaults_to_the_row_index(small_instance, tmp_path):

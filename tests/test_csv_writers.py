@@ -63,9 +63,9 @@ def reference_decisions_csv(path, instance, rows):
         writer = csv.writer(handle)
         writer.writerow(DECISION_CSV_HEADER)
         writer.writerows(
-            (imp.id, "", "", repr(score)) if j < 0 else (imp.id, ad_ids[j], repr(bp), repr(score))
-            for imp, j, bp, score in zip(
-                instance.impressions, rows.ad.tolist(), rows.bp.tolist(), rows.score.tolist()
+            (i, "", "", repr(score)) if j < 0 else (i, ad_ids[j], repr(bp), repr(score))
+            for i, j, bp, score in zip(
+                instance.ids, rows.ad.tolist(), rows.bp.tolist(), rows.score.tolist()
             )
         )
 
@@ -89,7 +89,6 @@ EPOCH_ROWS = [
 def _decision_case():
     instance = sim.gen_mock_instance(sim.MockConfig(n_impressions=6))
     ids = [0, 7, "imp,a", 'imp "b"', 2**70, " c"]
-    impressions = [dataclasses.replace(imp, id=i) for imp, i in zip(instance.impressions, ids)]
     rows = RowDecisions(
         ad=np.array([-1, 0, 1, -1, 1, 0]),
         bp=np.array([0.0, 5e-324, INF, 0.0, -0.0, 0.1 + 0.2]),
@@ -97,7 +96,7 @@ def _decision_case():
         prob=np.zeros(6),
         cost=np.zeros(6),
     )
-    return dataclasses.replace(instance, impressions=impressions), rows
+    return dataclasses.replace(instance, ids=ids), rows
 
 
 @pytest.mark.parametrize(

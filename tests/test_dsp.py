@@ -35,6 +35,7 @@ from dualbid.utility import (
     encode_objective,
     evaluate,
 )
+from instance_rows import row_columns, rows_instance, with_rows
 
 STANDARD = LandscapePrior(0.0, 1.0)
 
@@ -52,12 +53,8 @@ def p4p_instance(
         constraints = [ConstraintSpec(ConstraintKind.DSP_ROI, PaymentMode.P4P, 2.0, everyone)]
     if impressions is None:
         impressions = [Impression(0, STANDARD, tuple(0.1 for _ in cpps))]
-    return DspInstance(
-        mode=PaymentMode.P4P,
-        objective=ObjectiveSpec(PaymentMode.P4P, objective),
-        ads=ads,
-        constraints=constraints,
-        impressions=impressions,
+    return rows_instance(
+        PaymentMode.P4P, ObjectiveSpec(PaymentMode.P4P, objective), ads, constraints, impressions,
         bid_cap=bid_cap,
     )
 
@@ -82,12 +79,9 @@ def random_instance(rng, n=6, m=2, with_budgets=True):
         )
         for i in range(n)
     ]
-    return DspInstance(
-        mode=PaymentMode.P4P,
-        objective=ObjectiveSpec(PaymentMode.P4P, ObjectiveKind.REVENUE),
-        ads=ads,
-        constraints=constraints,
-        impressions=impressions,
+    return rows_instance(
+        PaymentMode.P4P, ObjectiveSpec(PaymentMode.P4P, ObjectiveKind.REVENUE), ads, constraints,
+        impressions,
     )
 
 
@@ -114,15 +108,15 @@ class TestComposeCoeffs:
     def test_budget_plus_roi_hand_expansion(self):
         cpp, ppi, roi = 1.3, 0.4, 2.5
         ads = [Ad("a", AdEconomics(cpp=cpp))]
-        instance = DspInstance(
-            mode=PaymentMode.P4P,
-            objective=ObjectiveSpec(PaymentMode.P4P, ObjectiveKind.REVENUE),
-            ads=ads,
-            constraints=[
+        instance = rows_instance(
+            PaymentMode.P4P,
+            ObjectiveSpec(PaymentMode.P4P, ObjectiveKind.REVENUE),
+            ads,
+            [
                 ConstraintSpec(ConstraintKind.BUDGET, PaymentMode.P4P, 20.0, frozenset(["a"])),
                 ConstraintSpec(ConstraintKind.DSP_ROI, PaymentMode.P4P, roi, frozenset(["a"])),
             ],
-            impressions=[Impression(0, STANDARD, (ppi,))],
+            [Impression(0, STANDARD, (ppi,))],
         )
         a_b, a_r = 0.3, 0.9
         coeffs = compose_coeffs(instance, 0, 0, np.asarray([a_b, a_r]))
@@ -240,12 +234,9 @@ class TestBidDecision:
         rng = np.random.default_rng(4)
         lam = 3.7
         base = random_instance(rng, n=4, m=2, with_budgets=False)
-        scaled = DspInstance(
-            mode=base.mode,
-            objective=base.objective,
+        scaled = dataclasses.replace(
+            base,
             ads=[Ad(ad.id, AdEconomics(cpp=ad.economics.cpp * lam)) for ad in base.ads],
-            constraints=base.constraints,
-            impressions=base.impressions,
             bid_cap=base.bid_cap * lam,
         )
         alpha = np.asarray([0.8])
@@ -322,7 +313,7 @@ def nan_score_model():
     ads = [Ad("ad0", AdEconomics(cpp=1.0)), Ad("ad1", AdEconomics(cpp=100.0))]
     revenue = ObjectiveSpec(PaymentMode.P4P, ObjectiveKind.REVENUE)
     impressions = [Impression(0, STANDARD, (0.1, 0.1))]
-    model = DspChoiceModel(DspInstance(PaymentMode.P4P, revenue, ads, [budget], impressions))
+    model = DspChoiceModel(rows_instance(PaymentMode.P4P, revenue, ads, [budget], impressions))
     return model, np.full(1, 1e308)
 
 
@@ -420,10 +411,10 @@ class TestBatchConsumption:
         # log space.
         rng = np.random.default_rng(12)
         instance = random_instance(rng, n=16, m=3)
-        instance.impressions = [
+        instance = with_rows(instance, [
             dataclasses.replace(imp, prior=prior) if i % 2 else imp
             for i, imp in enumerate(instance.impressions)
-        ]
+        ])
         model = DspChoiceModel(instance)
         assert assert_matches_base_loop(model, rng.uniform(0.0, 1.0, model.n_constraints)) > 0
 
@@ -475,7 +466,7 @@ def test_composite_is_the_priced_card(seed, m, k, scale):
     order = rng.permutation(model.n_items)
     phi_some, psi_some = model.composite(order, alpha)
     for i in range(model.n_items):
-        phi_ref, psi_ref = model.ppi[i] * slope + intercept
+        phi_ref, psi_ref = model.instance.ppi[i] * slope + intercept
         phi, psi = model.composite(i, alpha)
         at = int(np.flatnonzero(order == i)[0])
         for got in (phi, phi_all[i], phi_some[at]):
@@ -590,10 +581,10 @@ class TestDecideRows:
     def test_sigma_forty_prior(self):
         rng = np.random.default_rng(29)
         instance = random_instance(rng, n=10, m=2)
-        instance.impressions = [
+        instance = with_rows(instance, [
             dataclasses.replace(imp, prior=LandscapePrior(imp.prior.mu, 40.0))
             for imp in instance.impressions
-        ]
+        ])
         model = DspChoiceModel(instance)
         alpha = rng.uniform(0.0, 1.0, model.n_constraints)
         assert assert_kernel_matches_reference(model, alpha) > 0
@@ -607,10 +598,10 @@ class TestDecideRows:
         for draw in range(40):
             instance = random_instance(rng, n=12, m=1 + draw % 3)
             instance.bid_cap = (0.02, 1e4)[draw % 2]
-            instance.impressions = [
+            instance = with_rows(instance, [
                 imp if i % 3 else dataclasses.replace(imp, prior=LandscapePrior(imp.prior.mu, 40.0))
                 for i, imp in enumerate(instance.impressions)
-            ]
+            ])
             rows = DspChoiceModel(instance).decide_rows(rng.uniform(0.0, 8.0, len(instance.constraints)))
             for i, imp in enumerate(instance.impressions):
                 bp = float(rows.bp[i])
@@ -669,9 +660,10 @@ class TestDecideRows:
         rng = np.random.default_rng(41)
         instance = random_instance(rng, n=30, m=3)
         # Every third impression has zero PPI, so it gets no bid.
-        instance.impressions[::3] = [
-            dataclasses.replace(imp, ppi=(0.0, 0.0, 0.0)) for imp in instance.impressions[::3]
-        ]
+        instance = with_rows(instance, [
+            imp if i % 3 else dataclasses.replace(imp, ppi=(0.0, 0.0, 0.0))
+            for i, imp in enumerate(instance.impressions)
+        ])
         model = DspChoiceModel(instance)
         alpha = rng.uniform(0.0, 1.0, model.n_constraints)
         rows = model.decide_rows(alpha)
@@ -740,7 +732,7 @@ def mixed_instance(rng, mode, objective, n, m, constraint_kinds):
         Impression(i, LandscapePrior(rng.uniform(-3.0, 0.0), rng.uniform(0.3, 1.2)), tuple(ppi[i]))
         for i in range(n)
     ]
-    return DspInstance(mode, ObjectiveSpec(mode, objective), ads, constraints, impressions)
+    return rows_instance(mode, ObjectiveSpec(mode, objective), ads, constraints, impressions)
 
 
 class TestArrayBuild:
@@ -793,13 +785,28 @@ class TestArrayBuild:
     def test_shared_arrays_are_read_only(self):
         rng = np.random.default_rng(5)
         instance = random_instance(rng, n=5, m=3)
-        model = DspChoiceModel(instance)
-        assert model.ppi.tolist() == [list(imp.ppi) for imp in instance.impressions]
-        assert model.mu.tolist() == [imp.prior.mu for imp in instance.impressions]
-        assert model.sigma.tolist() == [imp.prior.sigma for imp in instance.impressions]
-        for shared in (model.ppi, model.mu, model.sigma):
+        assert instance.ppi.tolist() == [list(imp.ppi) for imp in instance.impressions]
+        assert instance.mu.tolist() == [imp.prior.mu for imp in instance.impressions]
+        assert instance.sigma.tolist() == [imp.prior.sigma for imp in instance.impressions]
+        for shared in (instance.ppi, instance.mu, instance.sigma):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 1.0
+
+    def test_columns_are_borrowed_not_copied(self):
+        instance = random_instance(np.random.default_rng(5), n=5, m=3)
+        columns = (instance.ppi, instance.mu, instance.sigma)
+        # `solve --bid-cap` replaces the cap; the new instance keeps the same arrays.
+        capped = dataclasses.replace(instance, bid_cap=0.5)
+        assert all(a is b for a, b in zip((capped.ppi, capped.mu, capped.sigma), columns))
+        model = DspChoiceModel(capped)
+        held = [
+            a
+            for value in vars(model).values()
+            for a in (value if isinstance(value, list) else [value])
+            if isinstance(a, np.ndarray)
+        ]
+        for column in columns:
+            assert any(np.shares_memory(a, column) for a in held)
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_p4p_ad_without_cpp_fails_at_build(self, n):
@@ -808,16 +815,16 @@ class TestArrayBuild:
         impressions = [Impression(i, STANDARD, (0.1, 0.1)) for i in range(n)]
         revenue = ObjectiveSpec(PaymentMode.P4P, ObjectiveKind.REVENUE)
         with pytest.raises(ModeMismatchError):
-            DspChoiceModel(DspInstance(PaymentMode.P4P, revenue, ads, [], impressions))
+            DspChoiceModel(rows_instance(PaymentMode.P4P, revenue, ads, [], impressions))
         # A PPI-only objective needs no CPP; a constraint over the ad does.
         performance = ObjectiveSpec(PaymentMode.P4P, ObjectiveKind.PERFORMANCE)
         budget_b = ConstraintSpec(ConstraintKind.BUDGET, PaymentMode.P4P, 5.0, frozenset(["b"]))
         with pytest.raises(ModeMismatchError):
-            DspChoiceModel(DspInstance(PaymentMode.P4P, performance, ads, [budget_b], impressions))
+            DspChoiceModel(rows_instance(PaymentMode.P4P, performance, ads, [budget_b], impressions))
         # Out of the constraint's scope, the ad consumes nothing and needs no CPP.
         budget_a = ConstraintSpec(ConstraintKind.BUDGET, PaymentMode.P4P, 5.0, frozenset(["a"]))
         assert_card_matches_encoders(
-            DspInstance(PaymentMode.P4P, performance, ads, [budget_a], impressions)
+            rows_instance(PaymentMode.P4P, performance, ads, [budget_a], impressions)
         )
 
 
@@ -829,7 +836,7 @@ class TestInstanceValidation:
                 objective=ObjectiveSpec(PaymentMode.P4U, ObjectiveKind.REVENUE),
                 ads=[Ad("a", AdEconomics(cpp=1.0))],
                 constraints=[],
-                impressions=[],
+                **row_columns([], 0),
             )
 
     def test_scope_must_reference_known_ads(self):
@@ -851,7 +858,7 @@ class TestInstanceValidation:
                 objective=ObjectiveSpec(PaymentMode.P4P, ObjectiveKind.REVENUE),
                 ads=[Ad("a", AdEconomics(cpp=1.0)), Ad("a", AdEconomics(cpp=2.0))],
                 constraints=[],
-                impressions=[],
+                **row_columns([], 0),
             )
 
 
@@ -895,9 +902,7 @@ def decisions_csv_cases():
     rng = np.random.default_rng(42)
     plain = random_instance(rng, n=40, m=3)
     names = ["a,b", 'q"t', " s", "imp"] * 10
-    named = dataclasses.replace(
-        plain, impressions=[dataclasses.replace(imp, id=n) for imp, n in zip(plain.impressions, names)]
-    )
+    named = dataclasses.replace(plain, ids=names)
     capped = dataclasses.replace(random_instance(rng, n=12, m=3), bid_cap=0.02)
     no_ads = p4p_instance(
         cpps=(), constraints=[], impressions=[Impression(i, STANDARD, ()) for i in range(3)]

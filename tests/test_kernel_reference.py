@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import log_ndtr, ndtr
 
 from dualbid import landscape
-from dualbid.dsp import Ad, DspChoiceModel, DspInstance, Impression, RowDecisions
+from dualbid.dsp import Ad, DspChoiceModel, Impression, RowDecisions
 from dualbid.landscape import LandscapePrior
 from dualbid.utility import (
     AdEconomics,
@@ -30,6 +30,7 @@ from dualbid.utility import (
     ObjectiveSpec,
     PaymentMode,
 )
+from instance_rows import rows_instance
 
 
 def reference_best_bids(phi, psi, cap):
@@ -74,7 +75,7 @@ def reference_first_max(bp, prob, cost, score):
 def prior_arrays(model):
     """Per-impression mu, sigma and landscape mean, each shaped (N,)."""
     means = np.array([landscape.mean(imp.prior) for imp in model.instance.impressions])
-    return model.mu, model.sigma, means
+    return model.instance.mu, model.instance.sigma, means
 
 
 def reference_responses(model, rows, alpha):
@@ -89,7 +90,7 @@ def reference_responses(model, rows, alpha):
 def card_coeffs(model, i, j):
     """(phi, psi) of impression `i` on ad `j` for every card column, shaped (2, K + 1)."""
     slope, intercept = model._card[:, 0, j], model._card[:, 1, j]
-    return model.ppi[i, j] * slope + intercept
+    return model._ppi[i, j] * slope + intercept
 
 
 def reference_batch_consumption(model, rows, alpha):
@@ -97,7 +98,7 @@ def reference_batch_consumption(model, rows, alpha):
     decided = reference_first_max(*reference_responses(model, rows, alpha))
     bids = decided.ad >= 0
     ad, prob, cost = decided.ad[bids], decided.prob[bids], decided.cost[bids]
-    ppi = model.ppi[rows[bids], ad]
+    ppi = model._ppi[rows[bids], ad]
     m, k = model.instance.n_ads, model.n_constraints
     sums = np.zeros((4, m))
     for sum_, weight in zip(sums, (prob * ppi, prob, cost * ppi, cost)):
@@ -176,7 +177,7 @@ def dsp_instance(rng, n, m, k, bid_cap=1e4, wide_sigma=False):
         for i in range(n)
     ]
     revenue = ObjectiveSpec(PaymentMode.P4P, ObjectiveKind.REVENUE)
-    return DspInstance(PaymentMode.P4P, revenue, ads, constraints, impressions, bid_cap=bid_cap)
+    return rows_instance(PaymentMode.P4P, revenue, ads, constraints, impressions, bid_cap=bid_cap)
 
 
 CAPS = (0.05, 1.0, 1e4)

@@ -101,8 +101,7 @@ class TestClosedForms:
     def test_partial_moment_log_form_agrees_below_overflow(self):
         # Both branches of the kernel on priors whose mean is still finite: the
         # plain product, and the log-space form with every row marked overflowed.
-        priors = [LandscapePrior(-1.0, 30.0), LandscapePrior(0.5, 5.0), LandscapePrior(2.0, 0.7)]
-        (mu, sigma, means), over = prior_arrays(priors)
+        mu, sigma, means, over = prior_arrays(np.array([-1.0, 0.5, 2.0]), np.array([30.0, 5.0, 0.7]))
         assert over is None
         bp = np.exp(mu + sigma * np.linspace(-5.0, 5.0, 11))
         plain = win_prob_cost(bp, mu, sigma, means, None, np.empty((2, *bp.shape)))
@@ -114,13 +113,16 @@ class TestClosedForms:
 
     def test_prior_arrays_store_an_overflowed_mean_as_zero_and_mark_it(self):
         priors = [STANDARD, LandscapePrior(-1.0, 40.0), LandscapePrior(0.3, 0.2)]
-        stacked, over = prior_arrays(priors)
-        assert stacked.shape == (3, 3, 1) and over.shape == (3, 1)
+        mu, sigma = np.array([0.0, -1.0, 0.3]), np.array([1.0, 40.0, 0.2])
+        *stacked, over = prior_arrays(mu, sigma)
+        assert [a.shape for a in stacked] == [(3, 1)] * 3 and over.shape == (3, 1)
+        assert np.shares_memory(stacked[0], mu) and np.shares_memory(stacked[1], sigma)
         assert over[:, 0].tolist() == [False, True, False]
-        assert stacked[2, :, 0].tolist() == [mean(STANDARD), 0.0, mean(priors[2])]
-        assert stacked[0, :, 0].tolist() == [0.0, -1.0, 0.3]
-        assert stacked[1, :, 0].tolist() == [1.0, 40.0, 0.2]
-        assert prior_arrays([])[0].shape == (3, 0, 1) and prior_arrays([])[1] is None
+        assert stacked[2][:, 0].tolist() == [mean(STANDARD), 0.0, mean(priors[2])]
+        assert stacked[0][:, 0].tolist() == [0.0, -1.0, 0.3]
+        assert stacked[1][:, 0].tolist() == [1.0, 40.0, 0.2]
+        *empty, over = prior_arrays(np.zeros(0), np.zeros(0))
+        assert [a.shape for a in empty] == [(0, 1)] * 3 and over is None
 
     def test_vectorized_matches_scalar(self):
         bps = np.array([0.0, 0.3, 1.0, 4.5])

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dualbid import landscape
-from dualbid.dsp import Ad, DspChoiceModel, DspInstance, Impression
+from dualbid.dsp import Ad, DspChoiceModel, Impression
 from dualbid.landscape import LandscapePrior
 from dualbid.mmkp import BATCH_SIZE, ChoiceModel, dual_objective, sgd_solve
 from dualbid.utility import (
@@ -26,6 +26,7 @@ from dualbid.utility import (
     ObjectiveSpec,
     PaymentMode,
 )
+from instance_rows import rows_instance, with_rows
 
 
 def reference_sgd_solve(model, step, step0=0.1, epochs=200, shuffle_seed=0, alpha0=1.0):
@@ -105,7 +106,7 @@ def dsp_instance(rng, n, m, k, mode=PaymentMode.P4P, objective=ObjectiveKind.REV
         Impression(i, LandscapePrior(rng.uniform(-3.0, 0.0), rng.uniform(0.3, 1.2)), tuple(ppi[i]))
         for i in range(n)
     ]
-    return DspInstance(
+    return rows_instance(
         mode, ObjectiveSpec(mode, objective), ads, constraints, impressions, bid_cap=bid_cap
     )
 
@@ -142,10 +143,10 @@ class TestDspInstances:
         # log space.
         rng = np.random.default_rng(12)
         instance = dsp_instance(rng, 16, 3, 4)
-        instance.impressions = [
+        instance = with_rows(instance, [
             dataclasses.replace(imp, prior=prior) if i % 2 else imp
             for i, imp in enumerate(instance.impressions)
-        ]
+        ])
         assert landscape.mean(prior) == math.inf
         model = DspChoiceModel(instance)
         assert_same_solve(model, epochs=10)
@@ -153,9 +154,9 @@ class TestDspInstances:
     def test_zero_ppi(self):
         rng = np.random.default_rng(13)
         instance = dsp_instance(rng, 10, 2, 3)
-        instance.impressions = [
+        instance = with_rows(instance, [
             dataclasses.replace(imp, ppi=(0.0, 0.0)) for imp in instance.impressions
-        ]
+        ])
         model = DspChoiceModel(instance)
         assert_same_solve(model, epochs=5)
         # Nothing is ever allocated, so no step raises a price.

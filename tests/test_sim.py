@@ -23,6 +23,7 @@ from dualbid.sim import (
     run_monte_carlo,
 )
 from dualbid.strategies import ortb_fit_c
+from instance_rows import with_rows
 from test_ortb_reference import assert_root_certificate, refit_rtol
 from dualbid.utility import ConstraintKind, ObjectiveKind, PaymentMode
 
@@ -173,10 +174,10 @@ class TestRunExpectation:
                 imp if i % 4 else dataclasses.replace(imp, prior=LandscapePrior(imp.prior.mu, 40.0))
                 for i, imp in enumerate(instance.impressions)
             ]
-            instance = dataclasses.replace(instance, impressions=impressions)
+            instance = with_rows(instance, impressions)
             if draw % 5 == 0:  # M = 0: no ads, and so no constraints
                 impressions = [dataclasses.replace(imp, ppi=()) for imp in impressions]
-                instance = dataclasses.replace(instance, ads=[], constraints=[], impressions=impressions)
+                instance = with_rows(instance, impressions, ads=[], constraints=[])
             model = DspChoiceModel(instance)
             alpha = rng.uniform(0.0, 3.0, model.n_constraints)
             dual = run_expectation(model, alpha).dual_value
@@ -215,8 +216,7 @@ class TestRunMonteCarlo:
         strategy = FixedAlphaStrategy(alpha)
         report = run_monte_carlo(instance, strategy, epochs=3, seed=11)
 
-        mus = np.array([i.prior.mu for i in instance.impressions])
-        sigmas = np.array([i.prior.sigma for i in instance.impressions])
+        mus, sigmas = instance.mu, instance.sigma
         rng = np.random.default_rng(11)
         strategy2 = FixedAlphaStrategy(alpha)
         strategy2.reset(DspChoiceModel(instance))
@@ -303,7 +303,7 @@ def reference_run_monte_carlo(instance, strategy, epochs, seed):
     objective column; consumption is the card times per-ad sums, in row
     order, of the won rows' `ppi`, win count, `paid * ppi` and paid price.
     """
-    n, m, k = len(instance.impressions), instance.n_ads, instance.n_constraints
+    n, m, k = len(instance.ids), instance.n_ads, instance.n_constraints
     model = DspChoiceModel(instance)
     rows = np.arange(n)
     strategy.reset(model)
@@ -311,13 +311,13 @@ def reference_run_monte_carlo(instance, strategy, epochs, seed):
     metrics = []
     consumption_total = np.zeros(instance.n_constraints)
     for epoch in range(epochs):
-        x = np.exp(model.mu + model.sigma * rng.standard_normal(n))
+        x = np.exp(instance.mu + instance.sigma * rng.standard_normal(n))
         ad_idx, bids = strategy.epoch_bids()
         bids = np.minimum(np.maximum(bids, 0.0), instance.bid_cap)
         won = (ad_idx >= 0) & (bids > 0.0) & (bids > x)
         paid = np.where(won, x, 0.0)
         sel = np.where(ad_idx >= 0, ad_idx, 0)
-        ppi = model.ppi[rows, sel]
+        ppi = instance.ppi[rows, sel]
         (phi_slope, phi_intercept), (psi_slope, psi_intercept) = model._card[:, :, sel, 0]
         phi_v, psi_v = ppi * phi_slope + phi_intercept, ppi * psi_slope + psi_intercept
         revenue_vec = np.where(won, phi_v, 0.0) + psi_v * paid
