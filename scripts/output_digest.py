@@ -58,6 +58,13 @@ line per document digests its exit code and first stderr line, labelled
 how it says so, shows in the digest too. A document that makes the package
 raise out of `cli.main` counts as the interpreter would report it: exit 1 and
 the first line of a traceback.
+
+Last, `compare` of the four feedback strategies replays two copies of the
+small instance with every mu at -800 and at 800 (`EDGE_MUS`), where every
+competing bid underflows to 0 or overflows to inf. Each is digested as the
+rejected documents are, `compare_mu_<mu>/exit_and_stderr`, and then by its
+outputs when it exits 0. So a replay that fails or warns at the ends of the
+double range shows in the digest, instead of stopping this script.
 """
 
 from __future__ import annotations
@@ -93,6 +100,9 @@ WIDE_N, WIDE_SEED, WIDE_EPOCHS = 2000, 0, 40
 SMALL_N, SMALL_EPOCHS = 200, 20
 #: Prices of the wide instance's ten rows for the overflow instance's replay.
 WIDE_ALPHA = [0.05] * 10
+#: Every impression's mu in the edge instances: all competing bids underflow
+#: to 0 at -800 and overflow to inf at 800.
+EDGE_MUS = (-800, 800)
 #: `gen --config` documents of P4U instances whose ROI floor no bid can meet.
 P4U_CONFIGS = {
     kind: {"mode": "p4u", "ads": [0.1, 0.2], "objective_kind": kind}
@@ -177,6 +187,9 @@ def write_instances(work: Path, wide_instance) -> None:
     impressions = small["impressions"]
     overflow = [imp | {"sigma": 40.0} if i % 5 == 0 else imp for i, imp in enumerate(impressions)]
     (work / "overflow.json").write_text(json.dumps(small | {"impressions": overflow}))
+    for mu in EDGE_MUS:
+        edge = [imp | {"mu": float(mu)} for imp in impressions]
+        (work / f"mu_{mu}.json").write_text(json.dumps(small | {"impressions": edge}))
     for i, imp in enumerate(impressions):
         imp["id"] = STRING_IDS[i % len(STRING_IDS)] + str(i)
     (work / "string_ids.json").write_text(json.dumps(small))
@@ -212,6 +225,21 @@ def manifest_bytes(data: bytes, work: Path) -> bytes:
     manifest.pop("wall_time_s")
     manifest.pop("stages_s", None)
     return json.dumps(manifest, sort_keys=True).replace(str(work), "<work>").encode()
+
+
+def print_outputs(label: str, out_dir: Path, work: Path) -> None:
+    """One digest line per file a command wrote into `out_dir`."""
+    for path in sorted(out_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            data = manifest_bytes(data, work)
+        print(f"{hashlib.sha256(data).hexdigest()}  {label}/{path.name}")
+
+
+def print_exit_and_stderr(label: str, code: int, line: str, work: Path) -> None:
+    """One digest line for a command's exit code and first stderr line."""
+    data = f"exit {code}\n{line.replace(str(work), '<work>')}".encode()
+    print(f"{hashlib.sha256(data).hexdigest()}  {label}/exit_and_stderr")
 
 
 def commands(work: Path, n_pools: int) -> list[tuple[str, list[str]]]:
@@ -314,16 +342,19 @@ def main(argv: list[str] | None = None) -> int:
             if code != 0:
                 print(f"exit {code}  {label}")
                 continue
-            for path in sorted(out_dir.iterdir()):
-                data = path.read_bytes()
-                if path.name == "manifest.json":
-                    data = manifest_bytes(data, work)
-                print(f"{hashlib.sha256(data).hexdigest()}  {label}/{path.name}")
+            print_outputs(label, out_dir, work)
         for name in REJECTED:
             argv = ["solve", "--instance", str(work / f"reject_{name}.json"), "--epochs-sgd", "1"]
             code, line = exit_and_stderr(cli, [*argv, "--out-dir", str(work / f"reject_{name}")])
-            data = f"exit {code}\n{line.replace(str(work), '<work>')}".encode()
-            print(f"{hashlib.sha256(data).hexdigest()}  reject_{name}/exit_and_stderr")
+            print_exit_and_stderr(f"reject_{name}", code, line, work)
+        for mu in EDGE_MUS:
+            label, out_dir = f"compare_mu_{mu}", work / f"compare_mu_{mu}"
+            argv = ["compare", "--strategies", STRATEGIES, "--instance", str(work / f"mu_{mu}.json"),
+                    "--epochs", str(REPLAY_EPOCHS), "--out-dir", str(out_dir)]
+            code, line = exit_and_stderr(cli, argv)
+            print_exit_and_stderr(label, code, line, work)
+            if code == 0:
+                print_outputs(label, out_dir, work)
     return 0
 
 

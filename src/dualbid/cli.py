@@ -47,7 +47,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 class _Manifest:
-    """Manifest lifecycle: created incomplete, finalized with outputs and timing.
+    """Manifest lifecycle: created incomplete, finalized with outputs, versions and timing.
 
     Every parsed option except `--out-dir` and the input paths `inputs` is a flag.
     """
@@ -61,7 +61,6 @@ class _Manifest:
             "flags": {name: value for name, value in options.items() if name not in skip},
             "inputs": {name: options[name] for name in inputs},
             "tool_version": __version__,
-            "versions": _versions(),
             "complete": False,
             "outputs": [],
             "wall_time_s": None,
@@ -76,6 +75,8 @@ class _Manifest:
         return self.out_dir / name
 
     def finish(self) -> None:
+        # Read here, not at creation, so that no stage is charged for `import scipy`.
+        self.payload["versions"] = _versions()
         self.payload["complete"] = True
         self.payload["outputs"].sort()
         self.payload["wall_time_s"] = round(time.monotonic() - self._t0, 6)

@@ -25,10 +25,8 @@ the one-row record that `write_observations_csv` writes.
 prices a bid (`win_prob_cost` and its views) or fits a log
 (`censored_log_likelihood`, `fit_censored`), not at import. So `gen`, the
 replay of the feedback baselines (`db_single`, `db_multi`, `ortb`, `lin`) and
-`fit --family ortb` run without it. On a 2-vCPU host (medians of 7 fresh
-processes) `import dualbid.cli` took 0.21-0.31 s instead of 0.50-0.58 s, and
-`gen --n-impressions 2000` 0.30-0.31 s instead of 0.57-0.59 s. `solve` and
-`fit --family lognormal` still pay for the import, at their first kernel call.
+`fit --family ortb` run without it. `solve` and `fit --family lognormal`
+still pay for the import, at their first kernel call.
 """
 
 from __future__ import annotations

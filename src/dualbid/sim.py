@@ -579,12 +579,13 @@ class OrtbStrategy(_WindowedStrategy):
     The curve scale c is refitted at window boundaries from all won/lost
     observations accumulated so far (an expanding fit window keeps it from
     whipsawing the shadow price); the shadow price follows the multiplicative
-    ROI rule. The first refit is a cold `ortb_fit_c` over the log. Each later
-    one starts from the c before it and reads power sums of the log
-    (`strategies._OrtbMoments`), to which a window adds only its own
-    observations, so a refit costs O(K) per score evaluation, not a pass over
-    the log. The refitted c is the full-log fit's to within a few rounding
-    units.
+    ROI rule. The log (`strategies._OrtbMoments`) holds each epoch's won
+    costs and lost bids; a draw that underflowed to 0 is won at cost 0. The
+    first refit is a cold `ortb_fit_c` over the log. Each later one starts
+    from the c before it and reads power sums of the log, to which a window
+    adds only its own observations, so a refit costs O(K) per score
+    evaluation, not a pass over the log. The refitted c is the full-log
+    fit's to within a few rounding units.
     """
 
     def __init__(
@@ -597,8 +598,6 @@ class OrtbStrategy(_WindowedStrategy):
 
     def _restart(self) -> None:
         self.state = OrtbState(c=self._c0, lam=self._lambda0)
-        # Won costs and lost bids of every epoch so far, in replay order, with
-        # power sums of them once the first refit has anchored them.
         self._log = _OrtbMoments()
 
     def epoch_bids(self) -> tuple[np.ndarray, np.ndarray]:
@@ -613,8 +612,8 @@ class OrtbStrategy(_WindowedStrategy):
         # The first refit is cold and over the whole log; its c anchors the sums.
         if self._log.anchor is not None:
             c = self._log.fit(c).c
-        elif self._log.won.view.size:
-            c = ortb_fit_c(self._log.won.view, self._log.lost.view).c
+        elif self._log.n_won:
+            c = ortb_fit_c(*self._log.observations()).c
             self._log.anchor_at(c)
         lam = multiplicative_update(self.state.lam, self.target_roi, actual_roi).value
         self.state = OrtbState(c=c, lam=lam)
@@ -767,7 +766,9 @@ def _replay(
     rev_won, rev_paid, perf_won = (np.zeros((n_strategies, n)) for _ in range(3))
     consumption_total = np.zeros((n_strategies, n_rows))
     for epoch in range(epochs):
-        x = np.exp(instance.mu + instance.sigma * rng.standard_normal(n))
+        # A draw that overflows to inf is a bid that no one beats.
+        with np.errstate(over="ignore"):
+            x = np.exp(instance.mu + instance.sigma * rng.standard_normal(n))
         # A new bid array every epoch: feedback rows stay valid after it.
         bids = np.empty((n_strategies, n))
         for s, strategy in enumerate(strategies):

@@ -8,10 +8,11 @@ surplus, with c refitted from observed auctions: a censored maximum-likelihood
 fit whose score root is found by safeguarded Newton steps. `ortb_fit_c`
 evaluates the score exactly, over every observation. A replay's first refit
 is that fit; each later one starts from the c before it and evaluates the
-score from power sums of the log about an anchor (`_OrtbMoments`), which a
-window extends in O(K) work per observation. A score evaluation then costs
-O(K), not a pass over the log, so a replay runs in time linear in its epochs.
-The parameters these functions take must be positive and finite.
+score from power sums of the log about an anchor (`_OrtbMoments`, one array
+pair per window), which a window extends in O(K) work per observation. A
+score evaluation then costs O(K), not a pass over the log, so a replay runs
+in time linear in its epochs. The parameters these functions take must be
+positive and finite.
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ def _checked_observations(
     if not all(map(math.isfinite, ends)):
         raise ValueError("won costs and lost bids must be finite")
     won_min, won_max = ends[:2] if won.size else (math.inf, 0.0)
-    if won_min <= 0.0:
-        raise ValueError("won auctions must have strictly positive paid costs")
+    if won_min < 0.0:
+        raise ValueError("won auctions must have nonnegative paid costs")
     # The fit searches c up to at least 4 * max(won) + 1, a finite double.
     if 4.0 * won_max + 1.0 == math.inf:
         raise ValueError(f"won costs must be at most 4.49e307, got {won_max!r}")
@@ -172,36 +173,23 @@ def ortb_log_likelihood(c: float, won_costs, lost_bids) -> float:
     return ll
 
 
-def _ortb_score(
-    c: float, won: np.ndarray, lost: np.ndarray, n: int, won_buf: np.ndarray, lost_buf: np.ndarray,
-) -> tuple[float, float]:
+def _ortb_score(c: float, won: np.ndarray, lost: np.ndarray, n: int) -> tuple[float, float]:
     # The score n - 2 sum a - sum b, with a = c/(c+won) and b = c/(c+lost),
-    # and its slope -(2 sum a(1-a) + sum b(1-b))/c. The ratios are formed in
-    # place in the fit's scratch buffers; a sum and a dot product of each give both.
-    np.add(c, won, out=won_buf)
-    np.divide(c, won_buf, out=won_buf)
-    sum_a = float(np.sum(won_buf))
-    value = n - 2.0 * sum_a
-    curvature = 2.0 * (sum_a - float(np.dot(won_buf, won_buf)))
-    if lost.size:
-        np.add(c, lost, out=lost_buf)
-        np.divide(c, lost_buf, out=lost_buf)
-        sum_b = float(np.sum(lost_buf))
-        value -= sum_b
-        curvature += sum_b - float(np.dot(lost_buf, lost_buf))
+    # and its slope -(2 sum a(1-a) + sum b(1-b))/c: a sum and a dot product
+    # of each ratio array give both. With no lost bids, b adds +0.0 to both.
+    a, b = c / (c + won), c / (c + lost)
+    sum_a, sum_b = float(np.sum(a)), float(np.sum(b))
+    value = n - 2.0 * sum_a - sum_b
+    curvature = 2.0 * (sum_a - float(np.dot(a, a))) + (sum_b - float(np.dot(b, b)))
     return value, -curvature / c
 
 
-def _ortb_cold_start(
-    won: np.ndarray, lost: np.ndarray, n: int, won_buf: np.ndarray, lost_buf: np.ndarray,
-) -> float:
+def _ortb_cold_start(won: np.ndarray, lost: np.ndarray, n: int) -> float:
     # The score's tangent at c -> 0 is n - c (2 sum 1/won + sum 1/lost); its
-    # root lies left of the score's. A cost near the smallest double makes
-    # 1/won infinite, and the start then 0.
-    with np.errstate(over="ignore"):
-        slope = 2.0 * float(np.sum(np.divide(1.0, won, out=won_buf)))
-        if lost.size:
-            slope += float(np.sum(np.divide(1.0, lost, out=lost_buf)))
+    # root lies left of the score's. A won cost of 0, or one near the smallest
+    # double, makes 1/won infinite, and the start then 0.
+    with np.errstate(divide="ignore", over="ignore"):
+        slope = 2.0 * float(np.sum(1.0 / won)) + float(np.sum(1.0 / lost))
     return n / slope
 
 
@@ -221,8 +209,8 @@ def _ortb_newton(score, start: float, c_max: float) -> OrtbFit:
     evaluated once per distinct c.
     """
     c = min(max(start, _C_MIN), c_max)
-    # The score is n > 0 as c -> 0 and -won.size < 0 as c -> inf. A bracket
-    # end at 0 or inf means that the search end beside it is not evaluated yet.
+    # The score falls from at most n as c -> 0 to -won.size < 0 as c -> inf. A
+    # bracket end at 0 or inf means that the search end beside it is not evaluated yet.
     lo, hi = 0.0, math.inf
     while True:
         value, slope = score(c)
@@ -257,7 +245,8 @@ def ortb_fit_c(won_costs: np.ndarray, lost_bids: np.ndarray, start: float | None
     The curve w(bp; c) = bp/(c + bp) implies the competing-bid density
     c/(c + x)^2, so won auctions contribute its log density at the paid cost
     and lost ones the log survival at our bid. Lost bids at or below 0 are
-    vacuous and dropped; non-finite inputs raise `ValueError`.
+    vacuous and dropped. Won costs may be 0 (an underflowed draw, of density
+    1/c); negative ones and non-finite inputs raise `ValueError`.
 
     The score equation in c is convex and strictly decreasing, so it has one
     root, and Newton's method from the root's left climbs to it without
@@ -272,41 +261,18 @@ def ortb_fit_c(won_costs: np.ndarray, lost_bids: np.ndarray, start: float | None
     them. A won cost above about 4.49e307, where hi overflows, raises
     `ValueError`.
 
-    The fit allocates one scratch array for the score, evaluates it exactly
-    once per distinct c, and leaves the log-likelihood to
-    `ortb_log_likelihood`. `landscape.split_observations` turns an
-    observation log into the two arrays. A replay's later refits run the same
-    Newton loop on `_OrtbMoments`, which evaluates the score from power sums.
+    The fit evaluates the score exactly once per distinct c, and leaves the
+    log-likelihood to `ortb_log_likelihood`. `landscape.split_observations`
+    turns an observation log into the two arrays, and rejects won costs of 0.
+    A replay's later refits run the same Newton loop on `_OrtbMoments`, which
+    evaluates the score from power sums.
     """
     won, lost, won_max, _ = _ortb_observations(won_costs, lost_bids)
-    scratch = np.empty(max(won.size, lost.size))
-    args = (won, lost, won.size + lost.size, scratch[: won.size], scratch[: lost.size])
+    args = (won, lost, won.size + lost.size)
     if start is None:
         start = _ortb_cold_start(*args)
     # `_ortb_score` is looked up at each evaluation, so a test can stand in for it.
     return _ortb_newton(lambda c: _ortb_score(c, *args), start, _ortb_c_max(won_max))
-
-
-class _GrowingArray:
-    """A float array appended to in place; its capacity doubles when it runs out."""
-
-    def __init__(self) -> None:
-        self._data = np.empty(0)
-        self._size = 0
-
-    def extend(self, values: np.ndarray) -> None:
-        end = self._size + values.size
-        if end > self._data.size:
-            grown = np.empty(max(end, 2 * self._data.size))
-            grown[: self._size] = self._data[: self._size]
-            self._data = grown
-        self._data[self._size : end] = values
-        self._size = end
-
-    @property
-    def view(self) -> np.ndarray:
-        """The values appended so far, in order, as a view of the storage."""
-        return self._data[: self._size]
 
 
 #: Order K of the power series `_OrtbMoments` evaluates the ORTB score from.
@@ -350,45 +316,53 @@ class _OrtbMoments:
     Greengard & Rokhlin (J. Comput. Phys. 1987), re-centred as they are.
 
     `add` checks a window's observations as `ortb_fit_c` does and appends
-    them to two growing arrays. `anchor_at` sums the whole log about a, in
-    chunks of bounded scratch. `fit` adds the observations appended since to
-    the sums, then runs `ortb_fit_c`'s Newton loop on them, and re-anchors at
-    any iterate whose r exceeds `_ANCHOR_RADIUS`.
+    them to the log as one array pair; `observations` concatenates them.
+    `anchor_at` sums the whole log about a, in chunks of bounded scratch.
+    `fit` adds the windows added since to the sums, then runs `ortb_fit_c`'s
+    Newton loop on them, and re-anchors at any iterate whose r exceeds
+    `_ANCHOR_RADIUS`.
     """
 
     def __init__(self) -> None:
-        self.won = _GrowingArray()
-        self.lost = _GrowingArray()
+        # Each window's checked (won, lost) pair, in the order added, and their wins.
+        self._windows: list[tuple[np.ndarray, np.ndarray]] = []
+        self.n_won = 0
         #: The c the sums are taken about; None until the first `anchor_at`.
         self.anchor: float | None = None
         self._largest_won = 0.0
         self._smallest = math.inf
         self._sums = np.zeros(_SERIES_ORDER + 1)
         self._coeffs: list[float] = []
-        self._summed = (0, 0)
+        # The windows, and the observations, that the sums hold.
+        self._summed = self._n = 0
 
     def add(self, won_costs, lost_bids) -> None:
         """Append a window's won costs and lost bids, checked as `ortb_fit_c` checks them."""
         won, lost, largest_won, smallest = _checked_observations(won_costs, lost_bids)
-        self.won.extend(won)
-        self.lost.extend(lost)
+        self._windows.append((won, lost))
+        self.n_won += won.size
         self._largest_won = max(self._largest_won, largest_won)
         self._smallest = min(self._smallest, smallest)
+
+    def observations(self, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """The won costs and the lost bids of the windows from `start` on, each concatenated."""
+        windows = [(np.empty(0), np.empty(0)), *self._windows[start:]]
+        return tuple(np.concatenate(column) for column in zip(*windows))
 
     def anchor_at(self, a: float) -> None:
         """Take the power sums of the whole log about `a`."""
         self.anchor = a
         self._sums[:] = 0.0
-        self._summed = (0, 0)
+        self._summed = self._n = 0
         self._sum_new()
 
     def _sum_new(self) -> None:
-        won, lost = self.won.view, self.lost.view
-        (i, j), chunk = self._summed, _POWER_CHUNK
-        while i < won.size or j < lost.size:
-            _add_power_sums(self._sums, self.anchor, won[i : i + chunk], lost[j : j + chunk])
-            i, j = min(i + chunk, won.size), min(j + chunk, lost.size)
-        self._summed = (i, j)
+        won, lost = self.observations(self._summed)
+        for i in range(0, max(won.size, lost.size), _POWER_CHUNK):
+            chunk = slice(i, i + _POWER_CHUNK)
+            _add_power_sums(self._sums, self.anchor, won[chunk], lost[chunk])
+        self._summed = len(self._windows)
+        self._n += won.size + lost.size
         # Highest order first, as Horner's rule reads them.
         self._coeffs = self._sums[::-1].tolist()
 
@@ -401,8 +375,7 @@ class _OrtbMoments:
         for s in self._coeffs:
             dp = dp * d + p
             p = p * d + s
-        n = self._summed[0] + self._summed[1]
-        return n - c * p, c * dp - p
+        return self._n - c * p, c * dp - p
 
     def fit(self, start: float) -> OrtbFit:
         """The refit of c from `start` over the whole log; `anchor_at` must have run."""

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy
@@ -274,14 +276,23 @@ class TestSolve:
         assert all(isinstance(t, float) and t >= 0.0 for t in stages.values())
 
 
-@pytest.mark.parametrize("command", ["gen", "solve", "simulate", "fit"])
-def test_manifest_records_versions(command, small_instance, tmp_path):
+@pytest.mark.parametrize("command", ["gen", "solve", "simulate", "compare", "fit"])
+def test_manifest_records_versions(command, small_instance, tmp_path, monkeypatch):
+    # The version probe is slowed past any stage of these commands: no stage pays for it.
+    versions = cli._versions
+
+    def slow_versions():
+        time.sleep(0.2)
+        return versions()
+
+    monkeypatch.setattr(cli, "_versions", slow_versions)
     obs = tmp_path / "obs.csv"
     write_observations_csv(obs, [BidObservation(Outcome.WON, 2.0, 1.0), BidObservation(Outcome.LOST, 1.0)])
     argv = {
         "gen": ["gen", "--n-impressions", "5"],
         "solve": ["solve", "--instance", str(small_instance), "--epochs-sgd", "2"],
         "simulate": ["simulate", "--instance", str(small_instance), "--strategy", "lin", "--epochs", "2"],
+        "compare": ["compare", "--instance", str(small_instance), "--strategies", "lin,ortb", "--epochs", "2"],
         "fit": ["fit", "--observations", str(obs), "--family", "ortb"],
     }[command]
     assert run([*argv, "--out-dir", str(tmp_path / "o")]) == 0
@@ -290,7 +301,9 @@ def test_manifest_records_versions(command, small_instance, tmp_path):
     assert manifest["versions"] == {
         "python": python, "numpy": numpy.__version__, "scipy": scipy.__version__,
     }
-    assert ("stages_s" in manifest) == (command in ("solve", "simulate"))
+    assert ("stages_s" in manifest) == (command in ("solve", "simulate", "compare"))
+    if "stages_s" in manifest:
+        assert manifest["stages_s"]["load"] < 0.2
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
@@ -708,6 +721,52 @@ def test_replay_without_ads_exits_2(strategy, small_instance, tmp_path, capsys):
     argv = ["simulate", "--instance", str(empty), "--out-dir", str(tmp_path / "o")]
     assert run([*argv, "--strategy", strategy, "--target-roi", "2", *params]) == 2
     assert "at least one ad" in capsys.readouterr().err
+
+
+def _with_every_impression(**fields):
+    return lambda doc: doc | {"impressions": [imp | fields for imp in doc["impressions"]]}
+
+
+#: Changes of the small instance's document to the edges of its numbers.
+NUMERIC_EDGES = {
+    "no_impressions": lambda doc: doc | {"impressions": []},
+    "no_constraints": lambda doc: doc | {"constraints": []},
+    "zero_ppi": lambda doc: _with_every_impression(ppi=[0.0] * len(doc["ads"]))(doc),
+    # Every competing bid underflows to 0 or overflows to inf.
+    "mu_-800": _with_every_impression(mu=-800.0),
+    "mu_800": _with_every_impression(mu=800.0),
+}
+
+
+@pytest.mark.parametrize("edge", list(NUMERIC_EDGES))
+def test_numeric_edge_instances_run_without_runtime_warnings(edge, small_instance, tmp_path):
+    """`solve`, `simulate` of every strategy and `compare` exit 0 at each edge.
+
+    A window of one epoch makes every feedback strategy update, and ORTB refit,
+    after each epoch. At mu = -800 every positive bid wins at cost 0.
+    """
+    document = json.loads(small_instance.read_text())
+    payload = NUMERIC_EDGES[edge](document)
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(payload))
+    k = len(payload["constraints"])
+    replay = ["--instance", str(instance), "--epochs", "3", *(["--target-roi", "2"] if k == 0 else [])]
+    window = ["--params", json.dumps({"update_window": len(document["impressions"])})]
+    commands = {
+        "solve": ["solve", "--instance", str(instance), "--epochs-sgd", "3"],
+        "compare": ["compare", "--strategies", "db_single,db_multi,ortb,lin", *replay, *window],
+    }
+    for strategy in sim.STRATEGY_PARAMS:
+        params = ["--params", json.dumps({"alpha": [0.0] * k})] if strategy == "fixed_alpha" else window
+        commands[strategy] = ["simulate", "--strategy", strategy, *replay, *params]
+    for label, argv in commands.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run([*argv, "--out-dir", str(tmp_path / label)]) == 0, label
+    if edge == "mu_-800":
+        with open(tmp_path / "ortb" / "epochs_ortb.csv", newline="") as handle:
+            epochs = list(csv.DictReader(handle))
+        assert epochs and all(float(e["cost"]) == 0.0 and int(e["wins"]) > 0 for e in epochs)
 
 
 def test_integer_instance_numbers_are_accepted(small_instance, tmp_path):

@@ -97,12 +97,10 @@ class TestComposeCoeffs:
     def test_zero_prices_reduce_to_objective(self):
         rng = np.random.default_rng(0)
         instance = random_instance(rng)
-        for i in range(len(instance.impressions)):
+        for i, imp in enumerate(instance.impressions):
             for j in range(instance.n_ads):
                 coeffs = compose_coeffs(instance, i, j, np.zeros(instance.n_constraints))
-                expected = encode_objective(
-                    instance.objective, instance.ads[j].economics, instance.impressions[i].ppi[j]
-                )
+                expected = encode_objective(instance.objective, instance.ads[j].economics, imp.ppi[j])
                 assert coeffs == expected
 
     def test_budget_plus_roi_hand_expansion(self):
@@ -475,9 +473,9 @@ def test_composite_is_the_priced_card(seed, m, k, scale):
             assert got.tobytes() == psi_ref.tobytes()
 
 
-def scalar_reference(model, phi, psi, i):
+def scalar_reference(model, phi, psi, prior):
     """Per-ad scalar path: `argmax_bid` and `evaluate` on each ad's composite."""
-    prior, cap = model.instance.impressions[i].prior, model.instance.bid_cap
+    cap = model.instance.bid_cap
     bids, scores = [], []
     for p, q in zip(phi.tolist(), psi.tolist()):
         coeffs = UtilityCoeffs(p, q)
@@ -499,10 +497,11 @@ def assert_kernel_matches_reference(model, alpha):
     decisions = model.decide_rows(alpha)
     assert all(a.shape == (model.n_items,) for a in decisions)
     phi_all, psi_all = model.composite(slice(None), alpha)
-    for i in range(model.n_items):
+    # `impressions` builds every row view, so it is read once.
+    for i, imp in enumerate(model.instance.impressions):
         phi, psi = model.composite(i, alpha)
         assert bits(phi) == bits(phi_all[i]) and bits(psi) == bits(psi_all[i])
-        ref_bp, ref_scores = scalar_reference(model, phi, psi, i)
+        ref_bp, ref_scores = scalar_reference(model, phi, psi, imp.prior)
         bp, scores = model.item_best(i, alpha)
         assert bits(bp) == bits(ref_bp) and bits(scores) == bits(ref_scores)
 
@@ -510,10 +509,9 @@ def assert_kernel_matches_reference(model, alpha):
         for a, s in enumerate(ref_scores.tolist()):
             if s > best:  # the first maximum wins
                 j, best = a, s
-        prior = model.instance.impressions[i].prior
         if j is not None and best >= 0.0 and ref_bp[j] > 0.0:
             bid = float(ref_bp[j])
-            expected = (j, bid, best, win_prob(prior, bid), expected_cost(prior, bid))
+            expected = (j, bid, best, win_prob(imp.prior, bid), expected_cost(imp.prior, bid))
         else:
             expected = (-1, 0.0, best, 0.0, 0.0)
         ad, *values = (a[i] for a in decisions)

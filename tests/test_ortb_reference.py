@@ -1,8 +1,7 @@
-"""ORTB's curve fit and replay refits against reference copies of the allocating code.
+"""ORTB's curve fit and replay refits against written-out reference copies.
 
-The reference score and slope form `c / (c + x)` as fresh temporaries on
-every evaluation; `ortb_fit_c` forms them in one scratch buffer, and must
-give the same bits. Each fitted c carries a root certificate: the score
+The reference score and slope are written apart from `_ortb_score`, which
+must give the same bits. Each fitted c carries a root certificate: the score
 changes sign across c * (1 -+ 1e-12), a tighter bound than the xtol = rtol =
 1e-12 of the brentq reference it is also checked against. The reference
 refit concatenates per-epoch observation lists on every window and fits
@@ -139,24 +138,18 @@ class ReferenceOrtb(OrtbStrategy):
 
 
 class RecordingOrtb(OrtbStrategy):
-    """ORTB that records each refit's start, c and log, and each regrowth of its buffers."""
+    """ORTB that records each refit's start, c and log."""
 
     def _restart(self):
         super()._restart()
-        self.fits, self.regrowths = [], 0
-
-    def _observe(self, feedback):
-        storage = (self._log.won._data, self._log.lost._data)
-        super()._observe(feedback)
-        self.regrowths += storage[0] is not self._log.won._data
-        self.regrowths += storage[1] is not self._log.lost._data
+        self.fits = []
 
     def _update(self, actual_roi):
         start = self.state.c if self._log.anchor is not None else None
         super()._update(actual_roi)
-        won, lost = self._log.won.view, self._log.lost.view
+        won, lost = self._log.observations()
         if won.size:
-            self.fits.append((start, self.state.c, won.copy(), lost.copy()))
+            self.fits.append((start, self.state.c, won, lost))
 
 
 class CountingScore:
@@ -214,10 +207,8 @@ def test_fit_matches_reference(label, won, lost):
 def test_score_matches_reference(label, won, lost):
     positive = lost[lost > 0.0]
     n = won.size + positive.size
-    scratch = np.empty(max(won.size, positive.size))
-    buffers = (scratch[: won.size], scratch[: positive.size])
     for c in (1e-12, 1e-3, 0.7, 2.5, 1e15):
-        value, slope = strategies._ortb_score(c, won, positive, n, *buffers)
+        value, slope = strategies._ortb_score(c, won, positive, n)
         assert bits(value) == bits(reference_score(c, won, positive, n))
         assert bits(slope) == bits(reference_slope(c, won, positive))
         # The slope is the score's derivative, -(2 sum a(1-a) + sum b(1-b)) / c.
@@ -264,8 +255,7 @@ def test_unconverged_ends_from_a_warm_start(won, lost, start, expected):
 
 
 def test_replay_refits_match_concatenating_reference():
-    # 30 impressions per epoch and a refit after every second epoch: the
-    # observation buffers start empty and regrow as the replay runs.
+    # 30 impressions per epoch and a refit after every second epoch.
     instance = gen_mock_instance(MockConfig(n_impressions=30, seed=3))
     params = {"update_window": 60}
     reference = ReferenceOrtb(**params)
@@ -273,7 +263,6 @@ def test_replay_refits_match_concatenating_reference():
     expected = run_monte_carlo(instance, reference, epochs=40, seed=7)
     actual = run_monte_carlo(instance, recording, epochs=40, seed=7)
 
-    assert recording.regrowths >= 6  # at least three times per buffer
     assert len(recording.fits) == len(reference.fits) == 20
     assert actual.per_strategy_metrics == expected.per_strategy_metrics
     assert actual.per_constraint == expected.per_constraint
@@ -344,14 +333,6 @@ def test_cold_fits_of_the_benchmark_pools_evaluate_the_score_few_times(monkeypat
             assert 0 < len(counter.calls) <= 10, (seed, k)
 
 
-def test_growing_array_keeps_order_across_regrowths():
-    buffer = strategies._GrowingArray()
-    chunks = [np.arange(k, dtype=float) + 10 * k for k in (0, 3, 1, 7, 0, 20, 2)]
-    for chunk in chunks:
-        buffer.extend(chunk)
-    assert buffer.view.tobytes() == np.concatenate(chunks).tobytes()
-
-
 #: A bound on the relative truncation error of the moments' slope within the
 #: anchor radius: with rho = (a - c) / (a + x) and |rho| <= r, each
 #: observation's slope term errs by at most 2 r^(K+1) + (K+1)(1+r) r^K of
@@ -376,7 +357,7 @@ def anchored(won, lost, a):
 
 def exact_score(c, won, lost):
     n = won.size + lost.size
-    return strategies._ortb_score(c, won, lost, n, np.empty(won.size), np.empty(lost.size))
+    return strategies._ortb_score(c, won, lost, n)
 
 
 @given(
@@ -422,8 +403,9 @@ def test_windows_added_one_by_one_match_one_anchor_over_the_log(windows, a):
     won = np.concatenate([np.array(w, dtype=float) for w, _ in windows])
     lost = np.concatenate([np.array(l, dtype=float) for _, l in windows])
     at_once = anchored(won, lost, a)
-    assert one_by_one.won.view.tobytes() == won.tobytes()
-    assert one_by_one.lost.view.tobytes() == lost.tobytes()
+    logged = one_by_one.observations()
+    assert logged[0].tobytes() == won.tobytes()
+    assert logged[1].tobytes() == lost.tobytes()
     # The same positive terms, summed in another order: each sum of n of
     # them rounds by at most (n - 1) units of 2^-53.
     n = won.size + lost.size

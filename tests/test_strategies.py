@@ -190,6 +190,18 @@ class TestOrtbFitC:
         fit = ortb_fit_c(np.array([1e-300]), np.array([0.5]))
         assert fit == OrtbFit(1e-12, converged=False)
 
+    def test_won_costs_of_zero_are_kept(self):
+        # A won cost of 0, a draw that underflowed, adds -2 to the score at
+        # every c: wins at cost 0 alone put the root below the bracket. The
+        # cold start's 1/0 raises no RuntimeWarning.
+        assert ortb_fit_c(np.array([0.0, 0.0]), np.array([])) == OrtbFit(1e-12, converged=False)
+        won, lost = np.array([0.0, 1.0]), np.full(4, 0.5)
+        fit = ortb_fit_c(won, lost)
+        ll = [ortb_log_likelihood(fit.c * r, won, lost) for r in (0.999, 1.0, 1.001)]
+        assert fit.converged and ll[1] > max(ll[0], ll[2])
+        with pytest.raises(ValueError, match="nonnegative paid costs"):
+            ortb_fit_c(np.array([0.5, -1e-300]), lost)
+
     def test_root_above_the_upper_bracket(self):
         # Lost bids far above the won cost keep the score positive up to the
         # bracket end, 4 * 1.0 + 1 raised by factors of 10 to at least 1e15.
