@@ -2,13 +2,14 @@
 
 Runs `gen` and `solve` (both objectives), `compare`, `simulate` (each
 strategy of `compare`, and fixed_alpha), a 40-epoch `solve` of the revenue
-instances of seeds 0 and 1, a wide `solve`, a `solve` of an
-instance with string impression ids and one of an instance with no ads, a
-`solve` and a fixed_alpha `simulate` of an instance with overflowing
-landscape means, `gen --config` and `solve` of two P4U instances, and `fit`
-(both families) in process into a temporary directory, and prints one line
-per output file: digest, then `<command label>/<file name>`. Two source trees
-whose digests match wrote byte-identical outputs. Each command's
+instances of seeds 0 and 1, `gen` and `solve` of a 40-impression instance,
+a wide `solve`, a `solve` of an instance with string impression ids and one
+of an instance with no ads, a `solve` and a fixed_alpha `simulate` of an
+instance with overflowing landscape means, `gen --config` and `solve` of two
+P4U instances, and `fit` (both families) in process into a temporary
+directory, and prints one line per output file: digest, then `<command
+label>/<file name>`. Two source trees whose digests match wrote
+byte-identical outputs. Each command's
 `manifest.json` is digested too, after its timing fields (`wall_time_s`,
 `stages_s`) are dropped and the temporary directory's path in it is replaced
 by `<work>`, so a digest diff also shows a change in the recorded flags,
@@ -21,7 +22,9 @@ versions, so compare its digests on one host.
 The 40-epoch solves and the default ones of seeds 0 and 1 are knife-edge
 instances: a single price vector sits on the kink of the dual, so a change
 in the last bits of the composite moves whole ads and the primal value with
-them, and the digest shows it.
+them, and the digest shows it. A 40-impression instance from `gen` is solved
+too: it fits in one SGD batch, so every step of its solve reads the dual
+pass of the prices the epoch starts from.
 
 The observation logs for `fit` are the benchmark's `fit_logs` pools of seed 0,
 drawn by `perfbench/workloads.py:observation_pool` of this checkout, and the
@@ -94,6 +97,8 @@ FIXED_ALPHA = [0.0, 0.66, 0.36, 0.0]
 FIT_SEED = 0
 #: Seeds whose revenue instance is also solved with `KNIFE_EPOCHS` SGD epochs.
 KNIFE_SEEDS, KNIFE_EPOCHS = (0, 1), 40
+#: Size and seed of a generated instance that fits in one SGD batch.
+ONE_BATCH_N, ONE_BATCH_SEED = 40, 0
 #: Size, seed and epochs of the benchmark's `solve_wide` instance solved here.
 WIDE_N, WIDE_SEED, WIDE_EPOCHS = 2000, 0, 40
 #: Size of the string-id and no-ads instances, and the epochs they are solved with.
@@ -271,6 +276,11 @@ def commands(work: Path, n_pools: int) -> list[tuple[str, list[str]]]:
         knife = ["solve", "--instance", str(work / f"gen_{seed}" / "instance.json"),
                  "--epochs-sgd", str(KNIFE_EPOCHS)]
         out.append((f"solve_{seed}_epochs_{KNIFE_EPOCHS}", knife))
+    one_batch = f"gen_n{ONE_BATCH_N}"
+    gen = ["gen", "--n-impressions", str(ONE_BATCH_N), "--seed", str(ONE_BATCH_SEED)]
+    out.append((one_batch, gen))
+    solve = ["solve", "--instance", str(work / one_batch / "instance.json")]
+    out.append((f"solve_n{ONE_BATCH_N}", solve))
     wide = ["solve", "--instance", str(work / "wide.json"), "--epochs-sgd", str(WIDE_EPOCHS)]
     out.append(("solve_wide", wide))
     for name in ("string_ids", "no_ads", "overflow"):

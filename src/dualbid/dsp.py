@@ -9,8 +9,10 @@ prices happens in the hot path.
 
 A `DspInstance` holds its impressions as columns: ids, and read-only arrays
 of each prior's `mu` and `sigma`, shaped (N,), and of the PPIs, shaped
-(N, M), checked once as arrays. `DspChoiceModel` borrows them without a copy,
-and `DspInstance.impressions` builds `Impression` row views on request.
+(N, M), checked once as arrays. `DspInstance.impressions` builds
+`Impression` row views on request. `DspChoiceModel` stacks the columns it
+reads per row into one read-only row table, so selecting a batch's rows is
+one `take`.
 
 `DspChoiceModel` prices every decision from one per-ad rate card of slopes
 and intercepts in PPI: a composite is the card priced once, then
@@ -23,15 +25,22 @@ first top-scoring ad. `DspChoiceModel.decide_rows` runs it over all rows for
 the evaluator and the replay, and `write_decisions_csv` writes
 `decisions.csv` straight from its arrays; `bid_decision` is its one-row
 view. The SGD step runs the kernel over each mini-batch and accounts the
-batch with `totals` (`batch_consumption`), and `beta_sum` and `item_best`
-read the per-ad scores it computes on the way.
+batch with `totals`' sums (`batch_consumption`), and `beta_sum` and
+`item_best` read the per-ad scores it computes on the way.
+
+The kernel runs once per price vector. `beta_sum` keeps the response stack
+of its pass over every row, and the next `batch_consumption` or
+`decide_rows` at the same prices (compared as bytes) takes its rows from it
+instead of running the kernel again; any such call lets the stack go. The
+SGD solve evaluates the dual at the prices each epoch starts from, so every
+epoch's first batch, and every batch when N <= 64, is served by that pass.
 
 A 64-row batch at M = 2 gives each array pass 128 cells, which cost about as
 much as the numpy call itself, so the kernel makes few calls: bid, win
-probability, cost and score fill one stacked buffer in place, and one `take`
-picks each row's top ad from all four. Each element goes through the same
-floating-point operations whichever rows are selected, so outputs keep their
-bits.
+probability, cost, score and the ad's PPI fill one stacked buffer in place,
+and one `take` picks each row's top ad from all five. Each element goes
+through the same floating-point operations whichever rows are selected, so
+outputs keep their bits.
 """
 
 from __future__ import annotations
@@ -196,18 +205,24 @@ class RowDecisions(NamedTuple):
     cost: np.ndarray
 
 
+# Layers of the kernel's response stack, shaped (5, rows, M).
+BP, PROB, COST, SCORE, PPI = range(5)
+
+
 def _first_max(responses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's first top-scoring ad, that ad's column of `responses`, and whether it bids.
 
     A row bids iff the score is >= 0 and the bid > 0, as a bid of 0 cannot
     win a second-price auction. With no ads no row bids and the score is -inf.
     """
-    _, n, m = responses.shape
+    layers, n, m = responses.shape
     if m == 0:
-        return np.full(n, -1), np.repeat([[0.0], [0.0], [0.0], [-np.inf]], n, 1), np.zeros(n, bool)
-    ad = responses[3].argmax(axis=1)
-    picked = responses.reshape(4, n * m).take(np.arange(0, n * m, m) + ad, axis=1)
-    return ad, picked, (picked[3] >= 0.0) & (picked[0] > 0.0)
+        picked = np.zeros((layers, n))
+        picked[SCORE] = -np.inf
+        return np.full(n, -1), picked, np.zeros(n, bool)
+    ad = responses[SCORE].argmax(axis=1)
+    picked = responses.reshape(layers, n * m).take(np.arange(0, n * m, m) + ad, axis=1)
+    return ad, picked, (picked[SCORE] >= 0.0) & (picked[BP] > 0.0)
 
 
 class DspChoiceModel(mmkp.ChoiceModel):
@@ -219,13 +234,19 @@ class DspChoiceModel(mmkp.ChoiceModel):
     shaped (2, 2, M, K + 1): half (phi, psi), then (slope, intercept), ad, and
     column, where column 0 is the objective and column 1 + k constraint row
     k. Built from 2 * M * (K + 1) scalar encoder calls at any N, it is the
-    only copy of the coefficients beside the (N, M) PPIs.
+    only copy of the coefficients.
+
+    The kernel reads each impression from one read-only row table, shaped
+    (N, M + 3) or (N, M + 4): the PPIs, `mu`, `sigma`, the landscape mean and,
+    when some mean overflowed, the overflow mask as 0.0 or 1.0. Pricing
+    writes into one buffer and `beta_sum` keeps its pass, so a model is not
+    shared between threads.
     """
 
     def __init__(self, instance: DspInstance):
         self.instance = instance
         m, k = instance.n_ads, instance.n_constraints
-        self._ppi = instance.ppi
+        self._m = m
         # A coefficient is c * ppi or a constant, so its value at PPI 0 is the
         # intercept and its value at PPI 1 less that is the slope, exactly.
         self._card = np.empty((2, 2, m, k + 1))
@@ -234,14 +255,23 @@ class DspChoiceModel(mmkp.ChoiceModel):
             self._card[:, 0, j], self._card[:, 1, j] = at_one - intercept, intercept
         # Affine in PPI >= 0, a coefficient is finite on every row iff it is
         # finite at the ad's largest PPI (and at 0, which the encoders check).
-        top = self._ppi.max(axis=0, initial=0.0)[:, None]
+        top = instance.ppi.max(axis=0, initial=0.0)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(top * self._card[:, 0] + self._card[:, 1]).all()
         if not finite:
             raise ValueError("coefficients must be finite at every impression's PPI")
         self._budgets = np.array([constraint_limit(s) for s in instance.constraints])
         self._cap = float(instance.bid_cap)
-        *self._prior, self._over = landscape.prior_arrays(instance.mu, instance.sigma)
+        # `_card` flattened to (4M, K + 1), a view, and [1, -alpha] to price it with.
+        self._flat_card = self._card.reshape(4 * m, k + 1)
+        self._prices = np.ones(k + 1)
+        self._neg_alpha = self._prices[1:]
+        *prior, over = landscape.prior_arrays(instance.mu, instance.sigma)
+        self._overflows = over is not None
+        self._rows = np.hstack([instance.ppi, *prior, *([over] if self._overflows else [])])
+        self._rows.flags.writeable = False
+        # (prices as bytes, response stack of every row) of the last `beta_sum`.
+        self._memo = None
 
     def _encode(self, ad: Ad, ppi: float) -> np.ndarray:
         """(phi, psi) of the objective and each constraint row for `ad` at one PPI, shaped (2, K + 1)."""
@@ -264,41 +294,81 @@ class DspChoiceModel(mmkp.ChoiceModel):
         `column`.
         """
         card = self._card[:, :, ad, column]
-        return self._ppi[rows, ad] * card[:, 0] + card[:, 1]
+        return self._rows[rows, ad] * card[:, 0] + card[:, 1]
+
+    def _price(self, alpha: np.ndarray) -> np.ndarray:
+        """The card priced at `alpha`, `card @ [1, -alpha]`, shaped (half, slope or intercept, 1, M)."""
+        if np.shape(alpha) != self._neg_alpha.shape:
+            raise ValueError(f"alpha must have shape {self._neg_alpha.shape}, got {np.shape(alpha)}")
+        np.negative(alpha, out=self._neg_alpha)
+        return (self._flat_card @ self._prices).reshape(2, 2, 1, self._m)
 
     def composite(self, rows: int | slice | np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """Per-ad (phi_F, psi_F) at prices `alpha` for an impression index, slice or index array.
 
         Stacked first, so `phi, psi = composite(...)` unpacks it. The card is
-        priced once, `card @ [1, -alpha]`, and each row is `ppi * slope +
-        intercept` of it, bit for bit the same whichever way it is selected.
+        priced once and each row is `ppi * slope + intercept` of it, bit for
+        bit the same whichever way it is selected.
         """
-        prices = np.concatenate(([1.0], -np.asarray(alpha, dtype=float)))
-        ppi = self._ppi[rows]
-        # (half, slope or intercept, then a unit axis per row axis, ad)
-        priced = self._card.reshape(-1, prices.size) @ prices
-        priced = priced.reshape(2, 2, *[1] * (ppi.ndim - 1), ppi.shape[-1])
+        ppi = self._rows[rows, : self._m]
+        priced = self._price(alpha).reshape(2, 2, *[1] * (ppi.ndim - 1), self._m)
         return ppi * priced[:, 0] + priced[:, 1]
 
-    def _respond(self, rows: int | slice | np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        """Stacked bid, win probability, cost and score per ad."""
-        c = self.composite(rows, alpha)
-        over = None if self._over is None else self._over[rows]
-        out = np.zeros((4, *c.shape[1:]))
-        _best_bids(*c, self._cap, out[0])
-        landscape.win_prob_cost(out[0], *(a[rows] for a in self._prior), over, out[1:3])
-        np.add(*(c * out[1:3]), out=out[3])
+    def _respond(self, table: np.ndarray, priced: np.ndarray) -> np.ndarray:
+        """The response stack of the row table `table` on the priced card `priced`.
+
+        Layers `BP`, `PROB`, `COST`, `SCORE` and `PPI`: each ad's best bid,
+        its win probability, cost and score, and the ad's PPI.
+        """
+        m = self._m
+        ppi = table[:, :m]
+        c = ppi * priced[:, 0] + priced[:, 1]
+        out = np.zeros((5, len(table), m))
+        _best_bids(c[0], c[1], self._cap, out[BP])
+        over = table[:, m + 3 :] > 0.0 if self._overflows else None
+        landscape.win_prob_cost(
+            out[BP], table[:, m : m + 1], table[:, m + 1 : m + 2], table[:, m + 2 : m + 3], over,
+            out[PROB : COST + 1],
+        )
+        np.multiply(c, out[PROB : COST + 1], out=c)
+        np.add(c[0], c[1], out=out[SCORE])
+        out[PPI] = ppi
         return out
+
+    def _responses(self, rows: np.ndarray | None, alpha: np.ndarray) -> np.ndarray:
+        """The response stack of impressions `rows` (every row if None) at prices `alpha`.
+
+        At the prices of the last `beta_sum` its stack serves the call; either
+        way the model lets it go.
+        """
+        priced = self._price(alpha)
+        if self._memo is not None and self._memo[0] == self._prices.tobytes():
+            responses = self._memo[1]
+            self._memo = None
+            return responses if rows is None else responses.take(rows, axis=1)
+        self._memo = None
+        return self._respond(self._rows if rows is None else self._rows.take(rows, axis=0), priced)
 
     def decide_rows(self, alpha: np.ndarray) -> RowDecisions:
         """The decision rule for every impression at prices `alpha`."""
-        ad, picked, bids = _first_max(self._respond(slice(None), alpha))
-        bp, prob, cost = np.where(bids, picked[:3], 0.0)
-        return RowDecisions(np.where(bids, ad, -1), bp, picked[3], prob, cost)
+        ad, picked, bids = _first_max(self._responses(None, alpha))
+        bp, prob, cost = np.where(bids, picked[:SCORE], 0.0)
+        return RowDecisions(np.where(bids, ad, -1), bp, picked[SCORE], prob, cost)
 
     def item_best(self, i: int, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        bp, _, _, score = self._respond(i, alpha)
-        return bp, score
+        responses = self._respond(self._rows[i, None], self._price(alpha))
+        return responses[BP, 0], responses[SCORE, 0]
+
+    def _account(
+        self, ad: np.ndarray, ppi: np.ndarray, prob: np.ndarray, cost: np.ndarray
+    ) -> np.ndarray:
+        """`totals` of pairs on ads `ad` whose PPIs are `ppi`."""
+        m = self._m
+        sums = (
+            np.bincount(ad, prob * ppi, m), np.bincount(ad, prob, m),
+            np.bincount(ad, cost * ppi, m), np.bincount(ad, cost, m),
+        )
+        return np.concatenate(sums) @ self._flat_card
 
     def totals(
         self, rows: np.ndarray, ad: np.ndarray, prob: np.ndarray, cost: np.ndarray
@@ -310,9 +380,7 @@ class DspChoiceModel(mmkp.ChoiceModel):
         and paid prices of an auction. Per-ad sums of `prob * ppi`, `prob`,
         `cost * ppi` and `cost`, in row order, meet the card in one product.
         """
-        ppi, m = self._ppi[rows, ad], self.instance.n_ads
-        sums = [np.bincount(ad, w, minlength=m) for w in (prob * ppi, prob, cost * ppi, cost)]
-        return np.concatenate(sums) @ self._card.reshape(4 * m, self.n_constraints + 1)
+        return self._account(ad, self._rows[rows, ad], prob, cost)
 
     def batch_consumption(self, rows: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """Summed consumption of the chosen ad of each impression in `rows` that bids.
@@ -320,15 +388,17 @@ class DspChoiceModel(mmkp.ChoiceModel):
         The rule is `decide_rows`': a row bids iff its top score is >= 0 and
         its bid is positive.
         """
-        ad, picked, bids = _first_max(self._respond(rows, alpha))
-        prob, cost = picked[1:3].compress(bids, axis=1)
-        return self.totals(rows[bids], ad[bids], prob, cost)[1:]
+        ad, picked, bids = _first_max(self._responses(rows, alpha))
+        chosen = picked.compress(bids, axis=1)
+        return self._account(ad.compress(bids), chosen[PPI], chosen[PROB], chosen[COST])[1:]
 
     def beta_sum(self, alpha: np.ndarray) -> float:
-        score = self._respond(slice(None), alpha)[3]
-        if score.shape[1] == 0:
+        """Sum of per-impression dual inner values; keeps its response stack for the next read."""
+        responses = self._responses(None, alpha)
+        self._memo = self._prices.tobytes(), responses
+        if self._m == 0:
             return 0.0
-        return float(np.maximum(score.max(axis=1), 0.0).sum())
+        return float(np.maximum(responses[SCORE].max(axis=1), 0.0).sum())
 
     def _value(self, i: int, j: int, sub_choice: float, column: int | slice):
         prior = LandscapePrior(self.instance.mu[i].item(), self.instance.sigma[i].item())

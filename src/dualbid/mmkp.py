@@ -21,6 +21,12 @@ The generic `ChoiceModel` methods derive everything from `item_best`. Here
 the allocation rule is applied only by `primal_value_of_strategy` and the
 base `batch_consumption`; the DSP model answers every decision, the SGD step
 included, from one array kernel behind `dsp.DspChoiceModel.decide_rows`.
+
+Each epoch of `sgd_solve` starts at the prices whose dual value ended the
+epoch before, so its first step asks for a batch at prices the model has
+just evaluated over every item. The DSP model keeps that pass for the step:
+one kernel pass serves both, and when all items fit in one batch every step
+of the solve is served by the dual pass of the prices it starts from.
 """
 
 from __future__ import annotations

@@ -524,7 +524,12 @@ class _WindowedStrategy(Strategy):
         self._window_impressions += self._epoch_size
         self._observe(feedback)
         if self._window_impressions >= self.update_window:
-            actual = self._window_revenue / self._window_cost if self._window_cost > 0.0 else 0.0
+            revenue, cost = self._window_revenue, self._window_cost
+            if cost > 0.0:
+                actual = revenue / cost
+            else:
+                # Revenue won at cost 0 is an unbounded ROI; no revenue is no signal.
+                actual = math.inf if cost == 0.0 and revenue > 0.0 else 0.0
             self._update(actual)
             self._window_revenue = 0.0
             self._window_cost = 0.0

@@ -63,12 +63,13 @@ def multiplicative_update(param: float, target_roi: float, actual_roi: float) ->
     """Feedback rule param' = (target / actual) * param, clamped to `PARAM_BOUNDS`.
 
     Shared by ORTB's shadow price and the dual bidder's feedback mode. A
-    window with nonpositive actual ROI (no wins, zero cost) carries no signal:
-    the parameter is returned unchanged with the degenerate flag set.
+    window with nonpositive or NaN actual ROI (no revenue) carries no
+    signal: the parameter is returned unchanged with the degenerate flag
+    set. A window won at cost 0 has ROI +inf and clamps to the lower bound.
     """
     _require_positive("param", param)
     _require_positive("target_roi", target_roi)
-    if actual_roi <= 0.0 or not math.isfinite(actual_roi):
+    if not actual_roi > 0.0:
         return UpdateResult(param, degenerate=True)
     raw = target_roi / actual_roi * param
     clamped = min(max(raw, PARAM_BOUNDS[0]), PARAM_BOUNDS[1])
@@ -84,12 +85,13 @@ def lin_bid(
     """Updated LIN bid level (actual / target) * base, clamped to (0, bid_cap].
 
     Note the ratio is inverted relative to `multiplicative_update`: a window
-    that beat its ROI target can afford to bid above the base. Degenerate
-    windows keep the base bid, clamped to the cap.
+    that beat its ROI target can afford to bid above the base, and one won
+    at cost 0 (ROI +inf) bids the cap. Degenerate windows (nonpositive or
+    NaN ROI) keep the base bid, clamped to the cap.
     """
     _require_positive("bid_base", bid_base)
     _require_positive("target_roi", target_roi)
-    if actual_roi <= 0.0 or not math.isfinite(actual_roi):
+    if not actual_roi > 0.0:
         level = min(bid_base, bid_cap)
         return UpdateResult(level, degenerate=True, clamped=level != bid_base)
     raw = actual_roi / target_roi * bid_base

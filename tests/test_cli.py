@@ -16,7 +16,7 @@ import scipy
 
 import jsonschema
 
-from dualbid import cli, sim
+from dualbid import cli, sim, strategies
 from dualbid.dsp import DspChoiceModel, Impression
 from dualbid.landscape import LandscapePrior, write_observations_csv, BidObservation, Outcome
 from dualbid.mmkp import DivergenceError
@@ -780,6 +780,32 @@ def test_integer_instance_numbers_are_accepted(small_instance, tmp_path):
 
 
 class TestSimulateAndCompare:
+    def test_window_won_at_cost_zero_moves_every_parameter(self, tmp_path):
+        # At mu about -800 every competing bid underflows to 0, so each
+        # positive bid wins for free: an unbounded ROI. Each strategy's
+        # parameter clamps after its first window (LIN's is 10 epochs); the
+        # reported ROI stays 0 and every epoch is still marked degenerate.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mu_range": [-800, -799], "n_impressions": 50}))
+        assert run(["gen", "--out-dir", str(tmp_path / "gen"), "--config", str(config)]) == 0
+        out = tmp_path / "compare"
+        assert run([
+            "compare", "--instance", str(tmp_path / "gen" / "instance.json"),
+            "--out-dir", str(out), "--strategies", "db_single,db_multi,ortb,lin",
+            "--epochs", "11", "--params", '{"update_window": 50}',
+        ]) == 0
+        lower, upper = strategies.PARAM_BOUNDS
+        payload = json.loads((tmp_path / "gen" / "instance.json").read_text())
+        lin = min(payload["bid_cap"], upper)
+        params = {name: [1.0] + [lower] * 10 for name in ("db_single", "db_multi", "ortb")}
+        params["lin"] = [1.0] * 10 + [lin]
+        for name, want in params.items():
+            with open(out / f"epochs_{name}.csv", newline="") as handle:
+                epochs = list(csv.DictReader(handle))
+            assert [float(e["param"]) for e in epochs] == want, name
+            assert all(float(e["cost"]) == 0.0 and float(e["revenue"]) > 0.0 for e in epochs)
+            assert all(float(e["actual_roi"]) == 0.0 and e["degenerate"] == "1" for e in epochs)
+
     def test_lin_param_stays_under_bid_cap(self, tmp_path):
         # A base bid far above the cap: the replay bids at most the cap, and
         # the recorded level says so from the first epoch on.

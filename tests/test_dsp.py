@@ -678,6 +678,90 @@ class TestDecideRows:
                 assert bits(decision.bid_price) == bits(rows.bp[i])
 
 
+def raw_bits(result):
+    """Dtype, shape and bytes of a kernel result, field by field for `RowDecisions`."""
+    fields = result if isinstance(result, tuple) else (result,)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, fields)]
+
+
+def held_bytes(model):
+    """Bytes of the arrays a model holds, in attributes or in tuples of them."""
+    held = [v for value in vars(model).values() for v in (value if isinstance(value, tuple) else (value,))]
+    return sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+
+
+class TestDualPassReuse:
+    """`beta_sum` keeps its pass for the next `batch_consumption` or `decide_rows`."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(71)
+        instance = random_instance(rng, n=150, m=3)
+        self.instance = with_rows(instance, [
+            dataclasses.replace(imp, prior=LandscapePrior(imp.prior.mu, 40.0)) if i % 5 == 0 else imp
+            for i, imp in enumerate(instance.impressions)
+        ])
+        k = self.instance.n_constraints
+        self.a1, self.a2 = rng.uniform(0.0, 0.5, k), rng.uniform(0.0, 0.5, k)
+        self.a1[0] = 0.0
+        self.rows = rng.permutation(150)[:64]
+
+    def fresh(self, name, *args):
+        """`name(*args)` on a new model, which has kept no pass."""
+        return getattr(DspChoiceModel(self.instance), name)(*args)
+
+    def assert_calls_match_fresh(self, model, calls):
+        for name, *args in calls:
+            assert raw_bits(getattr(model, name)(*args)) == raw_bits(self.fresh(name, *args)), name
+
+    def test_interleaved_calls(self):
+        a1, a2, rows = self.a1, self.a2, self.rows
+        self.assert_calls_match_fresh(DspChoiceModel(self.instance), [
+            ("beta_sum", a1), ("batch_consumption", rows, a2), ("batch_consumption", rows, a1),
+            ("decide_rows", a1), ("beta_sum", a1), ("decide_rows", a1),
+            ("beta_sum", a1), ("batch_consumption", rows, a1), ("batch_consumption", rows, a1),
+            ("beta_sum", a2), ("decide_rows", a1), ("beta_sum", a2), ("batch_consumption", rows, a2),
+            ("beta_sum", a1), ("beta_sum", a2), ("decide_rows", a2),
+        ])
+
+    def test_zero_signs_and_lists(self):
+        # -0.0 and 0.0 are different prices to the memo; a list is read as its array.
+        negative_zero = self.a1.copy()
+        negative_zero[0] = -0.0
+        rows = self.rows
+        self.assert_calls_match_fresh(DspChoiceModel(self.instance), [
+            ("beta_sum", self.a1), ("batch_consumption", rows, negative_zero),
+            ("beta_sum", negative_zero), ("decide_rows", self.a1),
+            ("beta_sum", self.a1.tolist()), ("batch_consumption", rows, self.a1.tolist()),
+            ("beta_sum", self.a1.tolist()), ("decide_rows", self.a1),
+        ])
+
+    def test_a_read_at_the_same_prices_runs_no_kernel(self, monkeypatch):
+        model = DspChoiceModel(self.instance)
+        runs = []
+        respond = model._respond
+        monkeypatch.setattr(model, "_respond", lambda *args: runs.append(1) or respond(*args))
+        model.beta_sum(self.a1)
+        model.batch_consumption(self.rows, self.a1.tolist())
+        assert len(runs) == 1
+        model.beta_sum(self.a1)
+        model.decide_rows(self.a1)
+        assert len(runs) == 2
+
+    def test_a_read_lets_the_pass_go(self):
+        model = DspChoiceModel(self.instance)
+        empty = held_bytes(model)
+        for read in (
+            lambda: model.batch_consumption(self.rows, self.a1),
+            lambda: model.batch_consumption(self.rows, self.a2),
+            lambda: model.decide_rows(self.a1),
+            lambda: model.decide_rows(self.a2),
+        ):
+            model.beta_sum(self.a1)
+            assert held_bytes(model) >= empty + 5 * 150 * 3 * 8
+            read()
+            assert held_bytes(model) == empty
+
+
 def card_tolerance(spec, econ, ppi):
     """How far `ppi * slope + intercept` may lie from an encoder's own phi.
 
@@ -790,21 +874,19 @@ class TestArrayBuild:
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 1.0
 
-    def test_columns_are_borrowed_not_copied(self):
-        instance = random_instance(np.random.default_rng(5), n=5, m=3)
+    def test_columns_are_borrowed_then_stacked_once(self):
+        instance = random_instance(np.random.default_rng(5), n=7, m=3)
         columns = (instance.ppi, instance.mu, instance.sigma)
         # `solve --bid-cap` replaces the cap; the new instance keeps the same arrays.
         capped = dataclasses.replace(instance, bid_cap=0.5)
         assert all(a is b for a, b in zip((capped.ppi, capped.mu, capped.sigma), columns))
+        # The model holds one per-impression array, a read-only table whose
+        # leading columns are the PPIs, mu and sigma.
         model = DspChoiceModel(capped)
-        held = [
-            a
-            for value in vars(model).values()
-            for a in (value if isinstance(value, list) else [value])
-            if isinstance(a, np.ndarray)
-        ]
-        for column in columns:
-            assert any(np.shares_memory(a, column) for a in held)
+        held = [a for a in vars(model).values() if isinstance(a, np.ndarray) and a.shape[0] == 7]
+        assert len(held) == 1 and not held[0].flags.writeable
+        table = held[0]
+        assert bits(table[:, :5]) == bits(np.column_stack(columns))
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_p4p_ad_without_cpp_fails_at_build(self, n):

@@ -13,6 +13,7 @@ from signed zeros, infinities, NaN, subnormal and huge values and bids
 exactly at the cap.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -90,7 +91,7 @@ def reference_responses(model, rows, alpha):
 def card_coeffs(model, i, j):
     """(phi, psi) of impression `i` on ad `j` for every card column, shaped (2, K + 1)."""
     slope, intercept = model._card[:, 0, j], model._card[:, 1, j]
-    return model._ppi[i, j] * slope + intercept
+    return model.instance.ppi[i, j] * slope + intercept
 
 
 def reference_batch_consumption(model, rows, alpha):
@@ -98,7 +99,7 @@ def reference_batch_consumption(model, rows, alpha):
     decided = reference_first_max(*reference_responses(model, rows, alpha))
     bids = decided.ad >= 0
     ad, prob, cost = decided.ad[bids], decided.prob[bids], decided.cost[bids]
-    ppi = model._ppi[rows[bids], ad]
+    ppi = model.instance.ppi[rows[bids], ad]
     m, k = model.instance.n_ads, model.n_constraints
     sums = np.zeros((4, m))
     for sum_, weight in zip(sums, (prob * ppi, prob, cost * ppi, cost)):
@@ -190,15 +191,21 @@ ppi_value = st.one_of(
 )
 
 
-def set_composite(model, phi, psi):
-    """Make a one-impression model's composite at alpha = 0 read (phi, psi) per ad.
+def with_ppi(instance, ppi):
+    """A model of `instance` with its PPIs replaced by `ppi`."""
+    return DspChoiceModel(dataclasses.replace(instance, ppi=ppi))
+
+
+def set_composite(instance, phi, psi):
+    """A model of one-impression `instance` whose composite at alpha = 0 reads (phi, psi) per ad.
 
     At PPI 1, slope v and intercept -0.0 give 1 * v + -0.0 = v, zero signs
     included; a constraint column adds -0.0 times its finite entries.
     """
-    model._ppi = np.ones((1, model.instance.n_ads))
+    model = with_ppi(instance, np.ones((1, instance.n_ads)))
     model._card[:, 0, :, 0] = phi, psi
     model._card[:, 1, :, 0] = -0.0
+    return model
 
 
 @settings(max_examples=150, deadline=None)
@@ -219,13 +226,14 @@ def test_special_composites(data, n, m, k, cap, wide_sigma, seed):
     # bid -phi/psi is the cap exactly; (-inf, inf) bids the cap with a NaN
     # score, so its row must not bid.
     rng = np.random.default_rng(seed)
-    model = DspChoiceModel(dsp_instance(rng, n, m, k, cap, wide_sigma))
+    instance = dsp_instance(rng, n, m, k, cap, wide_sigma)
     fixed = {"at_cap": (0.0, 2.0 * cap, 0.0, -2.0), "nan_score": (0.0, -math.inf, 0.0, math.inf)}
     card = st.one_of(st.sampled_from(sorted(fixed)), st.tuples(*[coefficient] * 4))
-    for j, value in enumerate(data.draw(st.lists(card, min_size=m, max_size=m))):
-        model._card[:, :, j, 0] = np.reshape(fixed.get(value, value), (2, 2))
+    values = data.draw(st.lists(card, min_size=m, max_size=m))
     ppi = data.draw(st.lists(ppi_value, min_size=n * m, max_size=n * m))
-    model._ppi = np.reshape(np.array(ppi, dtype=float), (n, m))
+    model = with_ppi(instance, np.reshape(np.array(ppi, dtype=float), (n, m)))
+    for j, value in enumerate(values):
+        model._card[:, :, j, 0] = np.reshape(fixed.get(value, value), (2, 2))
     alpha = np.zeros(model.n_constraints)
     with np.errstate(all="ignore"):
         assert_kernel_matches_reference(model, alpha, batches_of(n, rng))
@@ -281,8 +289,8 @@ class TestEdgeCases:
 
     def test_zero_bids_are_positive_zeros(self):
         # A NaN composite and one with phi <= 0 <= psi both bid +0.0.
-        model = DspChoiceModel(dsp_instance(np.random.default_rng(8), 1, 3, 0))
-        set_composite(model, [math.nan, -1.0, 0.0], [1.0, 0.0, -0.0])
+        instance = dsp_instance(np.random.default_rng(8), 1, 3, 0)
+        model = set_composite(instance, [math.nan, -1.0, 0.0], [1.0, 0.0, -0.0])
         bp, score = model.item_best(0, np.zeros(0))
         assert bits(bp) == bits(np.zeros(3))
         assert model.decide_rows(np.zeros(0)).ad[0] == -1
@@ -290,8 +298,8 @@ class TestEdgeCases:
 
     def test_nan_score_at_a_positive_bid_gets_no_bid(self):
         # (-inf, inf) bids the cap and scores -inf * prob + inf * cost = NaN.
-        model = DspChoiceModel(dsp_instance(np.random.default_rng(9), 1, 2, 1))
-        set_composite(model, [-math.inf, 1.0], [math.inf, -2.0])
+        instance = dsp_instance(np.random.default_rng(9), 1, 2, 1)
+        model = set_composite(instance, [-math.inf, 1.0], [math.inf, -2.0])
         with np.errstate(invalid="ignore"):
             bp, score = model.item_best(0, np.zeros(1))
             assert bp[0] == model.instance.bid_cap and math.isnan(score[0])

@@ -6,6 +6,12 @@ epoch-end iterate and the tail average, and takes the batch consumption as a
 parameter. Given the model's own `batch_consumption` it must reproduce the
 solve bit for bit; given the base-class per-item loop it must agree with the
 solve to rounding.
+
+`ParentKernel` writes out the DSP batch step and dual pass as they were
+before the model kept its dual pass for the next step: every row's
+composite from gathered PPIs and prior columns, a fresh kernel run per call,
+the first-max pick and four `bincount`s per batch. Driving the reference
+loop, it must give the solve's alpha, dual trace and item count bit for bit.
 """
 
 import dataclasses
@@ -13,9 +19,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualbid import landscape
-from dualbid.dsp import Ad, DspChoiceModel, Impression
+from dualbid.dsp import Ad, DspChoiceModel, Impression, _best_bids
 from dualbid.landscape import LandscapePrior
 from dualbid.mmkp import BATCH_SIZE, ChoiceModel, dual_objective, sgd_solve
 from dualbid.utility import (
@@ -25,6 +32,9 @@ from dualbid.utility import (
     ObjectiveKind,
     ObjectiveSpec,
     PaymentMode,
+    constraint_limit,
+    encode_constraint,
+    encode_objective,
 )
 from instance_rows import rows_instance, with_rows
 
@@ -37,6 +47,8 @@ def reference_sgd_solve(model, step, step0=0.1, epochs=200, shuffle_seed=0, alph
     n_items = model.n_items
     k = model.n_constraints
     alpha = np.full(k, float(alpha0)) if np.ndim(alpha0) == 0 else np.asarray(alpha0, dtype=float)
+    if n_items == 0:
+        alpha = np.zeros(k)
     rng = np.random.default_rng(shuffle_seed)
     trace = [dual_objective(model, alpha)]
     alpha_trace = [alpha.copy()]
@@ -189,3 +201,107 @@ class TestDspInstances:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
                 allocated += int(model.decide_rows(alpha).ad[i] >= 0)
         assert 20 <= allocated <= 60
+
+
+class ParentKernel:
+    """The DSP model's batch step and dual pass, one fresh kernel run per call.
+
+    The card is encoded from the instance as the model does; each call
+    gathers the PPIs and the prior columns of its rows and runs the whole
+    kernel, with no state kept between calls.
+    """
+
+    def __init__(self, instance):
+        self.instance = instance
+        m, k = instance.n_ads, instance.n_constraints
+        self.card = np.empty((2, 2, m, k + 1))
+        for j, ad in enumerate(instance.ads):
+            intercept, at_one = (self.encode(ad, ppi) for ppi in (0.0, 1.0))
+            self.card[:, 0, j], self.card[:, 1, j] = at_one - intercept, intercept
+        self.budgets = np.array([constraint_limit(s) for s in instance.constraints])
+        self.n_items, self.n_constraints = len(instance.ids), k
+        *self.prior, self.over = landscape.prior_arrays(instance.mu, instance.sigma)
+
+    def encode(self, ad, ppi):
+        coeffs = [encode_objective(self.instance.objective, ad.economics, ppi)]
+        coeffs += [encode_constraint(s, ad.id, ad.economics, ppi)[0] for s in self.instance.constraints]
+        return np.array([[c.phi for c in coeffs], [c.psi for c in coeffs]])
+
+    def composite(self, rows, alpha):
+        prices = np.concatenate(([1.0], -np.asarray(alpha, dtype=float)))
+        ppi = self.instance.ppi[rows]
+        priced = self.card.reshape(-1, prices.size) @ prices
+        priced = priced.reshape(2, 2, *[1] * (ppi.ndim - 1), ppi.shape[-1])
+        return ppi * priced[:, 0] + priced[:, 1]
+
+    def respond(self, rows, alpha):
+        c = self.composite(rows, alpha)
+        over = None if self.over is None else self.over[rows]
+        out = np.zeros((4, *c.shape[1:]))
+        _best_bids(*c, self.instance.bid_cap, out[0])
+        landscape.win_prob_cost(out[0], *(a[rows] for a in self.prior), over, out[1:3])
+        np.add(*(c * out[1:3]), out=out[3])
+        return out
+
+    @staticmethod
+    def first_max(responses):
+        _, n, m = responses.shape
+        if m == 0:
+            return np.full(n, -1), np.repeat([[0.0], [0.0], [0.0], [-np.inf]], n, 1), np.zeros(n, bool)
+        ad = responses[3].argmax(axis=1)
+        picked = responses.reshape(4, n * m).take(np.arange(0, n * m, m) + ad, axis=1)
+        return ad, picked, (picked[3] >= 0.0) & (picked[0] > 0.0)
+
+    def totals(self, rows, ad, prob, cost):
+        ppi, m = self.instance.ppi[rows, ad], self.instance.n_ads
+        sums = [np.bincount(ad, w, minlength=m) for w in (prob * ppi, prob, cost * ppi, cost)]
+        return np.concatenate(sums) @ self.card.reshape(4 * m, self.n_constraints + 1)
+
+    def batch_consumption(self, rows, alpha):
+        ad, picked, bids = self.first_max(self.respond(rows, alpha))
+        prob, cost = picked[1:3].compress(bids, axis=1)
+        return self.totals(rows[bids], ad[bids], prob, cost)[1:]
+
+    def beta_sum(self, alpha):
+        score = self.respond(slice(None), alpha)[3]
+        if score.shape[1] == 0:
+            return 0.0
+        return float(np.maximum(score.max(axis=1), 0.0).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 40, 63, 64, 65, 200]),
+    m=st.sampled_from([0, 1, 8]),
+    k=st.sampled_from([0, 10]),
+    sigma_forty=st.booleans(),
+    zero_ppi=st.booleans(),
+    bid_cap=st.sampled_from([0.02, 1e4]),
+    starts=st.lists(st.sampled_from([-0.0, 0.1, 1.0]), min_size=2, max_size=2),
+    epochs=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solves_match_the_parent_kernel(n, m, k, sigma_forty, zero_ppi, bid_cap, starts, epochs, seed):
+    # Without ads no constraint has a scope, so K is 0 there. `sigma_forty`
+    # gives every third row sigma 40, whose landscape mean overflows;
+    # `zero_ppi` zeroes every fourth row's PPIs; a cap of 0.02 binds. Two
+    # solves run on one model, so the second starts where the first left it.
+    rng = np.random.default_rng(seed)
+    instance = dsp_instance(rng, n, m, k if m else 0, bid_cap=bid_cap)
+    impressions = instance.impressions
+    for i, imp in enumerate(impressions):
+        if sigma_forty and i % 3 == 0:
+            impressions[i] = imp = dataclasses.replace(imp, prior=LandscapePrior(imp.prior.mu, 40.0))
+        if zero_ppi and i % 4 == 1:
+            impressions[i] = dataclasses.replace(imp, ppi=(0.0,) * m)
+    instance = with_rows(instance, impressions)
+    model, parent = DspChoiceModel(instance), ParentKernel(instance)
+    for shuffle_seed, start in enumerate(starts):
+        alpha0 = np.full(instance.n_constraints, start)
+        state = sgd_solve(model, epochs=epochs, shuffle_seed=shuffle_seed, alpha0=alpha0)
+        alpha, iteration, trace, _ = reference_sgd_solve(
+            parent, parent.batch_consumption, epochs=epochs, shuffle_seed=shuffle_seed, alpha0=alpha0
+        )
+        assert state.alpha.tobytes() == alpha.tobytes()
+        assert state.iteration == iteration
+        assert np.asarray(state.dual_value_trace).tobytes() == np.asarray(trace).tobytes()

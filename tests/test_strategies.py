@@ -14,6 +14,7 @@ from dualbid.landscape import (
 )
 from dualbid.sim import LinStrategy, OrtbStrategy, make_strategy
 from dualbid.strategies import (
+    PARAM_BOUNDS,
     OrtbFit,
     OrtbState,
     lin_bid,
@@ -42,6 +43,14 @@ class TestMultiplicativeUpdate:
         result = multiplicative_update(1e6, 100.0, 1e-4)
         assert result.value == 1e6 and result.clamped
 
+    def test_window_won_at_cost_zero_clamps_to_the_lower_bound(self):
+        result = multiplicative_update(3.0, 2.0, math.inf)
+        assert result.value == PARAM_BOUNDS[0] and result.clamped and not result.degenerate
+
+    def test_nan_roi_is_degenerate(self):
+        result = multiplicative_update(3.0, 2.0, math.nan)
+        assert result.value == 3.0 and result.degenerate and not result.clamped
+
     def test_validation(self):
         with pytest.raises(ValueError):
             multiplicative_update(0.0, 1.0, 1.0)
@@ -69,6 +78,11 @@ class TestLinBid:
         assert result.value == 5.0 and result.degenerate and result.clamped
         result = lin_bid(2.0, math.nan, 1.0, bid_cap=5.0)
         assert result.value == 2.0 and result.degenerate and not result.clamped
+
+    def test_window_won_at_cost_zero_bids_the_cap(self):
+        for cap, level in ((5.0, 5.0), (1e7, PARAM_BOUNDS[1])):
+            result = lin_bid(2.0, math.inf, 1.0, bid_cap=cap)
+            assert result.value == level and result.clamped and not result.degenerate
 
     def test_state_validation(self):
         with pytest.raises(ValueError, match="bid_base"):

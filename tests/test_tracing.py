@@ -69,6 +69,10 @@ def test_tracer_patch_points_record_spans(tmp_path):
     assert {"sim.gen_mock_instance", "sim.save_instance"} <= set(spans["gen"])
     solve_spans = {"dsp.model_build", "mmkp.sgd_solve", "mmkp.dual_objective", "dsp.beta_sum"}
     assert solve_spans <= set(spans["solve"])
+    # The dual is evaluated at the start, after each of the 3 epochs and at the
+    # tail average, once through each layer, though the steps reuse its passes.
+    assert spans["solve"]["mmkp.dual_objective"][0] == 3 + 2
+    assert spans["solve"]["dsp.beta_sum"][0] == 3 + 2
     expected = {
         "strategies.ortb_fit_c",
         "strategies.ortb_bid",
