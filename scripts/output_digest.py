@@ -5,10 +5,10 @@ strategy of `compare`, and fixed_alpha), a 40-epoch `solve` of the revenue
 instances of seeds 0 and 1, `gen` and `solve` of a 40-impression instance,
 a wide `solve`, a `solve` of an instance with string impression ids and one
 of an instance with no ads, a `solve` and a fixed_alpha `simulate` of an
-instance with overflowing landscape means, `gen --config` and `solve` of two
-P4U instances, and `fit` (both families) in process into a temporary
-directory, and prints one line per output file: digest, then `<command
-label>/<file name>`. Two source trees whose digests match wrote
+instance with overflowing landscape means, a `solve` of one with means just
+below overflow, `gen --config` and `solve` of two P4U instances, and `fit`
+(both families) in process into a temporary directory, and prints one line
+per output file: digest, then `<command label>/<file name>`. Two source trees whose digests match wrote
 byte-identical outputs. Each command's
 `manifest.json` is digested too, after its timing fields (`wall_time_s`,
 `stages_s`) are dropped and the temporary directory's path in it is replaced
@@ -33,7 +33,10 @@ wide instance is the benchmark's `solve_wide` instance of seed 0
 those with its impression ids, or its ads and constraints, replaced. In the
 overflow instance, the same smaller one, every fifth impression has sigma =
 40, whose mean exp(mu + sigma^2 / 2) overflows a double, so the log-space
-branch of the win-probability and cost kernel shows in the digest. These
+branch of the win-probability and cost kernel shows in the digest. In the
+tail instance every fifth impression has mu = 0 and sigma 36, 37 or 37.5 in
+turn, whose means are finite and above 1 while Phi(z - sigma) underflows at
+small bids, so the same branch shows where it serves the normal tail. These
 instances are written here with the csv and json modules, not with the
 package under test, so both trees read the same bytes. The P4U instances come
 from `gen --config`, revenue and performance objective, with both ads at a
@@ -105,6 +108,8 @@ WIDE_N, WIDE_SEED, WIDE_EPOCHS = 2000, 0, 40
 SMALL_N, SMALL_EPOCHS = 200, 20
 #: Prices of the wide instance's ten rows for the overflow instance's replay.
 WIDE_ALPHA = [0.05] * 10
+#: Sigmas, in turn, of the tail instance's rows at mu 0: finite means above 1.
+TAIL_SIGMAS = (36.0, 37.0, 37.5)
 #: Every impression's mu in the edge instances: all competing bids underflow
 #: to 0 at -800 and overflow to inf at 800.
 EDGE_MUS = (-800, 800)
@@ -185,13 +190,18 @@ def instance_payload(instance, seed: int) -> dict:
 
 
 def write_instances(work: Path, wide_instance) -> None:
-    """The wide instance, and a small one with string ids, with no ads and with overflows."""
+    """The wide instance, and small ones with string ids, no ads, overflows and tail costs."""
     wide = instance_payload(wide_instance(WIDE_N, WIDE_SEED), WIDE_SEED)
     (work / "wide.json").write_text(json.dumps(wide))
     small = instance_payload(wide_instance(SMALL_N, WIDE_SEED), WIDE_SEED)
     impressions = small["impressions"]
     overflow = [imp | {"sigma": 40.0} if i % 5 == 0 else imp for i, imp in enumerate(impressions)]
     (work / "overflow.json").write_text(json.dumps(small | {"impressions": overflow}))
+    tail = [
+        imp | {"mu": 0.0, "sigma": TAIL_SIGMAS[i // 5 % len(TAIL_SIGMAS)]} if i % 5 == 0 else imp
+        for i, imp in enumerate(impressions)
+    ]
+    (work / "tail.json").write_text(json.dumps(small | {"impressions": tail}))
     for mu in EDGE_MUS:
         edge = [imp | {"mu": float(mu)} for imp in impressions]
         (work / f"mu_{mu}.json").write_text(json.dumps(small | {"impressions": edge}))
@@ -283,7 +293,7 @@ def commands(work: Path, n_pools: int) -> list[tuple[str, list[str]]]:
     out.append((f"solve_n{ONE_BATCH_N}", solve))
     wide = ["solve", "--instance", str(work / "wide.json"), "--epochs-sgd", str(WIDE_EPOCHS)]
     out.append(("solve_wide", wide))
-    for name in ("string_ids", "no_ads", "overflow"):
+    for name in ("string_ids", "no_ads", "overflow", "tail"):
         small = ["solve", "--instance", str(work / f"{name}.json"), "--epochs-sgd", str(SMALL_EPOCHS)]
         out.append((f"solve_{name}", small))
     for kind in P4U_CONFIGS:

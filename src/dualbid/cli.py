@@ -12,6 +12,9 @@ manifest (which carries timing) is the one exception. That identity holds
 per numpy and BLAS build, so comparing the outputs of two hosts needs the
 recorded versions.
 
+`simulate` (one strategy, with its consumption per constraint row) and
+`compare` (several, in lockstep) are one command body, `cmd_replay`.
+
 Exit codes: 0 success, 2 malformed input or flags, 3 numeric failure
 (solver divergence).
 """
@@ -214,49 +217,34 @@ def _load_strategy(name: str, params_json: str | None, target_roi: float | None)
     return sim.make_strategy(name, params)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_replay(args: argparse.Namespace) -> int:
+    """`simulate` of one strategy with its consumption rows, or `compare` of several."""
+    simulate = args.command == "simulate"
     stages = _Stages()
     instance = sim.load_instance(args.instance)
-    strategy = _load_strategy(args.strategy, args.params, args.target_roi)
+    names = [args.strategy] if simulate else [n.strip() for n in args.strategies.split(",")]
+    strategies = [_load_strategy(n, args.params, args.target_roi) for n in names if n]
     manifest = _Manifest(args, "instance")
     stages.end("load")
-    report = sim.run_monte_carlo(instance, strategy, epochs=args.epochs, seed=args.seed)
-    stages.end("replay")
-    metrics = report.per_strategy_metrics[strategy.name]
-    sim.write_epoch_metrics_csv(manifest.output(f"epochs_{strategy.name}.csv"), metrics)
-    sim.write_constraints_csv(manifest.output("constraints.csv"), report.per_constraint)
-    summary = _summary_base("simulate", args.seed) | {
-        "strategies": {strategy.name: _strategy_totals(metrics)},
-        "epochs": args.epochs,
-    }
-    _write_json(manifest.output("summary.json"), summary)
-    stages.end("write")
-    manifest.payload["stages_s"] = stages.seconds
-    manifest.finish()
-    print(f"{strategy.name}: revenue {summary['strategies'][strategy.name]['revenue']:.4f}")
-    return EXIT_OK
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    stages = _Stages()
-    instance = sim.load_instance(args.instance)
-    names = [n.strip() for n in args.strategies.split(",") if n.strip()]
-    strategies = [_load_strategy(n, args.params, args.target_roi) for n in names]
-    manifest = _Manifest(args, "instance")
-    stages.end("load")
-    report = sim.compare_strategies(instance, strategies, epochs=args.epochs, seed=args.seed)
+    if simulate:
+        report = sim.run_monte_carlo(instance, *strategies, epochs=args.epochs, seed=args.seed)
+    else:
+        report = sim.compare_strategies(instance, strategies, epochs=args.epochs, seed=args.seed)
     stages.end("replay")
     totals = {}
     for name, metrics in report.per_strategy_metrics.items():
         sim.write_epoch_metrics_csv(manifest.output(f"epochs_{name}.csv"), metrics)
         totals[name] = _strategy_totals(metrics)
-    summary = _summary_base("compare", args.seed) | {"strategies": totals, "epochs": args.epochs}
+    if simulate:
+        sim.write_constraints_csv(manifest.output("constraints.csv"), report.per_constraint)
+    summary = _summary_base(args.command, args.seed) | {"strategies": totals, "epochs": args.epochs}
     _write_json(manifest.output("summary.json"), summary)
     stages.end("write")
     manifest.payload["stages_s"] = stages.seconds
     manifest.finish()
     for name, stats in totals.items():
-        print(f"{name}: revenue {stats['revenue']:.4f}  roi {stats['actual_roi']:.3f}")
+        roi = "" if simulate else f"  roi {stats['actual_roi']:.3f}"
+        print(f"{name}: revenue {stats['revenue']:.4f}{roi}")
     return EXIT_OK
 
 
@@ -324,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target-roi", type=float, default=None)
     p.add_argument("--params", default=None, help="JSON dict of strategy parameters")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("compare", help="run strategies on identical auction streams")
     p.add_argument("--instance", required=True)
@@ -334,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target-roi", type=float, default=None)
     p.add_argument("--params", default=None, help="JSON dict of shared strategy parameters")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("fit", help="fit a landscape from an observation CSV")
     p.add_argument("--observations", required=True)

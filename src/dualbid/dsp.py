@@ -2,10 +2,11 @@
 
 An impression plays the role of an item, an ad of a user, and the bid price
 of the continuous sub-choice. Priced composites stay inside the utility
-family, so the per-ad best response has the closed form bp* = -phi_F/psi_F
-and both the solver and the bidder reduce to coefficient arithmetic plus the
-log-normal kernel `landscape.win_prob_cost`; no numeric search over bid
-prices happens in the hot path.
+family, so the per-ad best response is the closed-form case table
+`utility.best_bids` (bp* = -phi_F/psi_F clipped to the cap, else the cap,
+else no bid), and both the solver and the bidder reduce to coefficient
+arithmetic plus the log-normal kernel `landscape.win_prob_cost`; no numeric
+search over bid prices happens in the hot path.
 
 A `DspInstance` holds its impressions as columns: ids, and read-only arrays
 of each prior's `mu` and `sigma`, shaped (N,), and of the PPIs, shaped
@@ -62,6 +63,7 @@ from .utility import (
     ObjectiveSpec,
     PaymentMode,
     UtilityCoeffs,
+    best_bids,
     constraint_limit,
     encode_constraint,
     encode_objective,
@@ -175,20 +177,6 @@ def compose_coeffs(instance: DspInstance, i: int, j: int, alpha: np.ndarray) -> 
     return UtilityCoeffs(float(phi[j]), float(psi[j]))
 
 
-def _best_bids(phi: np.ndarray, psi: np.ndarray, cap: float, out: np.ndarray) -> np.ndarray:
-    """Vectorized argmax-bid case table over per-ad coefficient arrays, into zeroed `out`.
-
-    The bid is min(-phi/psi, cap) where phi > 0 > psi, else the cap where
-    max(phi, psi) > 0, else 0 (NaN included). `out` holds the negated bid
-    until the last pass, 0 - out, which leaves a zero bid +0.0.
-    """
-    positive = np.maximum(phi, psi) > 0.0
-    np.copyto(out, -cap, where=positive)
-    np.divide(phi, psi, out=out, where=positive & (psi < 0.0))
-    np.maximum(out, -cap, out=out)
-    return np.subtract(0.0, out, out=out)
-
-
 class RowDecisions(NamedTuple):
     """The decision rule's outcome per impression, as arrays of shape (N,).
 
@@ -238,7 +226,7 @@ class DspChoiceModel(mmkp.ChoiceModel):
 
     The kernel reads each impression from one read-only row table, shaped
     (N, M + 3) or (N, M + 4): the PPIs, `mu`, `sigma`, the landscape mean and,
-    when some mean overflowed, the overflow mask as 0.0 or 1.0. Pricing
+    when some mean is above 1, the tail bound of `landscape.prior_arrays`. Pricing
     writes into one buffer and `beta_sum` keeps its pass, so a model is not
     shared between threads.
     """
@@ -266,9 +254,9 @@ class DspChoiceModel(mmkp.ChoiceModel):
         self._flat_card = self._card.reshape(4 * m, k + 1)
         self._prices = np.ones(k + 1)
         self._neg_alpha = self._prices[1:]
-        *prior, over = landscape.prior_arrays(instance.mu, instance.sigma)
-        self._overflows = over is not None
-        self._rows = np.hstack([instance.ppi, *prior, *([over] if self._overflows else [])])
+        *prior, tail = landscape.prior_arrays(instance.mu, instance.sigma)
+        self._tail = tail is not None
+        self._rows = np.hstack([instance.ppi, *prior, *([tail] if self._tail else [])])
         self._rows.flags.writeable = False
         # (prices as bytes, response stack of every row) of the last `beta_sum`.
         self._memo = None
@@ -324,10 +312,10 @@ class DspChoiceModel(mmkp.ChoiceModel):
         ppi = table[:, :m]
         c = ppi * priced[:, 0] + priced[:, 1]
         out = np.zeros((5, len(table), m))
-        _best_bids(c[0], c[1], self._cap, out[BP])
-        over = table[:, m + 3 :] > 0.0 if self._overflows else None
+        best_bids(c[0], c[1], self._cap, out[BP])
+        tail = table[:, m + 3 :] if self._tail else None
         landscape.win_prob_cost(
-            out[BP], table[:, m : m + 1], table[:, m + 1 : m + 2], table[:, m + 2 : m + 3], over,
+            out[BP], table[:, m : m + 1], table[:, m + 1 : m + 2], table[:, m + 2 : m + 3], tail,
             out[PROB : COST + 1],
         )
         np.multiply(c, out[PROB : COST + 1], out=c)

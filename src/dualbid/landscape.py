@@ -4,7 +4,9 @@ The prior describes, per impression, the distribution of the strongest
 opposing bid. Winning probability at a bid price is the CDF; the expected
 payment is the partial first moment, because the winner pays the second
 highest price. One array kernel, `win_prob_cost`, forms both closed forms for
-`dsp`'s decision rule and for the views `win_prob` and `expected_cost`.
+`dsp`'s decision rule and for the views `win_prob` and `expected_cost`; it
+forms the cost in log space where Phi(z - sigma) leaves the normal range on a
+prior whose mean is above 1, and everywhere when the mean overflows.
 
 Fitting uses the censored likelihood of win/loss logs: a won auction reveals
 the competing bid exactly (it equals the paid cost), a lost one only that it
@@ -47,6 +49,7 @@ __all__ = [
     "CensoredFit",
     "EmptyObservationsError",
     "LandscapePrior",
+    "NDTR_TAIL",
     "NoWinObservationsError",
     "OBSERVATION_CSV_HEADER",
     "ObservationLog",
@@ -147,28 +150,37 @@ def pdf(prior: LandscapePrior, x) -> float | np.ndarray:
     return _scalar_or_array(x, out)
 
 
+#: `ndtr` below this may leave the normal range: ndtr(-37.5) is 4.6e-308, ndtr(-38) 0.
+NDTR_TAIL = -37.5
+
+
 def prior_arrays(mu: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Views of the (N,) `mu` and `sigma` as (N, 1) columns, their means, and the overflow mask.
+    """Views of the (N,) `mu` and `sigma` as (N, 1) columns, their means, and the tail bounds.
 
     The mean is `mean`'s libm `exp` per prior, not `np.exp` over the array
-    (their last bits can differ). Where it overflowed it is stored as 0 and
-    marked in the mask, shaped (N, 1), for `win_prob_cost`; the mask is None
-    if nothing overflowed.
+    (their last bits can differ); where it overflowed it is stored as 0. The
+    tail bound, shaped (N, 1), tells `win_prob_cost` where a cost takes the
+    log-space form: +inf where the mean overflowed, `NDTR_TAIL` where it is
+    above 1, and -inf elsewhere. It is None where every mean is at most 1, as
+    then a cost below the tail is not a normal double either.
     """
     means = np.array([_exp(m + 0.5 * s * s) for m, s in zip(mu.tolist(), sigma.tolist())])[:, None]
-    over = np.isinf(means)
+    above, over = means > 1.0, np.isinf(means)
+    tail = np.where(over, np.inf, np.where(above, NDTR_TAIL, -np.inf)) if above.any() else None
     means[over] = 0.0
-    return mu[:, None], sigma[:, None], means, over if over.any() else None
+    return mu[:, None], sigma[:, None], means, tail
 
 
-def win_prob_cost(bp: np.ndarray, mu, sigma, mean, over, out: np.ndarray) -> np.ndarray:
+def win_prob_cost(bp: np.ndarray, mu, sigma, mean, tail, out: np.ndarray) -> np.ndarray:
     """Win probability and expected cost at bids `bp`, into `out`, shaped (2, *bp.shape).
 
     The prior arrays, in `prior_arrays`' format, broadcast to `bp`. With z =
     (ln bp - mu) / sigma, the cost is the partial first moment mean * Phi(z -
     sigma); one `ndtr` call forms both CDFs. A bid <= 0 keeps z = -inf, so it
-    neither wins nor pays (scipy's ufuncs mishandle `where=`). Where `over`
-    marks an overflowed mean, the cost is exp(mu + sigma^2/2 + log Phi(z - sigma)).
+    neither wins nor pays (scipy's ufuncs mishandle `where=`). Where z - sigma
+    is at or below `tail`, the cost is exp(mu + sigma^2/2 + log Phi(z - sigma)):
+    `ndtr` there may be subnormal or 0 while the cost is a normal double
+    (Cody 1969 on the normal tail), or the mean overflowed.
     """
     _, log_ndtr, ndtr = _special()
     prob, cost = out
@@ -177,20 +189,21 @@ def win_prob_cost(bp: np.ndarray, mu, sigma, mean, over, out: np.ndarray) -> np.
     prob -= mu
     prob /= sigma
     np.subtract(prob, sigma, out=cost)
-    if over is not None:
+    if tail is not None:
         log_moment = mu + 0.5 * sigma * sigma + log_ndtr(cost)
+        in_tail = cost <= tail
     ndtr(out, out=out)
     cost *= mean
-    if over is not None:
-        np.exp(log_moment, out=cost, where=over & (bp > 0.0))
+    if tail is not None:
+        np.exp(log_moment, out=cost, where=in_tail)
     return out
 
 
 def _prob_cost(prior: LandscapePrior, bid_price, row: int) -> float | np.ndarray:
     """Row `row` of `win_prob_cost` for one prior, with the bids laid out as one model row."""
     bp = np.asarray(bid_price, dtype=float)
-    *columns, over = prior_arrays(np.array([prior.mu]), np.array([prior.sigma]))
-    out = win_prob_cost(bp.reshape(1, -1), *columns, over, np.empty((2, 1, bp.size)))
+    columns = prior_arrays(np.array([prior.mu]), np.array([prior.sigma]))
+    out = win_prob_cost(bp.reshape(1, -1), *columns, np.empty((2, 1, bp.size)))
     return _scalar_or_array(bid_price, out[row].reshape(bp.shape))
 
 

@@ -7,7 +7,8 @@ composite of them stays in the family. The encoders below map declarative
 P4P/P4U objective and constraint specs to their (phi, psi) pair and, for
 constraints, the resource limit B. Each coefficient is either proportional
 to the PPI or free of it, which `dsp.DspChoiceModel` relies on when it reads
-an ad's coefficients at PPI 0 and 1 only.
+an ad's coefficients at PPI 0 and 1 only. The maximizing bid is one array
+case table, `best_bids`, which `dsp`'s kernel runs and `argmax_bid` views.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from . import landscape
 from .landscape import LandscapePrior
@@ -31,6 +34,7 @@ __all__ = [
     "PaymentMode",
     "UtilityCoeffs",
     "argmax_bid",
+    "best_bids",
     "constraint_limit",
     "derivative",
     "encode_constraint",
@@ -135,27 +139,31 @@ class OptimalBid:
     unbounded: bool = False
 
 
-def argmax_bid(coeffs: UtilityCoeffs, cap: float = DEFAULT_BID_CAP) -> OptimalBid:
-    """Bid price maximizing the utility over [0, cap].
+def best_bids(phi, psi, cap: float, out: np.ndarray) -> np.ndarray:
+    """Bid prices maximizing the utility over [0, cap] per (phi, psi) cell, into zeroed `out`.
 
-    The integrand (phi + psi x) p(x) changes sign at most once, which gives a
-    total case table:
-
-    * phi > 0, psi < 0: interior maximum at -phi/psi, clipped to the cap.
-    * phi <= 0, psi <= 0: nonincreasing, maximum at 0 (covers phi = psi = 0).
-    * phi >= 0, psi >= 0 (not both 0): nondecreasing, cap with unbounded flag.
-    * phi < 0, psi > 0: eventually increasing; the cap is returned flagged,
-      and the value there may still be negative (the caller compares against
-      the 0 achieved by not bidding).
+    The integrand (phi + psi x) p(x) changes sign at most once, so the bid is
+    min(-phi/psi, cap) where phi > 0 > psi (an interior maximum), else the cap
+    where max(phi, psi) > 0 (nondecreasing, or eventually increasing, where
+    the value may still be negative: the caller compares it with the 0 of not
+    bidding), else 0 (nonincreasing; NaN included). `out` holds the negated
+    bid until the last pass, 0 - out, which leaves a zero bid +0.0.
     """
-    if cap <= 0.0:
+    positive = np.maximum(phi, psi) > 0.0
+    np.copyto(out, -cap, where=positive)
+    np.divide(phi, psi, out=out, where=positive & (psi < 0.0))
+    np.maximum(out, -cap, out=out)
+    return np.subtract(0.0, out, out=out)
+
+
+def argmax_bid(coeffs: UtilityCoeffs, cap: float = DEFAULT_BID_CAP) -> OptimalBid:
+    """`best_bids` of one pair; a -phi/psi past the double range is the cap, without a warning."""
+    if not cap > 0.0:
         raise ValueError(f"bid cap must be positive, got {cap!r}")
     phi, psi = coeffs.phi, coeffs.psi
-    if phi > 0.0 and psi < 0.0:
-        return OptimalBid(min(-phi / psi, cap))
-    if phi <= 0.0 and psi <= 0.0:
-        return OptimalBid(0.0)
-    return OptimalBid(cap, unbounded=True)
+    with np.errstate(over="ignore"):
+        bp = float(best_bids(phi, psi, cap, np.zeros(())))
+    return OptimalBid(bp, unbounded=max(phi, psi) > 0.0 and not phi > 0.0 > psi)
 
 
 def encode_objective(spec: ObjectiveSpec, econ: AdEconomics, ppi: float) -> UtilityCoeffs:

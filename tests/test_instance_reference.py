@@ -4,10 +4,11 @@ The reference below is a written-out copy of the earlier impression path of
 `instance_from_json`, which built one `LandscapePrior` and one `Impression`
 per entry (the `Impression` checking each PPI entry in turn) and then checked
 every row's PPI count, and of the earlier model build, which stacked the rows
-back into the (N, M) PPIs and the (3, N, 1) prior stack with its overflow
-mask. On every valid document the loader must give the same
-`instance_to_json` text and the same bits; on a document with one defect in
-its impressions, the same exception type and message. The one difference
+back into the (N, M) PPIs and the (3, N, 1) prior stack, with the tail
+bounds that mark where the cost takes its log-space form. On every valid
+document the loader must give the same `instance_to_json` text and the same
+bits; on a document with one defect in its impressions, the same exception
+type and message. The one difference
 allowed: a PPI row with a bad value prints as a tuple of floats.
 """
 
@@ -58,7 +59,7 @@ def reference_mean(prior):
 
 
 def reference_load(payload):
-    """The impression rows' JSON, the PPIs, the prior stack and the overflow mask."""
+    """The impression rows' JSON, the PPIs, the prior stack and the tail bounds."""
     try:
         impressions = [
             ReferenceImpression(
@@ -86,16 +87,19 @@ def reference_load(payload):
     priors = [imp.prior for imp in impressions]
     columns = [[p.mu for p in priors], [p.sigma for p in priors], [reference_mean(p) for p in priors]]
     stacked = np.array(columns)[:, :, None]
-    over = np.isinf(stacked[2])
+    # +inf where the mean overflows, -37.5 where it is above 1, else -inf;
+    # none where no mean is above 1.
+    over, above = np.isinf(stacked[2]), stacked[2] > 1.0
+    tail = np.where(over, np.inf, np.where(above, -37.5, -np.inf))
     stacked[2][over] = 0.0
-    return rows, ppi, stacked, over if over.any() else None
+    return rows, ppi, stacked, tail if above.any() else None
 
 
 def columnar_load(payload):
     """The same four results from the columnar loader and `landscape.prior_arrays`."""
     instance = sim.instance_from_json(payload)
-    *columns, over = landscape.prior_arrays(instance.mu, instance.sigma)
-    return sim.instance_to_json(instance)["impressions"], instance.ppi, np.stack(columns), over
+    *columns, tail = landscape.prior_arrays(instance.mu, instance.sigma)
+    return sim.instance_to_json(instance)["impressions"], instance.ppi, np.stack(columns), tail
 
 
 def bits(a):
@@ -138,12 +142,12 @@ def valid_documents(draw, min_n=0, min_ads=0):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(valid_documents())
 def test_valid_documents_load_the_same(payload):
-    rows, ppi, stacked, over = reference_load(payload)
-    got_rows, got_ppi, got_stacked, got_over = columnar_load(payload)
+    rows, ppi, stacked, tail = reference_load(payload)
+    got_rows, got_ppi, got_stacked, got_tail = columnar_load(payload)
     assert json.dumps(got_rows) == json.dumps(rows)
     assert bits(got_ppi) == bits(ppi)
     assert bits(got_stacked) == bits(stacked)
-    assert bits(got_over) == bits(over)
+    assert bits(got_tail) == bits(tail)
 
 
 #: One defect in one impression: (field, value), where a field of "entry"

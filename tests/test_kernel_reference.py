@@ -53,9 +53,12 @@ def reference_win_prob_cost(bp, mu, sigma, mean):
     prob[pos] = ndtr(z)
     over = np.isinf(mean)
     moment = np.where(over, 0.0, mean) * ndtr(z - sigma)
-    if np.any(over):
-        mu, sigma, z = mu[over], sigma[over], z[over]
-        moment[over] = np.exp(mu + 0.5 * sigma * sigma + log_ndtr(z - sigma))
+    # The log-space form where the mean overflows, and where it is above 1
+    # while Phi(z - sigma) may leave the normal range.
+    log_form = over | ((mean > 1.0) & (z - sigma <= -37.5))
+    if np.any(log_form):
+        mu, sigma, z = mu[log_form], sigma[log_form], z[log_form]
+        moment[log_form] = np.exp(mu + 0.5 * sigma * sigma + log_ndtr(z - sigma))
     cost[pos] = moment
     return prob, cost
 
@@ -271,6 +274,15 @@ class TestEdgeCases:
         assert landscape.mean(instance.impressions[1].prior) == math.inf
         model = DspChoiceModel(instance)
         assert assert_kernel_matches_reference(model, np.full(2, 0.1), batches_of(12, rng)) > 0
+
+    def test_cost_below_the_normal_tail(self):
+        # Mean exp(703.125) is finite and above 1, and Phi(z - sigma) underflows
+        # at the bid 1e-3, so the cost comes from the log-space form.
+        instance = dsp_instance(np.random.default_rng(10), 1, 1, 0)
+        instance = dataclasses.replace(instance, mu=[0.0], sigma=[37.5])
+        model = set_composite(instance, [1e-3], [-1.0])
+        assert assert_kernel_matches_reference(model, np.zeros(0), [np.array([0])]) == 1
+        assert model.decide_rows(np.zeros(0)).cost[0] > 1e-5
 
     def test_no_ads(self):
         rng = np.random.default_rng(5)

@@ -11,6 +11,7 @@ from dualbid.landscape import (
     BidObservation,
     EmptyObservationsError,
     LandscapePrior,
+    NDTR_TAIL,
     NoWinObservationsError,
     Outcome,
     censored_log_likelihood,
@@ -100,12 +101,12 @@ class TestClosedForms:
 
     def test_partial_moment_log_form_agrees_below_overflow(self):
         # Both branches of the kernel on priors whose mean is still finite: the
-        # plain product, and the log-space form with every row marked overflowed.
-        mu, sigma, means, over = prior_arrays(np.array([-1.0, 0.5, 2.0]), np.array([30.0, 5.0, 0.7]))
-        assert over is None
+        # plain product, and the log-space form with a tail bound of +inf on every row.
+        mu, sigma, means, tail = prior_arrays(np.array([-1.0, 0.5, 2.0]), np.array([30.0, 5.0, 0.7]))
+        assert tail[:, 0].tolist() == [NDTR_TAIL] * 3
         bp = np.exp(mu + sigma * np.linspace(-5.0, 5.0, 11))
         plain = win_prob_cost(bp, mu, sigma, means, None, np.empty((2, *bp.shape)))
-        everywhere = np.ones(mu.shape, dtype=bool)
+        everywhere = np.full(mu.shape, np.inf)
         log_form = win_prob_cost(bp, mu, sigma, means, everywhere, np.empty((2, *bp.shape)))
         assert np.all(plain[1] > 0.0)
         np.testing.assert_array_equal(log_form[0], plain[0])
@@ -114,15 +115,23 @@ class TestClosedForms:
     def test_prior_arrays_store_an_overflowed_mean_as_zero_and_mark_it(self):
         priors = [STANDARD, LandscapePrior(-1.0, 40.0), LandscapePrior(0.3, 0.2)]
         mu, sigma = np.array([0.0, -1.0, 0.3]), np.array([1.0, 40.0, 0.2])
-        *stacked, over = prior_arrays(mu, sigma)
-        assert [a.shape for a in stacked] == [(3, 1)] * 3 and over.shape == (3, 1)
+        *stacked, tail = prior_arrays(mu, sigma)
+        assert [a.shape for a in stacked] == [(3, 1)] * 3 and tail.shape == (3, 1)
         assert np.shares_memory(stacked[0], mu) and np.shares_memory(stacked[1], sigma)
-        assert over[:, 0].tolist() == [False, True, False]
+        assert tail[:, 0].tolist() == [NDTR_TAIL, math.inf, NDTR_TAIL]
         assert stacked[2][:, 0].tolist() == [mean(STANDARD), 0.0, mean(priors[2])]
         assert stacked[0][:, 0].tolist() == [0.0, -1.0, 0.3]
         assert stacked[1][:, 0].tolist() == [1.0, 40.0, 0.2]
-        *empty, over = prior_arrays(np.zeros(0), np.zeros(0))
-        assert [a.shape for a in empty] == [(0, 1)] * 3 and over is None
+        *empty, tail = prior_arrays(np.zeros(0), np.zeros(0))
+        assert [a.shape for a in empty] == [(0, 1)] * 3 and tail is None
+
+    def test_tail_bounds_only_where_some_mean_is_above_one(self):
+        # Means at most 1 need no tail bound; an overflowed mean takes the log
+        # form in every cell, a mean above 1 below `NDTR_TAIL`, and one at most 1 never.
+        mu, sigma = np.array([-2.0, -0.5]), np.array([0.9, 1.0])
+        assert prior_arrays(mu, sigma)[3] is None
+        mu, sigma = np.array([-2.0, 0.0, -1.0]), np.array([0.9, 37.0, 40.0])
+        assert prior_arrays(mu, sigma)[3][:, 0].tolist() == [-math.inf, NDTR_TAIL, math.inf]
 
     def test_vectorized_matches_scalar(self):
         bps = np.array([0.0, 0.3, 1.0, 4.5])

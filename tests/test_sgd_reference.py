@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualbid import landscape
-from dualbid.dsp import Ad, DspChoiceModel, Impression, _best_bids
+from dualbid.dsp import Ad, DspChoiceModel, Impression
 from dualbid.landscape import LandscapePrior
 from dualbid.mmkp import BATCH_SIZE, ChoiceModel, dual_objective, sgd_solve
 from dualbid.utility import (
@@ -32,6 +32,7 @@ from dualbid.utility import (
     ObjectiveKind,
     ObjectiveSpec,
     PaymentMode,
+    best_bids,
     constraint_limit,
     encode_constraint,
     encode_objective,
@@ -220,7 +221,7 @@ class ParentKernel:
             self.card[:, 0, j], self.card[:, 1, j] = at_one - intercept, intercept
         self.budgets = np.array([constraint_limit(s) for s in instance.constraints])
         self.n_items, self.n_constraints = len(instance.ids), k
-        *self.prior, self.over = landscape.prior_arrays(instance.mu, instance.sigma)
+        *self.prior, self.tail = landscape.prior_arrays(instance.mu, instance.sigma)
 
     def encode(self, ad, ppi):
         coeffs = [encode_objective(self.instance.objective, ad.economics, ppi)]
@@ -236,10 +237,10 @@ class ParentKernel:
 
     def respond(self, rows, alpha):
         c = self.composite(rows, alpha)
-        over = None if self.over is None else self.over[rows]
+        tail = None if self.tail is None else self.tail[rows]
         out = np.zeros((4, *c.shape[1:]))
-        _best_bids(*c, self.instance.bid_cap, out[0])
-        landscape.win_prob_cost(out[0], *(a[rows] for a in self.prior), over, out[1:3])
+        best_bids(*c, self.instance.bid_cap, out[0])
+        landscape.win_prob_cost(out[0], *(a[rows] for a in self.prior), tail, out[1:3])
         np.add(*(c * out[1:3]), out=out[3])
         return out
 

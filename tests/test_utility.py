@@ -10,6 +10,7 @@ from dualbid.utility import (
     AdEconomics,
     ConstraintKind,
     ConstraintSpec,
+    DEFAULT_BID_CAP,
     ModeMismatchError,
     ObjectiveKind,
     ObjectiveSpec,
@@ -114,8 +115,9 @@ class TestArgmax:
         assert result.bp == 100.0 and result.unbounded
 
     def test_cap_must_be_positive(self):
-        with pytest.raises(ValueError):
-            argmax_bid(UtilityCoeffs(1.0, -1.0), cap=0.0)
+        for cap in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                argmax_bid(UtilityCoeffs(1.0, -1.0), cap=cap)
 
     @given(phi=st.floats(0.05, 5.0), psi=st.floats(-5.0, -0.05))
     @settings(max_examples=200, deadline=None)
@@ -125,6 +127,39 @@ class TestArgmax:
         grid = np.linspace(0.0, 4.0 * (-phi / psi), 1000)
         values = evaluate(coeffs, STANDARD, grid)
         assert evaluate(coeffs, STANDARD, best.bp) >= values.max() - 1e-12
+
+
+def if_chain_argmax(phi, psi, cap):
+    """`argmax_bid`'s scalar case table as it stood before it became a view of `best_bids`."""
+    if phi > 0.0 and psi < 0.0:
+        return min(-phi / psi, cap), False
+    if phi <= 0.0 and psi <= 0.0:
+        return 0.0, False
+    return cap, True
+
+
+EDGE_COEFFS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, 1e-300, 1e300, -1e300)
+coeffs_values = st.one_of(
+    st.sampled_from(EDGE_COEFFS), st.floats(-1e5, 1e5, allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    phi=coeffs_values,
+    psi=coeffs_values,
+    cap=st.one_of(st.sampled_from([1e-3, 1.0, DEFAULT_BID_CAP, 1e300]), st.floats(1e-3, 1e300)),
+)
+@example(phi=1e300, psi=-1e-300, cap=DEFAULT_BID_CAP)
+@example(phi=5e-324, psi=-1e300, cap=1e-3)
+def test_argmax_bid_matches_the_if_chain(phi, psi, cap):
+    # The one-pair view of the array table keeps the if-chain's bid bytes, its
+    # zero signs included, and its flag; a -phi/psi past the double range is
+    # the cap without a warning.
+    best = argmax_bid(UtilityCoeffs(phi, psi), cap)
+    bp, unbounded = if_chain_argmax(phi, psi, cap)
+    assert np.float64(best.bp).tobytes() == np.float64(bp).tobytes()
+    assert best.unbounded is unbounded
 
 
 class TestComparison:
