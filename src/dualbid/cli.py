@@ -4,13 +4,14 @@ strategy comparison, and landscape fitting.
 Every command writes its primary outputs plus a `manifest.json` into the
 output directory. The manifest records the command, the input paths, every
 other parsed option except `--out-dir` as a flag, the files written, the tool
-version, the Python, numpy and scipy versions, and wall time (`solve`,
-`simulate` and `compare` also per stage); it is written incomplete first and
-finalized last, so an interrupted run is always detectable. Primary outputs
-are byte-identical across reruns with the same inputs and flags; the
-manifest (which carries timing) is the one exception. That identity holds
-per numpy and BLAS build, so comparing the outputs of two hosts needs the
-recorded versions.
+version, the Python, numpy and scipy versions, and wall time from the
+command's start (`solve`, `simulate` and `compare` also per stage, on the
+same clock). It is written incomplete once the inputs are read, so malformed
+input leaves no output directory, and finalized last, so an interrupted run
+is always detectable. Primary outputs are byte-identical across reruns with
+the same inputs and flags; the manifest (which carries timing) is the one
+exception. That identity holds per numpy and BLAS build, so comparing the
+outputs of two hosts needs the recorded versions.
 
 `simulate` (one strategy, with its consumption per constraint row) and
 `compare` (several, in lockstep) are one command body, `cmd_replay`.
@@ -50,12 +51,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 class _Manifest:
-    """Manifest lifecycle: created incomplete, finalized with outputs, versions and timing.
+    """Manifest lifecycle and the command's one clock, started with the command.
 
-    Every parsed option except `--out-dir` and the input paths `inputs` is a flag.
+    `create` writes it incomplete, `finish` complete. Every parsed option
+    except `--out-dir` and the input paths `inputs` is a flag.
     """
 
     def __init__(self, args: argparse.Namespace, *inputs: str):
+        self._t0, self._mark = time.monotonic(), 0.0
         self.out_dir = Path(args.out_dir)
         options = vars(args)
         skip = {"command", "func", "out_dir", *inputs}
@@ -68,9 +71,20 @@ class _Manifest:
             "outputs": [],
             "wall_time_s": None,
         }
-        self._t0 = time.monotonic()
+
+    def create(self) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(self.out_dir / "manifest.json", self.payload)
+
+    def stage(self, name: str) -> None:
+        """End stage `name`, timed from the last stage's end or the command's start.
+
+        Stages are differences of rounded marks, so they sum (to float
+        rounding) to the last mark, which `wall_time_s` cannot undercut.
+        """
+        mark = round(time.monotonic() - self._t0, 6)
+        self.payload.setdefault("stages_s", {})[name] = round(mark - self._mark, 6)
+        self._mark = mark
 
     def output(self, name: str) -> Path:
         """The path of output file `name`, recorded in the manifest's outputs."""
@@ -92,19 +106,6 @@ def _versions() -> dict:
 
     python = ".".join(str(v) for v in sys.version_info[:3])
     return {"python": python, "numpy": numpy.__version__, "scipy": scipy.__version__}
-
-
-class _Stages:
-    """Wall time of a command's consecutive stages, each from the end of the last."""
-
-    def __init__(self):
-        self.seconds: dict[str, float] = {}
-        self._t = time.perf_counter()
-
-    def end(self, name: str) -> None:
-        now = time.perf_counter()
-        self.seconds[name] = round(now - self._t, 6)
-        self._t = now
 
 
 def _summary_base(command: str, seed: int | None) -> dict:
@@ -131,6 +132,7 @@ def _strategy_totals(metrics: list[sim.EpochMetrics]) -> dict:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    manifest = _Manifest(args, "config")
     overrides = {}
     if args.config is not None:
         with open(args.config) as handle:
@@ -148,7 +150,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if "objective_kind" in overrides:
         overrides["objective_kind"] = ObjectiveKind(overrides["objective_kind"])
     config = MockConfig(**overrides)
-    manifest = _Manifest(args, "config")
+    manifest.create()
     instance = sim.gen_mock_instance(config)
     path = manifest.output("instance.json")
     sim.save_instance(path, instance, seed=config.seed)
@@ -158,20 +160,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    stages = _Stages()
+    manifest = _Manifest(args, "instance")
     instance = sim.load_instance(args.instance)
     if args.bid_cap is not None:
         instance = dataclasses.replace(instance, bid_cap=args.bid_cap)
-    manifest = _Manifest(args, "instance")
-    stages.end("load")
+    manifest.create()
+    manifest.stage("load")
     model = DspChoiceModel(instance)
-    stages.end("model_build")
+    manifest.stage("model_build")
     state = sgd_solve(model, step0=args.step0, epochs=args.epochs_sgd, shuffle_seed=args.seed)
-    stages.end("sgd")
+    manifest.stage("sgd")
     decisions = model.decide_rows(state.alpha)
-    stages.end("decisions")
+    manifest.stage("decisions")
     report = sim.run_expectation(model, state.alpha, decisions)
-    stages.end("evaluate")
+    manifest.stage("evaluate")
     worst, violation = report.worst_row()
     feasible = violation <= sim.FEASIBILITY_TOL
 
@@ -192,8 +194,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         ],
     }
     _write_json(manifest.output("summary.json"), summary)
-    stages.end("write")
-    manifest.payload["stages_s"] = stages.seconds
+    manifest.stage("write")
     manifest.finish()
     if not feasible:
         kind = instance.constraints[worst.k].kind.value
@@ -220,17 +221,17 @@ def _load_strategy(name: str, params_json: str | None, target_roi: float | None)
 def cmd_replay(args: argparse.Namespace) -> int:
     """`simulate` of one strategy with its consumption rows, or `compare` of several."""
     simulate = args.command == "simulate"
-    stages = _Stages()
+    manifest = _Manifest(args, "instance")
     instance = sim.load_instance(args.instance)
     names = [args.strategy] if simulate else [n.strip() for n in args.strategies.split(",")]
     strategies = [_load_strategy(n, args.params, args.target_roi) for n in names if n]
-    manifest = _Manifest(args, "instance")
-    stages.end("load")
+    manifest.create()
+    manifest.stage("load")
     if simulate:
         report = sim.run_monte_carlo(instance, *strategies, epochs=args.epochs, seed=args.seed)
     else:
         report = sim.compare_strategies(instance, strategies, epochs=args.epochs, seed=args.seed)
-    stages.end("replay")
+    manifest.stage("replay")
     totals = {}
     for name, metrics in report.per_strategy_metrics.items():
         sim.write_epoch_metrics_csv(manifest.output(f"epochs_{name}.csv"), metrics)
@@ -239,8 +240,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         sim.write_constraints_csv(manifest.output("constraints.csv"), report.per_constraint)
     summary = _summary_base(args.command, args.seed) | {"strategies": totals, "epochs": args.epochs}
     _write_json(manifest.output("summary.json"), summary)
-    stages.end("write")
-    manifest.payload["stages_s"] = stages.seconds
+    manifest.stage("write")
     manifest.finish()
     for name, stats in totals.items():
         roi = "" if simulate else f"  roi {stats['actual_roi']:.3f}"
@@ -249,8 +249,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    observations = read_observations_csv(args.observations)
     manifest = _Manifest(args, "observations")
+    observations = read_observations_csv(args.observations)
+    manifest.create()
     if args.family == "lognormal":
         fit = fit_censored(observations)
         payload = fit_to_json(fit)
@@ -303,26 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bid-cap", type=float, default=None, help="override the instance bid cap")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo run of one strategy")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--strategy", required=True,
-                   choices=list(sim.STRATEGY_PARAMS))
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target-roi", type=float, default=None)
-    p.add_argument("--params", default=None, help="JSON dict of strategy parameters")
-    p.set_defaults(func=cmd_replay)
-
-    p = sub.add_parser("compare", help="run strategies on identical auction streams")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--strategies", required=True, help="comma-separated strategy names")
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target-roi", type=float, default=None)
-    p.add_argument("--params", default=None, help="JSON dict of shared strategy parameters")
-    p.set_defaults(func=cmd_replay)
+    simulate = sub.add_parser("simulate", help="Monte-Carlo run of one strategy")
+    simulate.add_argument("--strategy", required=True, choices=list(sim.STRATEGY_PARAMS))
+    compare = sub.add_parser("compare", help="run strategies on identical auction streams")
+    compare.add_argument("--strategies", required=True, help="comma-separated strategy names")
+    for p, params_help in ((simulate, "JSON dict of strategy parameters"),
+                           (compare, "JSON dict of shared strategy parameters")):
+        p.add_argument("--instance", required=True)
+        p.add_argument("--out-dir", required=True)
+        p.add_argument("--epochs", type=int, default=60)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--target-roi", type=float, default=None)
+        p.add_argument("--params", default=None, help=params_help)
+        p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("fit", help="fit a landscape from an observation CSV")
     p.add_argument("--observations", required=True)

@@ -389,8 +389,9 @@ class DspChoiceModel(mmkp.ChoiceModel):
         return float(np.maximum(responses[SCORE].max(axis=1), 0.0).sum())
 
     def _value(self, i: int, j: int, sub_choice: float, column: int | slice):
-        prior = LandscapePrior(self.instance.mu[i].item(), self.instance.sigma[i].item())
-        prob, cost = landscape.win_prob(prior, sub_choice), landscape.expected_cost(prior, sub_choice)
+        mu, sigma, mean, *tail = self._rows[i, self._m :]
+        bp, out = np.array([float(sub_choice)]), np.empty((2, 1))
+        prob, cost = landscape.win_prob_cost(bp, mu, sigma, mean, tail[0] if tail else None, out)[:, 0]
         phi, psi = self.coeffs(i, j, column)
         return phi * prob + psi * cost
 

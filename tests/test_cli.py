@@ -319,6 +319,51 @@ def test_replay_manifest_records_stage_times(command, small_instance, tmp_path):
     assert all(isinstance(t, float) and t >= 0.0 for t in stages.values())
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate", "compare", "fit"])
+def test_wall_time_and_stages_share_one_clock(command, small_instance, tmp_path, monkeypatch):
+    # Reading the inputs is slowed by `delay`: the wall time counts it, and
+    # the stages, on the same clock, sum to no more than the wall time.
+    delay = 0.05
+
+    def slowed(read):
+        def slow(*args, **kwargs):
+            time.sleep(delay)
+            return read(*args, **kwargs)
+        return slow
+
+    monkeypatch.setattr(sim, "load_instance", slowed(sim.load_instance))
+    monkeypatch.setattr(cli, "read_observations_csv", slowed(cli.read_observations_csv))
+    obs = tmp_path / "obs.csv"
+    write_observations_csv(obs, [BidObservation(Outcome.WON, 2.0, 1.0), BidObservation(Outcome.LOST, 1.0)])
+    instance = ["--instance", str(small_instance)]
+    argv = {
+        "solve": ["solve", *instance, "--epochs-sgd", "2"],
+        "simulate": ["simulate", *instance, "--strategy", "lin", "--epochs", "2"],
+        "compare": ["compare", *instance, "--strategies", "lin,ortb", "--epochs", "2"],
+        "fit": ["fit", "--observations", str(obs), "--family", "ortb"],
+    }[command]
+    out = tmp_path / "o"
+    assert run([*argv, "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["wall_time_s"] >= delay
+    if command != "fit":
+        stages = manifest["stages_s"]
+        assert stages["load"] >= delay
+        # The stages are differences of microsecond marks; their float sum may exceed the last by an ulp.
+        assert sum(stages.values()) <= manifest["wall_time_s"] + 1e-12
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_malformed_instance_leaves_no_output_directory(command, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"mode": "p4p", "ads": [')
+    argv = {"solve": ["solve"], "compare": ["compare", "--strategies", "lin"]}[command]
+    out = tmp_path / "o"
+    assert run([*argv, "--instance", str(bad), "--out-dir", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _option_names(command: str) -> set[str]:
     """The destinations of every option `command` parses, `--help` aside."""
     parser = cli.build_parser()

@@ -678,6 +678,42 @@ class TestDecideRows:
                 assert bits(decision.bid_price) == bits(rows.bp[i])
 
 
+def value_reference(model, i, j, sub_choice, column):
+    """`DspChoiceModel._value` as it was written with one prior and two kernel runs."""
+    prior = LandscapePrior(model.instance.mu[i].item(), model.instance.sigma[i].item())
+    prob, cost = win_prob(prior, sub_choice), expected_cost(prior, sub_choice)
+    phi, psi = model.coeffs(i, j, column)
+    return phi * prob + psi * cost
+
+
+def test_gain_and_consumption_read_the_row_table():
+    # Half the draws put sigma 36-40 on every other row: means above 1 (a tail
+    # column), finite but with Phi(z - sigma) underflowing, and overflowed.
+    rng = np.random.default_rng(53)
+    bids = [0.0, 1e-300, 1e-30, 1e-3, 0.05, 1.0, 1e4]
+    tails = 0
+    for draw in range(40):
+        instance = random_instance(rng, n=10, m=1 + draw % 3)
+        if draw % 2:
+            sigmas = (36.0, 37.0, 37.5, 38.5, 40.0)
+            instance = with_rows(instance, [
+                dataclasses.replace(imp, prior=LandscapePrior(imp.prior.mu, sigmas[i % 5])) if i % 2 else imp
+                for i, imp in enumerate(instance.impressions)
+            ])
+        model = DspChoiceModel(instance)
+        tails += model._tail
+        for _ in range(100):
+            i, j = int(rng.integers(model.n_items)), int(rng.integers(instance.n_ads))
+            bid = bids[rng.integers(len(bids))] if rng.random() < 0.5 else math.exp(rng.uniform(-30, 10))
+            gain = model.gain(i, j, bid)
+            assert isinstance(gain, float)
+            assert bits(gain) == bits(value_reference(model, i, j, bid, 0)), (draw, i, j, bid)
+            assert raw_bits(model.consumption(i, j, bid)) == raw_bits(
+                value_reference(model, i, j, bid, slice(1, None))
+            ), (draw, i, j, bid)
+    assert 20 <= tails < 40  # some tables carry the tail column and some do not
+
+
 def raw_bits(result):
     """Dtype, shape and bytes of a kernel result, field by field for `RowDecisions`."""
     fields = result if isinstance(result, tuple) else (result,)
