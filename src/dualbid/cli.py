@@ -6,12 +6,14 @@ output directory. The manifest records the command, the input paths, every
 other parsed option except `--out-dir` as a flag, the files written, the tool
 version, the Python, numpy and scipy versions, and wall time from the
 command's start (`solve`, `simulate` and `compare` also per stage, on the
-same clock). It is written incomplete once the inputs are read, so malformed
-input leaves no output directory, and finalized last, so an interrupted run
-is always detectable. Primary outputs are byte-identical across reruns with
-the same inputs and flags; the manifest (which carries timing) is the one
-exception. That identity holds per numpy and BLAS build, so comparing the
-outputs of two hosts needs the recorded versions.
+same clock). It is written incomplete just before the first output, which
+makes the directory, and finalized last. Every input and flag check, and the
+solver's divergence guard, runs before the first output, so an exit of 2 or
+3 leaves no output directory; a run stopped after it leaves `complete:
+false`. Primary outputs are byte-identical across reruns with the same
+inputs and flags; the manifest (which carries timing) is the one exception.
+That identity holds per numpy and BLAS build, so comparing the outputs of
+two hosts needs the recorded versions.
 
 `simulate` (one strategy, with its consumption per constraint row) and
 `compare` (several, in lockstep) are one command body, `cmd_replay`.
@@ -53,8 +55,8 @@ def _write_json(path: Path, payload: dict) -> None:
 class _Manifest:
     """Manifest lifecycle and the command's one clock, started with the command.
 
-    `create` writes it incomplete, `finish` complete. Every parsed option
-    except `--out-dir` and the input paths `inputs` is a flag.
+    The first `output` writes it incomplete, `finish` complete. Every parsed
+    option except `--out-dir` and the input paths `inputs` is a flag.
     """
 
     def __init__(self, args: argparse.Namespace, *inputs: str):
@@ -72,10 +74,6 @@ class _Manifest:
             "wall_time_s": None,
         }
 
-    def create(self) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(self.out_dir / "manifest.json", self.payload)
-
     def stage(self, name: str) -> None:
         """End stage `name`, timed from the last stage's end or the command's start.
 
@@ -88,6 +86,9 @@ class _Manifest:
 
     def output(self, name: str) -> Path:
         """The path of output file `name`, recorded in the manifest's outputs."""
+        if not self.payload["outputs"]:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            _write_json(self.out_dir / "manifest.json", self.payload)
         self.payload["outputs"].append(name)
         return self.out_dir / name
 
@@ -142,6 +143,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         unknown = set(overrides) - set(MockConfig.__dataclass_fields__)
         if unknown:
             raise InvalidRangeError(f"unknown mock config keys: {sorted(unknown)}")
+        if "constraints" in overrides:
+            raise InvalidRangeError("constraints are set in instance.json, not in a mock config")
     flags = {"n_impressions": args.n_impressions, "objective_kind": args.objective,
              "seed": args.seed, "bid_cap": args.bid_cap}
     overrides |= {key: value for key, value in flags.items() if value is not None}
@@ -150,7 +153,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if "objective_kind" in overrides:
         overrides["objective_kind"] = ObjectiveKind(overrides["objective_kind"])
     config = MockConfig(**overrides)
-    manifest.create()
     instance = sim.gen_mock_instance(config)
     path = manifest.output("instance.json")
     sim.save_instance(path, instance, seed=config.seed)
@@ -164,11 +166,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     instance = sim.load_instance(args.instance)
     if args.bid_cap is not None:
         instance = dataclasses.replace(instance, bid_cap=args.bid_cap)
-    manifest.create()
     manifest.stage("load")
     model = DspChoiceModel(instance)
     manifest.stage("model_build")
     state = sgd_solve(model, step0=args.step0, epochs=args.epochs_sgd, shuffle_seed=args.seed)
+    _write_json(manifest.output("alpha.json"), dual_state_to_json(state))
     manifest.stage("sgd")
     decisions = model.decide_rows(state.alpha)
     manifest.stage("decisions")
@@ -176,8 +178,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     manifest.stage("evaluate")
     worst, violation = report.worst_row()
     feasible = violation <= sim.FEASIBILITY_TOL
-
-    _write_json(manifest.output("alpha.json"), dual_state_to_json(state))
     sim.write_constraints_csv(manifest.output("constraints.csv"), report.per_constraint)
     write_decisions_csv(manifest.output("decisions.csv"), instance, decisions)
     summary = _summary_base("solve", args.seed) | {
@@ -225,7 +225,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     instance = sim.load_instance(args.instance)
     names = [args.strategy] if simulate else [n.strip() for n in args.strategies.split(",")]
     strategies = [_load_strategy(n, args.params, args.target_roi) for n in names if n]
-    manifest.create()
     manifest.stage("load")
     if simulate:
         report = sim.run_monte_carlo(instance, *strategies, epochs=args.epochs, seed=args.seed)
@@ -251,7 +250,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     manifest = _Manifest(args, "observations")
     observations = read_observations_csv(args.observations)
-    manifest.create()
     if args.family == "lognormal":
         fit = fit_censored(observations)
         payload = fit_to_json(fit)

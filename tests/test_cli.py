@@ -29,7 +29,13 @@ SCHEMA = json.loads(
 
 
 def run(argv):
-    return cli.main(argv)
+    """`cli.main(argv)`; an exit of 2 or 3 must not have made the output directory."""
+    out = Path(argv[argv.index("--out-dir") + 1]) if "--out-dir" in argv else None
+    existed = out is not None and out.exists()
+    code = cli.main(argv)
+    if code in (cli.EXIT_INPUT, cli.EXIT_NUMERIC) and out is not None:
+        assert existed or not out.exists(), argv
+    return code
 
 
 def read_dir(path: Path) -> dict:
@@ -74,6 +80,15 @@ class TestGen:
         config.write_text(json.dumps({"imps": 7}))
         assert run(["gen", "--out-dir", str(tmp_path / "o"), "--config", str(config)]) == 2
         assert "unknown mock config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("constraints", [[{"kind": "budget"}], [], None], ids=["rows", "empty", "null"])
+    def test_config_that_sets_constraints_exits_2(self, tmp_path, capsys, constraints):
+        config = tmp_path / "mock.json"
+        config.write_text(json.dumps({"constraints": constraints}))
+        out = tmp_path / "o"
+        assert run(["gen", "--out-dir", str(out), "--config", str(config)]) == 2
+        assert "constraints are set in instance.json" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_seed_applies_without_the_flag(self, tmp_path):
         config = tmp_path / "mock.json"
@@ -255,6 +270,7 @@ class TestSolve:
 
         monkeypatch.setattr(cli, "sgd_solve", explode)
         assert run(["solve", "--instance", str(small_instance), "--out-dir", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
 
     def test_interrupted_run_leaves_incomplete_manifest(self, small_instance, tmp_path, monkeypatch):
         def crash(*args, **kwargs):
@@ -353,13 +369,51 @@ def test_wall_time_and_stages_share_one_clock(command, small_instance, tmp_path,
         assert sum(stages.values()) <= manifest["wall_time_s"] + 1e-12
 
 
-@pytest.mark.parametrize("command", ["solve", "compare"])
-def test_malformed_instance_leaves_no_output_directory(command, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"mode": "p4p", "ads": [')
-    argv = {"solve": ["solve"], "compare": ["compare", "--strategies", "lin"]}[command]
+SOLVE = ["solve", "--instance", "{instance}"]
+FIT = ["fit", "--observations"]
+REJECTED_RUNS = {
+    "solve": ["solve", "--instance", "{truncated}"],
+    "compare": ["compare", "--strategies", "lin", "--instance", "{truncated}"],
+    "gen-reversed-mu-range": ["gen", "--config", "{reversed_mu}"],
+    "gen-negative-impressions": ["gen", "--n-impressions", "-5"],
+    "solve-negative-epochs": [*SOLVE, "--epochs-sgd", "-1"],
+    "solve-step0-zero": [*SOLVE, "--step0", "0"],
+    "solve-negative-seed": [*SOLVE, "--seed", "-1"],
+    "simulate-zero-epochs": ["simulate", "--strategy", "lin", "--instance", "{instance}", "--epochs", "0"],
+    "simulate-fixed-alpha-one-price": ["simulate", "--strategy", "fixed_alpha", "--params",
+                                       '{{"alpha": [1]}}', "--instance", "{instance}"],
+    "simulate-db-single-p4u": ["simulate", "--strategy", "db_single", "--instance", "{p4u}"],
+    "compare-one-strategy": ["compare", "--strategies", "ortb", "--instance", "{instance}"],
+    "compare-repeated-strategy": ["compare", "--strategies", "ortb,ortb", "--instance", "{instance}"],
+    "fit-header-only": [*FIT, "{header_only}"],
+    "fit-all-lost": [*FIT, "{all_lost}"],
+    "fit-one-win-at-cost-zero": [*FIT, "{won_at_zero}"],
+}
+
+
+REJECTED_RUN_FILES = {
+    "truncated": '{"mode": "p4p", "ads": [',
+    "reversed_mu": '{"mu_range": [2, 1]}',
+    "p4u_config": '{"mode": "p4u"}',
+    "header_only": "outcome,bid_price,paid_cost\n",
+    "all_lost": "outcome,bid_price,paid_cost\nLOST,1.0,\nLOST,2.0,\n",
+    "won_at_zero": "outcome,bid_price,paid_cost\nWON,1.0,0\n",
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED_RUNS))
+def test_malformed_instance_leaves_no_output_directory(case, small_instance, tmp_path, capsys):
+    # Every check of the inputs and flags runs before the first output, which makes the directory.
+    paths = {"instance": small_instance, "p4u": tmp_path / "p4u" / "instance.json"}
+    for name, text in REJECTED_RUN_FILES.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    gen = ["gen", "--config", str(paths["p4u_config"]), "--n-impressions", "20"]
+    assert run([*gen, "--out-dir", str(paths["p4u"].parent)]) == 0
+    capsys.readouterr()
     out = tmp_path / "o"
-    assert run([*argv, "--instance", str(bad), "--out-dir", str(out)]) == 2
+    argv = [arg.format(**paths) for arg in REJECTED_RUNS[case]]
+    assert run([*argv, "--out-dir", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
 
